@@ -8,7 +8,7 @@ function transfers real-part estimates between the classes.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
@@ -64,17 +64,9 @@ class BrownMeasure:
         return all(z == 0.0 for z, _ in self.atoms)
 
 
-@dataclass(frozen=True)
-class BandFunctional:
-    fn: object  # (r, s) -> complex
-    tag: str = ""
-
-    def __call__(self, r, s):
-        return self.fn(r, s)
-
-
 def phi_of(T):
-    return BandFunctional(lambda r, s: phi(T, r, s), "Phi of operator")
+    """The band functional (r, s) -> Phi(r, s; T)."""
+    return lambda r, s: phi(T, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +89,7 @@ def brown_of_normal(T, ppo=BROWN_PPO):
             if seg.hi == INF:
                 raise DomainError(
                     "nonvanishing tail carries infinite spectral mass")
-            atoms.append((seg.phase * seg.modulus(
+            atoms.append((seg.phase * seg.value(
                 0.5 * (seg.lo + seg.hi)), seg.hi - seg.lo))
             continue
         hi = seg.hi
@@ -115,7 +107,7 @@ def brown_of_normal(T, ppo=BROWN_PPO):
             cuts.insert(0, seg.lo)
         for a, b in zip(cuts, cuts[1:]):
             mid = math.sqrt(max(a, b * 1e-30) * b)
-            atoms.append((seg.phase * seg.modulus(mid), b - a))
+            atoms.append((seg.phase * seg.value(mid), b - a))
     return BrownMeasure(tuple(atoms))
 
 
@@ -144,15 +136,6 @@ def phi(src, r, s):
 
 # ---------------------------------------------------------------------------
 # log-determinants
-
-
-def _gk_value(z, k):
-    acc = 0.0 + 0.0j
-    p = 1.0 + 0.0j
-    for j in range(1, k + 1):
-        p *= z
-        acc += p / j
-    return (1.0 - z) * cmath.exp(acc)
 
 
 def _log_gk(z, k):
@@ -198,7 +181,7 @@ def fk_det(T, mode="I+T", k=1, w=1.0):
         else:
             hi = seg.hi
         if seg.is_const():
-            z = seg.phase * seg.modulus(0.5 * (seg.lo + hi))
+            z = seg.phase * seg.value(0.5 * (seg.lo + hi))
             lg = log_g(z)
             if lg == -INF:
                 return 0.0
@@ -210,7 +193,7 @@ def fk_det(T, mode="I+T", k=1, w=1.0):
             continue
 
         def integrand(t):
-            lg = log_g(seg.phase * seg.modulus(t))
+            lg = log_g(seg.phase * seg.value(t))
             return lg if lg > -INF else -745.0
 
         lo = seg.lo if seg.lo > 0.0 else hi * 2.0 ** -DEPTH_OCTAVES
@@ -274,8 +257,8 @@ def verify_certificate(F, V, cls, grid_n=40, lo=2.0 ** -20, hi=2.0 ** 20):
 
 
 def _abs_op(T):
-    return so.make_op([so.SpecSeg(s.lo, s.hi, 1.0, s.terms)
-                       for s in T.segs], T.factor_type, validate=False)
+    return so.make_op([replace(s, phase=1.0) for s in T.segs],
+                      T.factor_type, validate=False)
 
 
 def build_V(T, h=None, grid_n=40):
@@ -288,9 +271,7 @@ def build_V(T, h=None, grid_n=40):
     atoms = [(z, 4.0 * mass)
              for z, mass in brown_of_normal(_abs_op(T)).atoms]
     if h is not None and not h.is_zero():
-        hop = so.make_op(
-            [so.SpecSeg(s.lo, s.hi, 1.0, s.terms) for s in h.segs],
-            II_INF, validate=False)
+        hop = so.make_op(h.segs, II_INF, validate=False)
         atoms += [(z, 4.0 * mass)
                   for z, mass in brown_of_normal(hop).atoms]
     V = normal_model(BrownMeasure(tuple(atoms)))
@@ -336,7 +317,12 @@ def member_F(T, I):
 
 
 def approx_nilpotent(tag, I):
-    """Vanishing spectral measure: member for geometrically stable modules."""
+    """Vanishing spectral measure: member for geometrically stable modules.
+
+    A cross-check used only by tests of the paper's statement that an
+    operator in I whose Brown measure vanishes lies in [I, M] when I is
+    geometrically stable.
+    """
     if not tag.is_zero():
         raise DomainError("spectral measure must vanish")
     st = md.geometrically_stable(I)
@@ -358,6 +344,10 @@ def _tail_weight(T, r, s):
 
 def basicprops_check(Ts, r, s):
     """Margins for the band-functional bounds.
+
+    A cross-check used only by tests of the paper's basic bounds on the
+    band functional Phi(r, s; T), through which it passes between T and
+    its self-adjoint parts.
 
     (qadditive): profiles summing to zero pointwise; (qmult): scaling by
     |alpha| <= 1; (realpart)/(imagpart): comparison with the self-adjoint

@@ -27,6 +27,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
 
+# report file extension per --format
+_EXT = {"json": "json", "csv": "csv", "text": "txt"}
+
 
 class CliError(Exception):
     """Input error; the message is printed to stderr and exit code is 1."""
@@ -129,40 +132,31 @@ def _kv_csv(payload):
     return _csv_bytes(("key", "value"), rows)
 
 
-def _decision_text(dec):
-    lines = ["answer: %s" % dec.answer]
-    if dec.notes:
-        lines.append("notes: %s" % dec.notes)
-    cert = dec.certificate
+def _decision_text(doc):
+    """Text report of a decision_to_json payload."""
+    lines = ["answer: %s" % doc["answer"]]
+    if doc["notes"]:
+        lines.append("notes: %s" % doc["notes"])
+    cert = doc["certificate"]
     if cert is not None:
         lines.append("certificate:")
-        lines.append("  a: %s" % _fmt_complex(cert.a))
-        lines.append("  budget: %d commutators" % cert.total_count)
-        if cert.beta0_interval is not None:
-            (rl, rh), (il, ih) = cert.beta0_interval
+        lines.append("  a: %s" % _fmt_complex(complex(*cert["a"])))
+        lines.append("  budget: %d commutators" % cert["total_count"])
+        if "beta0_interval" in cert:
+            (rl, rh), (il, ih) = (cert["beta0_interval"]["re"],
+                                  cert["beta0_interval"]["im"])
             lines.append("  beta0 interval: Re [%s, %s], Im [%s, %s]"
                          % (_fmt_num(rl), _fmt_num(rh),
                             _fmt_num(il), _fmt_num(ih)))
-        if cert.alpha is not None:
-            lines.append("  alpha levels: %d" % len(cert.alpha))
-        if cert.block_bounds:
-            lines.append("  blocks: %d" % len(cert.block_bounds))
-    if dec.obstruction is not None:
+        if "alpha" in cert:
+            lines.append("  alpha levels: %d" % len(cert["alpha"]))
+        if "block_bounds" in cert:
+            lines.append("  blocks: %d" % len(cert["block_bounds"]))
+    if doc["obstruction"] is not None:
         lines.append("obstruction:")
-        for key in sorted(dec.obstruction):
-            lines.append("  %s: %s" % (key, dec.obstruction[key]))
+        for key in sorted(doc["obstruction"]):
+            lines.append("  %s: %s" % (key, doc["obstruction"][key]))
     return "\n".join(lines) + "\n"
-
-
-def emit_report(dec, fmt="json"):
-    """Deterministic serialization of a Decision as bytes."""
-    if fmt == "json":
-        return _json_bytes(sz.document("decision", sz.decision_to_json(dec)))
-    if fmt == "csv":
-        return _kv_csv(sz.decision_to_json(dec))
-    if fmt == "text":
-        return _decision_text(dec).encode("utf-8")
-    raise CliError("--format: unknown format %r" % fmt)
 
 
 def _emit_payload(kind, payload, fmt, text_fn):
@@ -173,6 +167,12 @@ def _emit_payload(kind, payload, fmt, text_fn):
     if fmt == "text":
         return text_fn(payload).encode("utf-8")
     raise CliError("--format: unknown format %r" % fmt)
+
+
+def emit_report(dec, fmt="json"):
+    """Deterministic serialization of a Decision as bytes."""
+    return _emit_payload("decision", sz.decision_to_json(dec), fmt,
+                         _decision_text)
 
 
 def _write(args, name, data):
@@ -193,18 +193,12 @@ def _samples_csv(samples):
 # commands
 
 
-def _sample_grid(T, ppo, K):
-    n_lo = K * ppo
-    ts = [2.0 ** (-(n_lo - i) / ppo) for i in range(n_lo + 1)]
-    if T.factor_type == so.II_1:
-        return ts[:-1]  # the domain is the open interval (0, 1)
-    return ts + [2.0 ** ((i + 1) / ppo) for i in range(K * ppo)]
-
-
 def cmd_mu(args, query):
     T = _query_field(query, "operator", sz.op_from_json, required=True)
     m = so.mu(T)
-    samples = [(t, m(t)) for t in _sample_grid(T, args.grid, args.K)]
+    # the domain of a II_1 operator is the open interval (0, 1)
+    samples = [(t, m(t)) for t in cm.dyadic_grid(-args.K, args.K, args.grid)
+               if t < T.domain_hi]
     if args.format == "csv":
         _write(args, "mu.csv", _samples_csv(samples))
         return EXIT_OK
@@ -217,7 +211,7 @@ def cmd_mu(args, query):
                                           else _fmt_num(r["value"]))
                        for r in rows)
 
-    _write(args, "mu.json" if args.format == "json" else "mu.txt",
+    _write(args, "mu." + _EXT[args.format],
            _emit_payload("samples", payload, args.format, text))
     if args.out:
         with open(os.path.join(args.out, "mu.csv"), "wb") as fh:
@@ -249,29 +243,26 @@ def _decision_exit(dec):
     return EXIT_INCONCLUSIVE if dec.answer == "inconclusive" else EXIT_OK
 
 
-def cmd_member(args, query):
+def _decide_and_write(args, query, name):
+    """Run the membership query and write its report as name.<ext>."""
     try:
         dec = _run_member(query)
     except DomainError as exc:
         raise CliError("query: %s" % exc)
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
-    _write(args, "member." + ext, emit_report(dec, args.format))
-    return _decision_exit(dec)
+    _write(args, name + "." + _EXT[args.format], emit_report(dec, args.format))
+    return dec
+
+
+def cmd_member(args, query):
+    return _decision_exit(_decide_and_write(args, query, "member"))
 
 
 def cmd_witness(args, query):
-    try:
-        dec = _run_member(query)
-    except DomainError as exc:
-        raise CliError("query: %s" % exc)
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
-    _write(args, "witness." + ext, emit_report(dec, args.format))
+    dec = _decide_and_write(args, query, "witness")
     cert = dec.certificate
     if args.out and cert is not None and cert.phi is not None:
         samples = [(t, cert.phi(t))
-                   for t in [2.0 ** (i / args.grid)
-                             for i in range(-args.K * args.grid,
-                                            args.K * args.grid + 1)]]
+                   for t in cm.dyadic_grid(-args.K, args.K, args.grid)]
         with open(os.path.join(args.out, "phi.csv"), "wb") as fh:
             fh.write(_samples_csv(samples))
     return _decision_exit(dec)
@@ -291,7 +282,7 @@ def cmd_brown(args, query):
                           _fmt_num(a["mass"]))
                        for a in atoms)
 
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
+    ext = _EXT[args.format]
     _write(args, "brown." + ext,
            _emit_payload("brown", payload, args.format, text))
     I = _query_field(query, "module_I", sz.module_from_json)
@@ -302,13 +293,30 @@ def cmd_brown(args, query):
     return _decision_exit(dec)
 
 
+def _positive_int(value, path):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise CliError("%s: expected a positive integer, got %r"
+                       % (path, value))
+    return value
+
+
 def cmd_oracle(args, query):
     suite = query.get("suite")
-    if not isinstance(suite, str):
+    if suite is None:
         raise CliError("query.suite: missing required field")
+    if suite not in mo.SUITES:
+        raise CliError("query.suite: expected one of %s, got %r"
+                       % (", ".join(mo.SUITES), suite))
     dims = query.get("dims", list(mo.OracleConfig().dims))
-    trials = query.get("trials", 100)
+    if not isinstance(dims, list) or not dims:
+        raise CliError("query.dims: expected a non-empty array of positive "
+                       "integers, got %r" % (dims,))
+    for i, d in enumerate(dims):
+        _positive_int(d, "query.dims[%d]" % i)
+    trials = _positive_int(query.get("trials", 100), "query.trials")
     N = query.get("N")
+    if N is not None:
+        _positive_int(N, "query.N")
     tol = _env_tol()
     kwargs = {"seed": args.seed, "dims": tuple(dims), "trials": trials}
     if tol is not None:
@@ -317,7 +325,7 @@ def cmd_oracle(args, query):
     try:
         cfg = mo.OracleConfig(**kwargs)
         rep = mo.run_property_suite(cfg, suite, N=N)
-    except (DomainError, ValueError, TypeError) as exc:
+    except DomainError as exc:
         raise CliError("query: %s" % exc)
     payload = {"suite": rep["suite"], "dims": list(rep["dims"]),
                "trials": rep["trials"], "min_margin": rep["min_margin"],
@@ -331,8 +339,7 @@ def cmd_oracle(args, query):
                  "failures: %d" % len(p["failures"])]
         return "\n".join(lines) + "\n"
 
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
-    _write(args, "oracle." + ext,
+    _write(args, "oracle." + _EXT[args.format],
            _emit_payload("oracle", payload, args.format, text))
     return EXIT_OK
 
@@ -346,7 +353,7 @@ def _op(segs):
 
 
 def _seg(lo, hi, phase, *terms):
-    return so.SpecSeg(lo, hi, phase, terms)
+    return df.Seg(lo, hi, terms, phase)
 
 
 def _log_witness_fs():
@@ -466,8 +473,7 @@ def cmd_table(args, query):
               r["answer"], "true" if r["ok"] else "false") for r in rows])
     else:
         data = _emit_payload("table", rows, args.format, text)
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
-    _write(args, "table." + ext, data)
+    _write(args, "table." + _EXT[args.format], data)
     return EXIT_OK if all(r["ok"] for r in rows) else EXIT_INCONCLUSIVE
 
 

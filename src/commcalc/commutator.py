@@ -9,13 +9,13 @@ omega test functions are missing from the module.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import decfun as df
 from . import modules as md
 from . import specop as so
-from .decfun import INF, DomainError, PLFun, Seg, Term
-from .specop import II_1, II_INF, NormalOp
+from .decfun import INF, DomainError, PLFun
+from .specop import II_1, II_INF
 
 GRID_K = 60
 GRID_PPO = 2
@@ -60,27 +60,21 @@ def inconclusive(notes):
 # sampled trace data
 
 
-def dyadic_grid(K=GRID_K, ppo=GRID_PPO, side="fs"):
-    n = K * ppo
-    if side == "fs":
-        return [2.0 ** (-(n - i) / ppo) for i in range(n + 1)]  # up to 1
-    return [2.0 ** (i / ppo) for i in range(n + 1)]  # from 1 up
+def dyadic_grid(lo_oct, hi_oct, ppo=GRID_PPO):
+    """The points 2^(j/ppo) from 2^lo_oct to 2^hi_oct, ppo per octave."""
+    return [2.0 ** (j / ppo) for j in range(lo_oct * ppo, hi_oct * ppo + 1)]
 
 
 def head_values(T, K=GRID_K, ppo=GRID_PPO):
     """(r, tau(T E[0, mu_r])) over the dyadic grid in (0, 1]."""
-    out = []
-    for r in dyadic_grid(K, ppo, "fs"):
-        out.append((r, so.band_trace(T, "head", r=r)))
-    return out
+    return [(r, so.band_trace(T, "head", r=r))
+            for r in dyadic_grid(-K, 0, ppo)]
 
 
 def tail_values(T, K=GRID_K, ppo=GRID_PPO):
     """(s, tau(T E(mu_s, oo))) over the dyadic grid in [1, oo)."""
-    out = []
-    for s in dyadic_grid(K, ppo, "b"):
-        out.append((s, so.band_trace(T, "tail", s=s)))
-    return out
+    return [(s, so.band_trace(T, "tail", s=s))
+            for s in dyadic_grid(0, K, ppo)]
 
 
 def _class_extrapolate(vals, ts, side, ppo, scale):
@@ -113,7 +107,7 @@ def _class_extrapolate(vals, ts, side, ppo, scale):
     if I == INF:
         return "diverges", None
     R = ppo / math.log(2.0) * I
-    if R <= tol_scaled(scale):
+    if R <= TRACE_TOL * scale:
         return "converged", vals[-1]
     units = [d / abs(d) for _, d in diffs[-12:] if abs(d) > 0.0]
     if not units:
@@ -123,10 +117,6 @@ def _class_extrapolate(vals, ts, side, ppo, scale):
         return "unsettled", None
     a = vals[-1] + mean / abs(mean) * R
     return "converged", 0.0 if abs(a) <= 1e-4 * scale else a
-
-
-def tol_scaled(scale, tol=TRACE_TOL):
-    return tol * scale
 
 
 def trace_limit(vals, tol=TRACE_TOL, ts=None, side="head", ppo=GRID_PPO):
@@ -441,10 +431,9 @@ def member_IIinf(T, I, J, K=GRID_K, ppo=GRID_PPO, _depth=0):
                                       h_b=df.const(2.0 * df.value_at_0(m)))
             return member(cert, "flat profile handled by the full-algebra"
                           " identity")
-        head = so.make_op(
-            [so.SpecSeg(s.lo, min(s.hi, cut), s.phase, s.terms)
-             for s in T.segs if s.lo < cut],
-            II_INF, validate=False)
+        head = so.make_op([replace(s, hi=min(s.hi, cut))
+                           for s in T.segs if s.lo < cut],
+                          II_INF, validate=False)
         dec = member_IIinf(head, I, J, K, ppo, _depth + 1)
         note = "tail at level %g handled by the full-algebra identity" % d
         return Decision(dec.answer, dec.certificate, dec.obstruction,
@@ -624,6 +613,11 @@ def _attach_block_data(T, dec, K=40, ppo=GRID_PPO):
 def dfww_discrete_test(lambdas, I_d, tail=None, K=40):
     """Cesaro-mean test for sequences against a discrete module.
 
+    A cross-check used only by tests: the discrete (type I) form of the
+    criterion, the Dykema-Figiel-Weiss-Wodzicki theorem that a normal
+    diag(lambda) in I lies in [I, B(H)] exactly when the Cesaro means
+    (lambda_1 + ... + lambda_n) / n stay within I.
+
     lambdas: finite list of complex values with nonincreasing modulus;
     tail: optional (coeff, gamma) continuing |lambda_k| = coeff*k^-gamma
     beyond the list (positive reals assumed for the tail).
@@ -673,7 +667,13 @@ def dfww_discrete_test(lambdas, I_d, tail=None, K=40):
 
 
 def necessary_h(T, parts):
-    """The explicit necessary bound from an N-term decomposition."""
+    """The explicit necessary bound from an N-term decomposition.
+
+    A cross-check used only by tests of the necessity half of the paper's
+    characterization of [I, J]: T = sum of N commutators [A_j, B_j] obeys
+    |tau(T E(mu_s, mu_r])| <= r h(r) + s h(s) with this h, which lies in
+    mu(IJ); parts lists the pairs (mu(A_j), mu(B_j)).
+    """
     N = len(parts)
     h = df.scale_fun(so.mu(T), 8.0 * N + 2.0)
     for muA, muB in parts:

@@ -51,9 +51,16 @@ class Term:
 
 @dataclass(frozen=True)
 class Seg:
+    """Segment [lo, hi) carrying the sum of its terms.
+
+    phase is the unimodular factor of an operator segment (see specop);
+    profiles never read it, and make() rebuilds every segment with phase 1.
+    """
+
     lo: float
     hi: float
     terms: tuple = ()
+    phase: complex = 1.0
 
     def value(self, t):
         return sum(term.value(t) for term in self.terms)
@@ -212,10 +219,6 @@ def step_fun(pairs, domain_hi=INF):
 
 # ---------------------------------------------------------------------------
 # evaluation helpers
-
-
-def eval_at(f, t):
-    return f(t)
 
 
 def support_hi(f):
@@ -494,12 +497,8 @@ def _seg_integral(terms, lo, hi, p, log1p):
         v = sum(tm.value(t) for tm in terms)
         return math.log1p(v) if log1p else v ** p
 
-    pieces = []
-    # split at the scale-adjacent guard points to help quad near kinks
-    a, b = lo, min(hi, INF)
-    val, _ = integrate.quad(fn, a, b, epsabs=1e-12, epsrel=1e-12, limit=500)
-    pieces.append(val)
-    return sum(pieces)
+    val, _ = integrate.quad(fn, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=500)
+    return val
 
 
 def integral(f, a, b, p=1.0, log1p=False):

@@ -6,7 +6,7 @@ dimension, trial index), so results are independent of scheduling.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,27 +314,27 @@ def _brown_phi_trial(rng, n, cfg):
     return worst
 
 
+_TRIALS = {"snumb": _snumb_trial, "soplus": _soplus_trial,
+           "lemma_nec": _lemma_nec_trial, "pluri": _pluri_trial,
+           "brown_phi": _brown_phi_trial}
+SUITES = tuple(_TRIALS)
+
+
 def run_property_suite(cfg, suite, N=None):
     """Randomized verification; returns {suite, dims, trials, min_margin,
     failures} where failures lists (dim, trial, margin) triples."""
+    if suite not in _TRIALS:
+        raise ValueError("unknown suite %r" % suite)
     min_margin = math.inf
     failures = []
     for n in cfg.dims:
         for trial in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, n, trial])
-            if suite == "snumb":
-                margin = _snumb_trial(rng, n, cfg)
-            elif suite == "soplus":
-                margin = _soplus_trial(rng, n, cfg)
-            elif suite == "lemma_nec":
+            if suite == "lemma_nec":
                 k = N if N is not None else 1 + trial % 3
                 margin = _lemma_nec_trial(rng, n, cfg, k)
-            elif suite == "pluri":
-                margin = _pluri_trial(rng, n, cfg)
-            elif suite == "brown_phi":
-                margin = _brown_phi_trial(rng, n, cfg)
             else:
-                raise ValueError("unknown suite %r" % suite)
+                margin = _TRIALS[suite](rng, n, cfg)
             if margin < min_margin:
                 min_margin = margin
             if margin < 0.0:

@@ -7,7 +7,6 @@ the piecewise power-log class: "yes" answers are sound outright, "no"
 answers are sound within the class (noted in the reason).
 """
 
-import math
 from dataclasses import dataclass
 
 from . import decfun as df
@@ -416,18 +415,3 @@ def to_II1(I):
     if k == "BPart":
         return BPart(to_II1(I.children[0]))
     raise ValueError("unknown module kind %r" % k)
-
-
-def describe(I):
-    k = I.kind
-    if k == "Lp":
-        return "L_%g" % I.p
-    if k == "Principal":
-        return "Principal(...)"
-    if k in ("F", "K", "M", "Llog"):
-        return k
-    if k == "Sum":
-        return "(%s + %s)" % tuple(describe(c) for c in I.children)
-    if k == "Product":
-        return "(%s * %s)" % tuple(describe(c) for c in I.children)
-    return "%s(%s)" % (k, describe(I.children[0]))

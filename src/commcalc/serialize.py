@@ -149,7 +149,7 @@ def op_from_json(obj, path="operator"):
                       if rec["coeff"] != 0.0)
         if not terms:
             continue
-        segs.append(so.SpecSeg(lo, hi, phase, terms))
+        segs.append(df.Seg(lo, hi, terms, phase))
     try:
         return so.make_op(segs, ft)
     except df.DomainError as exc:

@@ -2,7 +2,8 @@
 
 An operator is multiplication by v(t) = phase * modulus(t) on its domain,
 with the modulus globally nonincreasing so that the singular-number
-function is the modulus itself.
+function is the modulus itself.  Its segments are decfun.Seg: the terms
+give the modulus and the phase field the unimodular factor on the segment.
 """
 
 import cmath
@@ -20,23 +21,6 @@ II_1 = "II_1"
 
 
 @dataclass(frozen=True)
-class SpecSeg:
-    lo: float
-    hi: float
-    phase: complex
-    terms: tuple = ()
-
-    def modulus(self, t):
-        return sum(tm.value(t) for tm in self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_const(self):
-        return all(tm.pow == 0.0 and tm.logpow == 0.0 for tm in self.terms)
-
-
-@dataclass(frozen=True)
 class NormalOp:
     factor_type: str
     segs: tuple
@@ -45,10 +29,15 @@ class NormalOp:
     def domain_hi(self):
         return 1.0 if self.factor_type == II_1 else INF
 
+    @functools.cached_property
+    def profile(self):
+        """Singular-number function as a PLFun, built on first use."""
+        return df.make(self.segs, self.domain_hi)
+
     def value(self, t):
         for seg in self.segs:
             if seg.lo <= t < seg.hi:
-                return seg.phase * seg.modulus(t)
+                return seg.phase * seg.value(t)
         return 0.0
 
     def is_zero(self):
@@ -68,10 +57,10 @@ def make_op(segs, factor_type=II_INF, validate=True):
         if validate and abs(abs(phase) - 1.0) > 1e-12:
             raise DomainError("phase %r is not unimodular" % (phase,))
         phase = phase / abs(phase)
-        cleaned.append(SpecSeg(seg.lo, seg.hi, phase, terms))
+        cleaned.append(Seg(seg.lo, seg.hi, terms, phase))
     op = NormalOp(factor_type, tuple(cleaned))
     if validate:
-        mu(op)  # builds the PLFun, which checks tiling and monotonicity
+        mu(op)  # builds and keeps the profile; checks tiling and monotonicity
     return op
 
 
@@ -92,16 +81,14 @@ def from_atoms(atoms, factor_type=II_INF):
     segs = []
     lo = 0.0
     for _, _, _, z, ln in items:
-        segs.append(SpecSeg(lo, lo + ln, z / abs(z), (Term(abs(z)),)))
+        segs.append(Seg(lo, lo + ln, (Term(abs(z)),), z / abs(z)))
         lo += ln
     return make_op(segs, factor_type)
 
 
-@functools.lru_cache(maxsize=256)
 def mu(T):
     """Singular-number function as a PLFun."""
-    segs = [Seg(s.lo, s.hi, s.terms) for s in T.segs]
-    return df.make(segs, T.domain_hi)
+    return T.profile
 
 
 def distribution(T, x, closed=False):
@@ -233,14 +220,14 @@ def trace(T):
 # structural operations
 
 
-def _discretize_seg(seg, ppo=16, lo_floor=None):
+def _discretize_seg(seg, ppo=16):
     """Replace a non-constant segment by left-endpoint steps (a majorant)."""
     if seg.is_const():
         return [seg]
     lo = seg.lo
     hi = seg.hi
     if lo == 0.0:
-        lo = (lo_floor or min(hi, 1.0)) * 2.0 ** -60
+        lo = min(hi, 1.0) * 2.0 ** -60
     if hi == INF:
         hi = max(lo, 1.0) * 2.0 ** 60
     n = max(2, int(math.ceil(math.log2(hi / lo) * ppo)) + 1)
@@ -249,16 +236,9 @@ def _discretize_seg(seg, ppo=16, lo_floor=None):
     out = []
     for a_, b_ in zip(cuts, cuts[1:]):
         t_ref = a_ if a_ > 0 else b_ / 2.0
-        v = seg.modulus(t_ref)
-        out.append(SpecSeg(a_, b_, seg.phase, (Term(v),)))
+        v = seg.value(t_ref)
+        out.append(Seg(a_, b_, (Term(v),), seg.phase))
     return out
-
-
-def _atoms_of(T):
-    if not all(s.is_const() for s in T.segs):
-        raise DomainError("not a step profile")
-    return [(s.phase * sum(tm.coeff for tm in s.terms), s.hi - s.lo)
-            for s in T.segs]
 
 
 def is_step(T):
@@ -295,15 +275,15 @@ def scale_op(T, alpha):
     m = abs(alpha)
     ph = alpha / m
     segs = [
-        SpecSeg(s.lo, s.hi, s.phase * ph,
-                tuple(replace(tm, coeff=tm.coeff * m) for tm in s.terms))
+        replace(s, phase=s.phase * ph,
+                terms=tuple(replace(tm, coeff=tm.coeff * m) for tm in s.terms))
         for s in T.segs
     ]
     return NormalOp(T.factor_type, tuple(segs))
 
 
 def adjoint(T):
-    segs = [SpecSeg(s.lo, s.hi, s.phase.conjugate(), s.terms) for s in T.segs]
+    segs = [replace(s, phase=s.phase.conjugate()) for s in T.segs]
     return NormalOp(T.factor_type, tuple(segs))
 
 
@@ -316,10 +296,10 @@ def _shift_left(segs, c, ppo=16):
             continue
         lo = max(lo, 0.0)
         if seg.is_const() or c == 0.0:
-            out.append(SpecSeg(lo, hi, seg.phase, seg.terms))
+            out.append(replace(seg, lo=lo, hi=hi))
         elif seg.lo >= c * 2.0 ** 20:
             # far from the cut the shift is below every tolerance
-            out.append(SpecSeg(lo, hi, seg.phase, seg.terms))
+            out.append(replace(seg, lo=lo, hi=hi))
         else:
             # discretize on the shifted axis with left-endpoint values of
             # the true shifted profile t -> modulus(t + c)
@@ -334,8 +314,8 @@ def _shift_left(segs, c, ppo=16):
             for a_, b_ in zip(cuts, cuts[1:]):
                 if b_ <= a_:
                     continue
-                v = seg.modulus(a_ + c)
-                out.append(SpecSeg(a_, b_, seg.phase, (Term(v),)))
+                v = seg.value(a_ + c)
+                out.append(Seg(a_, b_, (Term(v),), seg.phase))
     return out
 
 
@@ -356,8 +336,8 @@ def split_fs_b(T, t0=1.0, ppo=16):
         elif seg.lo >= cut:
             b_segs.append(seg)
         else:
-            fs_segs.append(SpecSeg(seg.lo, cut, seg.phase, seg.terms))
-            b_segs.append(SpecSeg(cut, seg.hi, seg.phase, seg.terms))
+            fs_segs.append(replace(seg, hi=cut))
+            b_segs.append(replace(seg, lo=cut))
     T_fs = make_op(fs_segs, II_INF, validate=False)
     T_b = make_op(_shift_left(b_segs, cut, ppo), II_INF, validate=False)
     return T_fs, T_b

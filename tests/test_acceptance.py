@@ -302,10 +302,10 @@ def corpus_T(rng):
     if kind == 2:
         g = float(rng.choice([0.25, 0.5, 0.75]))
         ph = complex(rng.choice([1.0, -1.0, 1j]))
-        return so.make_op([so.SpecSeg(0.0, 1.0, ph, (Term(1.0, g),))])
+        return so.make_op([Seg(0.0, 1.0, (Term(1.0, g),), ph)])
     d = float(rng.choice([0.6, 1.5]))
-    return so.make_op([so.SpecSeg(0.0, 1.0, 1.0, (Term(1.0),)),
-                       so.SpecSeg(1.0, INF, 1.0, (Term(1.0, d),))])
+    return so.make_op([Seg(0.0, 1.0, (Term(1.0),)),
+                       Seg(1.0, INF, (Term(1.0, d),))])
 
 
 def corpus_I(rng):

@@ -60,13 +60,13 @@ class TestRoundTrip:
                 assert abs(m1 - m2) < 1e-12
 
     def test_infinite_const_tail_rejected(self):
-        T = so.make_op([so.SpecSeg(0.0, df.INF, 1.0, (df.Term(1.0),))])
+        T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0),))])
         with pytest.raises(df.DomainError):
             br.brown_of_normal(T)
 
     def test_continuous_profile_mass(self):
         # t^-1/2 on (0,1): chunked atoms must keep the total mass exactly
-        T = so.make_op([so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0, 0.5),))])
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),))])
         nu = br.brown_of_normal(T)
         assert abs(nu.total_mass - 1.0) < 1e-12
 
@@ -118,7 +118,7 @@ class TestFkDet:
         assert br.fk_det(T) == 0.0
 
     def test_divergent_tail(self):
-        T = so.make_op([so.SpecSeg(0.0, df.INF, 1.0, (df.Term(1.0, 0.5),))],
+        T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0, 0.5),))],
                        validate=False)
         with pytest.raises(df.DomainError):
             br.fk_det(T)
@@ -127,7 +127,7 @@ class TestFkDet:
         "ignore::scipy.integrate.IntegrationWarning")
     def test_gk_mode_handles_slower_decay(self):
         # t^-3/4 tail: not summable, but the 2nd power is
-        T = so.make_op([so.SpecSeg(0.0, df.INF, 1.0, (df.Term(1.0, 0.75),))],
+        T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0, 0.75),))],
                        validate=False)
         with pytest.raises(df.DomainError):
             br.fk_det(T, mode="I+T")
@@ -147,20 +147,19 @@ class TestFkDet:
         for _ in range(10):
             h1, h2 = sorted(rng.uniform(0.1, 0.9, size=2))[::-1]
             cut = rng.uniform(0.5, 2.0)
-            s1 = so.SpecSeg(0.0, cut, 1.0, (df.Term(h1),))
-            s2 = so.SpecSeg(cut, cut + 1.0, -1.0, (df.Term(h2),))
+            s1 = df.Seg(0.0, cut, (df.Term(h1),))
+            s2 = df.Seg(cut, cut + 1.0, (df.Term(h2),), -1.0)
             both = so.make_op([s1, s2])
             d1 = br.fk_det(so.make_op([s1]))
             d2 = br.fk_det(so.make_op(
-                [so.SpecSeg(0.0, 1.0, -1.0, (df.Term(h2),))]))
+                [df.Seg(0.0, 1.0, (df.Term(h2),), -1.0)]))
             assert abs(br.fk_det(both) - d1 * d2) < 1e-9
 
 
 class TestCertificates:
     def test_trivial(self):
-        F = br.BandFunctional(lambda r, s: 0.0)
         V = so.from_atoms([(1.0, 1.0)])
-        rep = br.verify_certificate(F, V, "F", grid_n=10)
+        rep = br.verify_certificate(lambda r, s: 0.0, V, "F", grid_n=10)
         assert rep["ok"] and rep["worst_ratio"] == 0.0
 
     def test_atom_dominated(self):
@@ -213,7 +212,7 @@ class TestMemberF:
             assert d1.answer == d2.answer == "not_member"
 
     def test_nonvanishing_rejected(self):
-        T = so.make_op([so.SpecSeg(0.0, df.INF, 1.0, (df.Term(1.0),))],
+        T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0),))],
                        validate=False)
         with pytest.raises(df.DomainError):
             br.member_F(T, md.Lp(1.0))
@@ -221,8 +220,8 @@ class TestMemberF:
     def test_not_member_passthrough(self):
         # the slow-log witness profile is excluded; no certificate stage
         c = math.exp(-2.0)
-        head = so.SpecSeg(0.0, c, 1.0, (df.Term(1.0, 1.0, 2.0),))
-        block = so.SpecSeg(c, c + 0.5, -1.0, (df.Term(1.0),))
+        head = df.Seg(0.0, c, (df.Term(1.0, 1.0, 2.0),))
+        block = df.Seg(c, c + 0.5, (df.Term(1.0),), -1.0)
         T = so.make_op([head, block])
         dec = br.member_F(T, md.Lp(1.0))
         assert dec.answer == "not_member"

@@ -171,7 +171,7 @@ class TestEmitReport:
 
 class TestMu:
     def test_csv_samples(self, capsys, tmp_path):
-        T = so.make_op([so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0, 0.5),))])
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),))])
         path = write_query(tmp_path, operator=sz.op_to_json(T))
         code, out, _ = run(capsys, ["mu", "--input", path, "--format",
                                     "csv", "--grid", "1", "--K", "2"])
@@ -251,6 +251,25 @@ class TestOracle:
         path = write_query(tmp_path, dims=[2])
         code, _, err = run(capsys, ["oracle", "--input", path])
         assert code == 1 and "suite" in err
+
+    @pytest.mark.parametrize("fields, path", [
+        ({"suite": "nope"}, "query.suite"),
+        ({"suite": "snumb", "dims": [0]}, "query.dims[0]"),
+        ({"suite": "snumb", "dims": [2, True]}, "query.dims[1]"),
+        ({"suite": "snumb", "dims": [2.0]}, "query.dims[0]"),
+        ({"suite": "snumb", "dims": "ab"}, "query.dims"),
+        ({"suite": "snumb", "dims": []}, "query.dims"),
+        ({"suite": "snumb", "dims": [2], "trials": True}, "query.trials"),
+        ({"suite": "snumb", "dims": [2], "trials": 0}, "query.trials"),
+        ({"suite": "lemma_nec", "dims": [2], "trials": 1, "N": 0},
+         "query.N"),
+        ({"suite": "lemma_nec", "dims": [2], "trials": 1, "N": "2"},
+         "query.N"),
+    ])
+    def test_bad_field_names_its_path(self, capsys, tmp_path, fields, path):
+        qpath = write_query(tmp_path, **fields)
+        code, _, err = run(capsys, ["oracle", "--input", qpath])
+        assert code == 1 and path + ":" in err
 
     def test_tol_env_applies(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COMMCALC_TOL", "1e-6")

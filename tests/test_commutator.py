@@ -10,16 +10,16 @@ from commcalc import specop as so
 
 
 def power_op(coeff, pow, hi, phase=1.0):
-    return so.make_op([so.SpecSeg(0.0, hi, phase, (df.Term(coeff, pow),))])
+    return so.make_op([df.Seg(0.0, hi, (df.Term(coeff, pow),), phase)])
 
 
 def trace_witness_op():
     """Positive head 1/(t log^2 t) with a flat negative block cancelling
     the trace."""
     c = math.exp(-2.0)
-    head = so.SpecSeg(0.0, c, 1.0, (df.Term(1.0, 1.0, 2.0),))
+    head = df.Seg(0.0, c, (df.Term(1.0, 1.0, 2.0),))
     # trace of the head is 1/2; cancel with a flat block of height 1
-    block = so.SpecSeg(c, c + 0.5, -1.0, (df.Term(1.0),))
+    block = df.Seg(c, c + 0.5, (df.Term(1.0),), -1.0)
     return so.make_op([head, block])
 
 
@@ -66,15 +66,15 @@ class TestFlatTail:
     def test_flat_plus_spike_member(self):
         # modulus 1 + t^-1/2 on (0,1), flat 1 beyond; the generated
         # module absorbs both the spike and the constants
-        segs = [so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0, 0.5), df.Term(1.0))),
-                so.SpecSeg(1.0, df.INF, 1.0, (df.Term(1.0),))]
+        segs = [df.Seg(0.0, 1.0, (df.Term(1.0, 0.5), df.Term(1.0))),
+                df.Seg(1.0, df.INF, (df.Term(1.0),))]
         T = so.make_op(segs)
         I = md.Principal(so.mu(T))
         dec = cm.member_IIinf(T, I, md.M())
         assert dec.answer == "member"
 
     def test_pure_flat(self):
-        T = so.make_op([so.SpecSeg(0.0, df.INF, 1.0, (df.Term(1.0),))])
+        T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0),))])
         dec = cm.member_IIinf(T, md.M(), md.M())
         assert dec.answer == "member"
 
@@ -93,8 +93,8 @@ class TestLpSides:
         assert abs(dec.certificate.a - 4.0 / 3.0) < 1e-6
 
     def test_p_two_b_member(self):
-        segs = [so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0),)),
-                so.SpecSeg(1.0, df.INF, 1.0, (df.Term(1.0, 0.75),))]
+        segs = [df.Seg(0.0, 1.0, (df.Term(1.0),)),
+                df.Seg(1.0, df.INF, (df.Term(1.0, 0.75),))]
         T = so.make_op(segs)
         dec = cm.member_IIinf(T, md.Lp(2.0), md.M())
         assert dec.answer == "member"
@@ -139,7 +139,7 @@ class TestFPlus:
 
 class TestII1:
     def test_identity_not_member(self):
-        T = so.make_op([so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0),))],
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0),))],
                        so.II_1)
         dec = cm.member_II1(T, md.M(so.II_1), md.M(so.II_1))
         assert dec.answer == "not_member"
@@ -165,7 +165,7 @@ class TestII1:
     def test_unbounded_L1_head(self):
         # mu = t^-1/2 has trace 2 in the finite factor; L_{1/2} absorbs 1/t
         T = so.make_op(
-            [so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0, 0.5),))], so.II_1)
+            [df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),))], so.II_1)
         dec = cm.member_II1(T, md.Lp(0.5, so.II_1), md.M(so.II_1))
         assert dec.answer == "member"
         dec2 = cm.member_II1(T, md.Lp(1.0, so.II_1), md.M(so.II_1))
@@ -281,7 +281,7 @@ class TestNecessaryH:
 
 class TestMemberSide:
     def test_fs_guard(self):
-        T = so.make_op([so.SpecSeg(0.0, df.INF, 1.0, (df.Term(1.0),))])
+        T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0),))])
         with pytest.raises(df.DomainError):
             cm.member_side(T, md.M(), "fs")
 
@@ -295,7 +295,7 @@ class TestMemberSide:
         assert cm.member_side(T, md.Lp(1.0), "fs").answer == "member"
 
     def test_b_yes(self):
-        segs = [so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0),)),
-                so.SpecSeg(1.0, df.INF, 1.0, (df.Term(1.0, 0.75),))]
+        segs = [df.Seg(0.0, 1.0, (df.Term(1.0),)),
+                df.Seg(1.0, df.INF, (df.Term(1.0, 0.75),))]
         T = so.make_op(segs)
         assert cm.member_side(T, md.Lp(2.0), "b").answer == "member"

@@ -62,13 +62,13 @@ class TestOperatorRoundTrip:
         assert U == T
 
     def test_power_segments(self):
-        T = so.make_op([so.SpecSeg(0.0, 1.0, 1j, (df.Term(1.0, 0.5),)),
-                        so.SpecSeg(1.0, 4.0, -1.0, (df.Term(0.5),))])
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),), 1j),
+                        df.Seg(1.0, 4.0, (df.Term(0.5),), -1.0)])
         U = sz.op_from_json(sz.op_to_json(T))
         assert U == T
 
     def test_factor_type(self):
-        T = so.make_op([so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0),))], so.II_1)
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0),))], so.II_1)
         U = sz.op_from_json(sz.op_to_json(T))
         assert U.factor_type == so.II_1
 

@@ -40,10 +40,15 @@ class TestMu:
         assert so.mu(so.zero_op()).is_zero()
 
     def test_power_profile(self):
-        T = so.make_op([so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0, 0.5),))])
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),))])
         m = so.mu(T)
         assert close(m(0.25), 2.0)
         assert m(2.0) == 0.0
+
+    def test_profile_is_kept_on_the_operator(self):
+        T = so.from_atoms([(3.0, 1.0), (2j, 2.0)])
+        assert so.mu(T) is so.mu(T) is T.profile
+        assert all(seg.phase == 1.0 for seg in so.mu(T).segs)
 
     def test_phase_invariance(self):
         rng = np.random.default_rng(0)
@@ -67,7 +72,7 @@ class TestDistribution:
         assert so.distribution(T, 0.0) == 2.5
 
     def test_power(self):
-        T = so.make_op([so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0, 0.5),))])
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),))])
         assert close(so.distribution(T, 2.0), 0.25)
 
     def test_duality(self):
@@ -97,7 +102,7 @@ class TestBandTrace:
         assert abs(v) < 1e-9
 
     def test_head_power(self):
-        T = so.make_op([so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0, 0.5),))])
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),))])
         v = so.band_trace(T, "head", r=0.25)
         assert close(v, 1.0)
 
@@ -113,7 +118,7 @@ class TestBandTrace:
             assert abs(v - (v1 + v2)) < 1e-10
 
     def test_non_integrable(self):
-        T = so.make_op([so.SpecSeg(0.0, 1.0, 1.0, (df.Term(1.0, 2.0),))])
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 2.0),))])
         with pytest.raises(df.DomainError):
             so.band_trace(T, "tail", s=10.0)
 
@@ -165,7 +170,7 @@ class TestSplit:
         assert so.mu(b)(1.0) == 2.0
 
     def test_unbounded_head(self):
-        T = so.make_op([so.SpecSeg(0.0, 4.0, 1.0, (df.Term(1.0, 0.5),))])
+        T = so.make_op([df.Seg(0.0, 4.0, (df.Term(1.0, 0.5),))])
         fs, b = so.split_fs_b(T)
         # mu_1(T) = 1, cut where t^-1/2 = 1
         assert close(so.mu(fs)(0.25), 2.0)
