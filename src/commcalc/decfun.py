@@ -7,6 +7,7 @@ divergence tests from the exponents.
 """
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -109,9 +110,14 @@ class PLFun:
     segs: tuple
     fit_error: float = field(default=0.0, compare=False)
 
-    @property
+    @functools.cached_property
     def breaks(self):
         return [s.lo for s in self.segs]
+
+    @functools.cached_property
+    def levels(self):
+        """Level table behind specop.dist_fun, filled on demand."""
+        return Levels(self.segs, self.domain_hi)
 
     def __call__(self, t):
         if not (0.0 < t < self.domain_hi):
@@ -125,6 +131,67 @@ class PLFun:
 
     def is_zero(self):
         return all(s.is_zero() for s in self.segs)
+
+
+def right_limit(seg, hi):
+    """Value of a segment just left of its right end hi."""
+    if hi == INF:
+        return sum(tm.coeff for tm in seg.terms
+                   if tm.pow == 0.0 and tm.logpow == 0.0)
+    return seg.value(hi * (1 - 1e-14))
+
+
+class Levels:
+    """Bisection table for the measure of {f > x} or {f >= x} of a PLFun.
+
+    A segment lies above level x when its right limit is > x (>= x when
+    closed); a zero segment has limit 0.  The table keeps each segment's
+    end (clipped to the domain) and the running minimum of the right
+    limits, negated so that it ascends.  The first segment not above x is
+    the first index at which the running minimum fails the same test, even
+    where right limits rise within the rtol of _check_monotone.  The table
+    grows only as far as the queries reach, so no segment is evaluated
+    that a scan from the left would not evaluate, and it stops at a NaN
+    limit.
+    """
+
+    def __init__(self, segs, domain_hi):
+        # the segments, not the PLFun: no reference cycle through its cache
+        self.segs, self.domain_hi = segs, domain_hi
+        self.ends = []
+        self.negmin = []
+        self.complete = False
+
+    def first_below(self, x, closed):
+        """(k, D): the first segment not above x (or a NaN limit, or the
+        end), and the end of the segment before it (0.0 for k == 0)."""
+        neg = -x
+        negmin = self.negmin
+        while not self.complete and (
+                not negmin
+                or (negmin[-1] <= neg if closed else negmin[-1] < neg)):
+            self._grow()
+        if closed:
+            k = bisect.bisect_right(negmin, neg)
+        else:
+            k = bisect.bisect_left(negmin, neg)
+        return k, (self.ends[k - 1] if k else 0.0)
+
+    def _grow(self):
+        k = len(self.ends)
+        if k == len(self.segs):
+            self.complete = True
+            return
+        seg = self.segs[k]
+        hi = min(seg.hi, self.domain_hi)
+        neg = -right_limit(seg, hi)
+        if neg != neg:
+            self.complete = True
+            return
+        if self.negmin and self.negmin[-1] > neg:
+            neg = self.negmin[-1]
+        self.ends.append(hi)
+        self.negmin.append(neg)
 
 
 def make(segs, domain_hi=INF, validate=True, fit_error=0.0):
@@ -167,23 +234,42 @@ def make(segs, domain_hi=INF, validate=True, fit_error=0.0):
     return f
 
 
-def _probe_points(lo, hi, n=17):
+def _probe_ends(lo, hi):
+    """Ends of the probe range of a segment; None when the range is empty."""
     a = lo if lo > 0.0 else min(hi, 1.0) * 2.0 ** -60
     b = hi if hi < INF else max(a, 1.0) * 2.0 ** 60
-    if a >= b:
+    return None if a >= b else (a, b)
+
+
+def _probe_points(lo, hi, n=17):
+    ends = _probe_ends(lo, hi)
+    if ends is None:
         return []
+    a, b = ends
     return list(np.geomspace(a * (1 + 1e-12), b * (1 - 1e-12), n))
 
 
 def _check_monotone(f, rtol=1e-9):
     prev = INF
     for seg in f.segs:
-        pts = _probe_points(seg.lo, min(seg.hi, f.domain_hi))
-        for t in pts:
-            v = seg.value(t)
-            if v > prev * (1 + rtol) + 1e-300:
-                raise DomainError("not nonincreasing near t=%g" % t)
-            prev = v
+        hi = min(seg.hi, f.domain_hi)
+        if seg.is_const():
+            ends = _probe_ends(seg.lo, hi)
+            if ends is not None:
+                # every probe point sees v: the first compares it with
+                # prev, the others with v itself (fails when v < 0)
+                v = seg.value(ends[0])
+                for i, ref in enumerate((prev, v)):
+                    if v > ref * (1 + rtol) + 1e-300:
+                        raise DomainError("not nonincreasing near t=%g"
+                                          % _probe_points(seg.lo, hi)[i])
+                prev = v
+        else:
+            for t in _probe_points(seg.lo, hi):
+                v = seg.value(t)
+                if v > prev * (1 + rtol) + 1e-300:
+                    raise DomainError("not nonincreasing near t=%g" % t)
+                prev = v
         # junction: compare right limit of next seg against left value here
         if seg.hi < f.domain_hi:
             tj = seg.hi

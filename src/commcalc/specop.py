@@ -4,8 +4,18 @@ An operator is multiplication by v(t) = phase * modulus(t) on its domain,
 with the modulus globally nonincreasing so that the singular-number
 function is the modulus itself.  Its segments are decfun.Seg: the terms
 give the modulus and the phase field the unimodular factor on the segment.
+
+NormalOp.segs is sorted by lo and its segments do not overlap; make_op,
+scale_op and adjoint keep this, and building the profile rejects overlaps
+before any band query runs.  Band queries rely on it: dist_fun bisects
+the level table of the profile (decfun.Levels) and integrate_v the
+segment-integral table of the operator (SegIntegrals).  Both tables are
+filled lazily, only as far as the queries reach, so every answer is the
+float a scan over all segments from the left gives, and a segment whose
+integral diverges or raises fails exactly where that scan would.
 """
 
+import bisect
 import cmath
 import functools
 import math
@@ -34,6 +44,11 @@ class NormalOp:
         """Singular-number function as a PLFun, built on first use."""
         return df.make(self.segs, self.domain_hi)
 
+    @functools.cached_property
+    def integrals(self):
+        """Segment-integral table behind integrate_v, filled on demand."""
+        return SegIntegrals(self.segs)
+
     def value(self, t):
         for seg in self.segs:
             if seg.lo <= t < seg.hi:
@@ -42,6 +57,39 @@ class NormalOp:
 
     def is_zero(self):
         return all(s.is_zero() for s in self.segs)
+
+
+class SegIntegrals:
+    """Integrals of v over whole segments, and their running sums.
+
+    whole(k) is the integral over segment k, computed on first use.
+    prefix[k] is the sum of whole(0..k-1) added left to right, as a scan
+    adds them; empty segments add nothing.
+    """
+
+    def __init__(self, segs):
+        self.segs = segs
+        self.his = [s.hi for s in segs]
+        self._whole = [None] * len(segs)
+        self.prefix = [0.0 + 0.0j]
+
+    def whole(self, k):
+        c = self._whole[k]
+        if c is None:
+            seg = self.segs[k]
+            c = seg.phase * df._seg_integral(seg.terms, seg.lo, seg.hi,
+                                             1.0, False)
+            self._whole[k] = c
+        return c
+
+    def head_sum(self, k):
+        """Sum over the first k segments, extending prefix as needed."""
+        p = self.prefix
+        while len(p) <= k:
+            i = len(p) - 1
+            seg = self.segs[i]
+            p.append(p[i] + self.whole(i) if seg.lo < seg.hi else p[i])
+        return p[k]
 
 
 def make_op(segs, factor_type=II_INF, validate=True):
@@ -100,15 +148,17 @@ def dist_fun(f, x, closed=False):
     """For nonincreasing f: measure of {f > x} resp. {f >= x}."""
     if x < 0:
         raise DomainError("negative level")
-    D = 0.0
-    for seg in f.segs:
+    # segments before k lie above x; scan on from the first that does not
+    k, D = f.levels.first_below(x, closed)
+    for i in range(k, len(f.segs)):
+        seg = f.segs[i]
         hi = min(seg.hi, f.domain_hi)
         if seg.is_zero():
             if closed and x == 0.0:
                 D = hi
                 continue
             break
-        vR = _right_limit(seg, hi)
+        vR = df.right_limit(seg, hi)
         inside = (vR >= x) if closed else (vR > x)
         if inside:
             D = hi
@@ -121,13 +171,6 @@ def dist_fun(f, x, closed=False):
         D = _level_cross(seg, hi, x)
         break
     return D
-
-
-def _right_limit(seg, hi):
-    if hi == INF:
-        return sum(tm.coeff for tm in seg.terms
-                   if tm.pow == 0.0 and tm.logpow == 0.0)
-    return seg.value(hi * (1 - 1e-14))
 
 
 def _level_cross(seg, hi, x):
@@ -174,12 +217,27 @@ def integrate_v(T, u, w):
     """Integral of the complex profile over the scale interval (u, w)."""
     w = min(w, T.domain_hi)
     _check_band_integrable(T, u, w)
-    total = 0.0 + 0.0j
-    for seg in T.segs:
+    segs, tab = T.segs, T.integrals
+    if not segs or u <= segs[0].lo:
+        # segments ending by w are whole: their running sum, then the rest
+        k = bisect.bisect_right(tab.his, w)
+        total = tab.head_sum(k)
+    else:
+        # segments ending by u lie outside the band
+        k = bisect.bisect_right(tab.his, u)
+        total = 0.0 + 0.0j
+    for i in range(k, len(segs)):
+        seg = segs[i]
+        if seg.lo >= w:
+            break
         lo, hi = max(seg.lo, u), min(seg.hi, w)
         if hi <= lo:
             continue
-        total += seg.phase * df._seg_integral(seg.terms, lo, hi, 1.0, False)
+        if lo == seg.lo and hi == seg.hi:
+            total += tab.whole(i)
+        else:
+            total += seg.phase * df._seg_integral(seg.terms, lo, hi, 1.0,
+                                                  False)
     return total
 
 
@@ -340,7 +398,8 @@ def split_fs_b(T, t0=1.0, ppo=16):
             b_segs.append(replace(seg, lo=cut))
     T_fs = make_op(fs_segs, II_INF, validate=False)
     T_b = make_op(_shift_left(b_segs, cut, ppo), II_INF, validate=False)
-    return T_fs, T_b
+    # a part equal to T is T, which keeps the profile and tables built on it
+    return (T if T_fs == T else T_fs), (T if T_b == T else T_b)
 
 
 def re_im(T, ppo=16):
