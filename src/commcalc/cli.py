@@ -154,8 +154,10 @@ def _decision_text(doc):
             lines.append("  blocks: %d" % len(cert["block_bounds"]))
     if doc["obstruction"] is not None:
         lines.append("obstruction:")
-        for key in sorted(doc["obstruction"]):
-            lines.append("  %s: %s" % (key, doc["obstruction"][key]))
+        for key, value in sorted(doc["obstruction"].items()):
+            if key == "a":
+                value = _fmt_complex(complex(*value))
+            lines.append("  %s: %s" % (key, value))
     return "\n".join(lines) + "\n"
 
 

@@ -4,8 +4,16 @@ The semifinite criterion asks for a decreasing h with
 |tau(T E(mu_s, mu_r])| <= r h(r) + s h(s); after splitting T into its
 finite-support and bounded parts the two single-variable criteria
 |a - tau(T_fs E[0, mu_r])| <= r h(r) and |a + tau(T_b E(mu_s, oo))| <= s h(s)
-decide membership, with the constant a forced by trace limits whenever the
-omega test functions are missing from the module.
+decide membership.
+
+The constant of each side is free (0) when the module holds that side's
+omega test function, and otherwise forced to the limit of that side's
+trace: the head trace as r -> 0, minus the tail trace as s -> oo.  These
+limits are exact in the power-log model, since an end segment carries a
+single phase: the trace converges to tau of that part exactly when |v| is
+integrable at that end, and a divergent limit rules membership out.  So
+one constant is tried per side, shared by both sides for [I, J] and kept
+apart for F + [I, M].
 """
 
 import math
@@ -77,80 +85,28 @@ def tail_values(T, K=GRID_K, ppo=GRID_PPO):
             for s in dyadic_grid(0, K, ppo)]
 
 
-def _class_extrapolate(vals, ts, side, ppo, scale):
-    """Limit of a sequence whose increments decay like a power-log term.
+def trace_limit(T, side):
+    """Exact limit of the head trace (r -> 0) or the tail trace (s -> oo).
 
-    vals ordered toward the limit; ts are the matching scales.  Returns
-    (status, value) like trace_limit.
+    The end segment carries a single phase, so the band trace converges
+    exactly when |v| is integrable at that end, and then to tau(T); a
+    finite support has no dominant term at oo, so its tail converges.
+    Returns ("diverges", None) or ("converged", value), with a value below
+    TRACE_TOL * max(1, int |v|), the size of the cancellation error,
+    snapped to 0.0.
     """
-    diffs = [(ts[i + 1], vals[i + 1] - vals[i])
-             for i in range(len(vals) - 1)]
-    diffs = diffs[-80:]
-    samples = [(t, abs(d)) for t, d in diffs]
-    fit = df.powerlog_fit(samples, side)
-    if fit is None:
-        return "unsettled", None
-    term, resid = fit
-    if resid > 0.1:
-        return "unsettled", None
-    # sum of the remaining increments ~ (ppo/ln 2) * integral of f(t)/t
-    term2 = df.Term(term.coeff, term.pow + 1.0, term.logpow)
-    try:
-        if side == "head":
-            f = df.make([df.Seg(0.0, ts[-1], (term2,))], validate=False)
-            I = df.integral(f, 0.0, ts[-1])
-        else:
-            f = df.make([df.Seg(ts[-1], INF, (term2,))], validate=False)
-            I = df.integral(f, ts[-1], INF)
-    except DomainError:
-        return "unsettled", None
-    if I == INF:
+    m = so.mu(T)
+    if side == "head":
+        diverges = df._diverges_at_0(df.dominant_at_0(m), 1.0)
+    elif side == "tail":
+        diverges = df._diverges_at_inf(df.dominant_at_inf(m), 1.0)
+    else:
+        raise ValueError("side must be head or tail")
+    if diverges:
         return "diverges", None
-    R = ppo / math.log(2.0) * I
-    if R <= TRACE_TOL * scale:
-        return "converged", vals[-1]
-    units = [d / abs(d) for _, d in diffs[-12:] if abs(d) > 0.0]
-    if not units:
-        return "converged", vals[-1]
-    mean = sum(units) / len(units)
-    if abs(mean) < 0.9:
-        return "unsettled", None
-    a = vals[-1] + mean / abs(mean) * R
-    return "converged", 0.0 if abs(a) <= 1e-4 * scale else a
-
-
-def trace_limit(vals, tol=TRACE_TOL, ts=None, side="head", ppo=GRID_PPO):
-    """Classify the sequence (ordered toward its limit end).
-
-    Returns (status, value) with status in {converged, diverges, unsettled}.
-    When the matching scales ts are given, increments with power-log decay
-    are extrapolated analytically.
-    """
-    if not vals:
-        return "converged", 0.0
-    last = vals[-min(12, len(vals)):]
-    scale = max(1.0, max(abs(v) for v in last))
-    spread = max(abs(v - last[-1]) for v in last)
-    if spread <= tol * scale:
-        v = last[-1]
-        return "converged", 0.0 if abs(v) <= tol * scale else v
-    diffs = [b - a for a, b in zip(last, last[1:])]
-    mags = [abs(d) for d in diffs]
-    if len(mags) >= 4 and all(m > 0.0 for m in mags):
-        ratios = [b / a for a, b in zip(mags, mags[1:])]
-        q = max(ratios)
-        if q < 0.95 and mags[-1] * q / (1.0 - q) <= 1e-6 * scale:
-            # geometric decay of the increments: extrapolate the limit
-            return "converged", last[-1] + diffs[-1] * q / (1.0 - q)
-    if ts is not None and len(vals) >= 20:
-        st, v = _class_extrapolate(vals, ts, side, ppo, scale)
-        if st != "unsettled":
-            return st, v
-    mags = [abs(v) for v in vals[-min(16, len(vals)):]]
-    if all(b >= a - 1e-15 for a, b in zip(mags, mags[1:])) \
-            and mags[-1] > 1.25 * mags[0] + 10.0 * tol:
-        return "diverges", None
-    return "unsettled", None
+    v = so.trace(T)
+    scale = max(1.0, df.integral(m, 0.0, m.domain_hi))
+    return "converged", 0.0 if abs(v) <= TRACE_TOL * scale else v
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +153,17 @@ def _decide_samples(samples, module, domain_hi, fit_head, fit_tail, tail):
     return SideResult("inconclusive", h, resid, worst, verdict.reason)
 
 
-def decide_fs(T_fs, I, a=0.0, K=GRID_K, ppo=GRID_PPO, heads=None):
+def decide_fs(T_fs, I, a=0.0, K=GRID_K, ppo=GRID_PPO):
     """Existence of h in mu(FsPart(I)) with |a - head(r)| <= r h(r), r < 1."""
-    if heads is None:
-        heads = head_values(T_fs, K, ppo)
-    samples = _clean_samples(heads, a)
+    samples = _clean_samples(head_values(T_fs, K, ppo), a)
     return _decide_samples(samples, md.FsPart(I), INF,
                            fit_head=True, fit_tail=False, tail="zero")
 
 
-def decide_b(T_b, I, a=0.0, K=GRID_K, ppo=GRID_PPO, tails=None):
+def decide_b(T_b, I, a=0.0, K=GRID_K, ppo=GRID_PPO):
     """Existence of h in mu(BPart(I)) with |a + tail(s)| <= s h(s), s >= 1."""
-    if tails is None:
-        tails = tail_values(T_b, K, ppo)
-    samples = _clean_samples([(s, -v) for s, v in tails], a)
+    samples = _clean_samples([(s, -v) for s, v in tail_values(T_b, K, ppo)],
+                             a)
     return _decide_samples(samples, md.BPart(I), INF,
                            fit_head=False, fit_tail=True, tail="hold")
 
@@ -250,30 +203,15 @@ def _side_to_decision(res, a, side):
 # the constant a
 
 
-def _fs_candidates(heads, wfs):
-    """(status, candidates) for the fs-side constant."""
-    if wfs:
-        return "free", [0.0]
-    rev = list(reversed(heads))
-    status, val = trace_limit([v for _, v in rev],
-                              ts=[r for r, _ in rev], side="head")
-    if status == "converged":
-        return "forced", [val]
+def _side_constant(T, side, absorbed):
+    """(status, a) for the head or tail side: free, forced by the trace
+    limit, or impossible when that limit diverges."""
+    if absorbed:
+        return "free", 0.0
+    status, val = trace_limit(T, side)
     if status == "diverges":
-        return "impossible", []
-    return "unsettled", [0.0]
-
-
-def _b_candidates(tails, wb):
-    if wb:
-        return "free", [0.0]
-    status, val = trace_limit([v for _, v in tails],
-                              ts=[s for s, _ in tails], side="tail")
-    if status == "converged":
-        return "forced", [-val]
-    if status == "diverges":
-        return "impossible", []
-    return "unsettled", [0.0]
+        return "impossible", None
+    return "forced", val if side == "head" else -val
 
 
 def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
@@ -281,117 +219,49 @@ def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
 
     shared_a=True is the commutator-space criterion (one a for both
     sides); shared_a=False allows independent constants, which
-    characterizes membership up to a finite-rank correction.
+    characterizes membership up to a finite-rank correction.  Each side's
+    constant is free (0.0) when the module absorbs its omega function and
+    forced to the exact trace limit otherwise, so the single a tried is
+    the one every witness must use and a failed side test is a rejection.
     """
     vfs, vb = md.omega_tests(I)
     if "inconclusive" in (vfs.answer, vb.answer):
         return inconclusive("omega tests undecided: %s / %s"
                             % (vfs.reason, vb.reason))
-    wfs, wb = vfs.answer == "yes", vb.answer == "yes"
-    heads = head_values(T_fs, K, ppo)
-    tails = tail_values(T_b, K, ppo)
-    fs_status, fs_cand = _fs_candidates(heads, wfs)
-    b_status, b_cand = _b_candidates(tails, wb)
-
+    fs_status, a_fs = _side_constant(T_fs, "head", vfs.answer == "yes")
+    b_status, a_b = _side_constant(T_b, "tail", vb.answer == "yes")
     if fs_status == "impossible":
         return not_member({"side": "fs", "reason":
                            "head trace diverges with no absorbing omega_fs"})
     if b_status == "impossible":
         return not_member({"side": "b", "reason":
                            "tail trace diverges with no absorbing omega_b"})
-
-    if shared_a and fs_status == "forced" and b_status == "forced":
-        a1, a2 = fs_cand[0], b_cand[0]
-        scale = max(1.0, abs(a1), abs(a2))
-        if abs(a1 - a2) > 1e-6 * scale:
-            return not_member(
-                {"side": "both", "reason":
-                 "forced constants disagree: %r vs %r" % (a1, a2)})
-        cands = [a1]
-    elif shared_a:
-        cands = []
-        for c in fs_cand + b_cand:
-            if all(abs(c - o) > 1e-12 for o in cands):
-                cands.append(c)
-        if 0.0 not in cands and not any(abs(c) < 1e-15 for c in cands):
-            cands.append(0.0)
-    else:
-        cands = None  # sides handled independently below
-
-    if not shared_a:
-        fs_res = _best_side(lambda a: decide_fs(T_fs, I, a, heads=heads),
-                            fs_cand, fs_status)
-        b_res = _best_side(lambda a: decide_b(T_b, I, a, tails=tails),
-                           b_cand, b_status)
-        return _combine_sides(fs_res, b_res)
-
-    results = []
-    for a in cands:
-        fs_res = decide_fs(T_fs, I, a, heads=heads)
-        b_res = decide_b(T_b, I, a, tails=tails)
-        if fs_res.answer == "yes" and b_res.answer == "yes":
-            cert = WitnessCertificate(a=a, h_fs=fs_res.h, h_b=b_res.h)
-            return member(cert, "split criteria hold with a=%r" % a)
-        results.append((a, fs_res, b_res))
-    # no candidate worked; a rejection is sound only at a value of a that
-    # every admissible witness must use
-    if wfs and wb:
-        forced_a = 0.0
-    elif fs_status == "forced" and (wb or b_status == "forced"):
-        forced_a = fs_cand[0]
-    elif b_status == "forced" and wfs:
-        forced_a = b_cand[0]
-    else:
-        forced_a = None
-    if forced_a is not None:
-        for a, fs_res, b_res in results:
-            if abs(a - forced_a) > 1e-12:
-                continue
-            for side, res in (("fs", fs_res), ("b", b_res)):
-                if res.answer == "no":
-                    return not_member(
-                        {"side": side, "a": a, "r": res.worst[0],
-                         "required": res.worst[1], "reason": res.reason})
-        return inconclusive("side tests undecided at the forced a")
-    return inconclusive("constant a not determined by trace limits")
-
-
-def _best_side(decider, cands, status):
-    picked = None
-    for a in cands or [0.0]:
-        res = decider(a)
-        if res.answer == "yes":
-            return ("yes", a, res)
-        picked = (res.answer, a, res)
-    if status in ("forced",) and picked and picked[0] == "no":
-        return picked
-    if picked and picked[0] == "no" and status == "free":
-        return picked
-    if picked is None:
-        return ("inconclusive", 0.0,
-                SideResult("inconclusive", reason="no candidates"))
-    if status == "unsettled":
-        return ("inconclusive", picked[1],
-                SideResult("inconclusive", reason="trace limit unsettled"))
-    return picked
-
-
-def _combine_sides(fs_res, b_res):
-    af, ares = fs_res[0], fs_res[2]
-    ab, bres = b_res[0], b_res[2]
-    if af == "yes" and ab == "yes":
-        cert = WitnessCertificate(a=complex(fs_res[1]),
-                                  h_fs=ares.h, h_b=bres.h)
-        return member(cert, "independent side constants a_fs=%r a_b=%r"
-                      % (fs_res[1], b_res[1]))
-    for side, ans, res, a in (("fs", af, ares, fs_res[1]),
-                              ("b", ab, bres, b_res[1])):
-        if ans == "no":
-            ob = {"side": side, "a": a, "reason": res.reason}
-            if res.worst:
-                ob.update({"r": res.worst[0], "required": res.worst[1]})
-            return not_member(ob)
-    return inconclusive("side tests undecided")
+    if shared_a:
+        if fs_status == "forced" and b_status == "forced":
+            scale = max(1.0, abs(a_fs), abs(a_b))
+            if abs(a_fs - a_b) > 1e-6 * scale:
+                return not_member(
+                    {"side": "both", "reason":
+                     "forced constants disagree: %r vs %r" % (a_fs, a_b)})
+        # + 0.0 turns the -0.0 of a vanishing tail limit into 0.0
+        a_fs = a_b = (a_fs if fs_status == "forced" else a_b) + 0.0
+    sides = []
+    for side, decide, T, a in (("fs", decide_fs, T_fs, a_fs),
+                               ("b", decide_b, T_b, a_b)):
+        res = decide(T, I, a, K, ppo)
+        if res.answer == "no":
+            return not_member({"side": side, "a": a, "r": res.worst[0],
+                               "required": res.worst[1],
+                               "reason": res.reason})
+        sides.append(res)
+    fs_res, b_res = sides
+    if fs_res.answer != "yes" or b_res.answer != "yes":
+        return inconclusive("side tests undecided")
+    cert = WitnessCertificate(a=a_fs, h_fs=fs_res.h, h_b=b_res.h)
+    if shared_a:
+        return member(cert, "split criteria hold with a=%r" % a_fs)
+    return member(cert, "independent side constants a_fs=%r a_b=%r"
+                  % (a_fs, a_b))
 
 
 # ---------------------------------------------------------------------------

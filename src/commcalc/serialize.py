@@ -265,8 +265,10 @@ def certificate_to_json(cert):
 
 
 def decision_to_json(dec):
-    obj = {"answer": dec.answer, "notes": dec.notes,
-           "obstruction": dec.obstruction,
+    ob = dec.obstruction
+    if ob is not None and "a" in ob:
+        ob = dict(ob, a=_complex_json(ob["a"]))
+    obj = {"answer": dec.answer, "notes": dec.notes, "obstruction": ob,
            "certificate": None}
     if dec.certificate is not None:
         obj["certificate"] = certificate_to_json(dec.certificate)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commcalc import cli
 from commcalc import commutator as cm
 from commcalc import decfun as df
 from commcalc import modules as md
@@ -23,21 +26,113 @@ def trace_witness_op():
     return so.make_op([head, block])
 
 
+def log_head_op(c, v):
+    """c/(t log^2 t) on (0, e^-2) with a flat block of height v after it
+    cancelling the head's trace c/2."""
+    e2 = math.exp(-2.0)
+    return so.make_op([df.Seg(0.0, e2, (df.Term(c, 1.0, 2.0),)),
+                       df.Seg(e2, e2 + 0.5 * c / v, (df.Term(v),), -1.0)])
+
+
 class TestTraceLimit:
-    def test_converged(self):
-        vals = [1.0 + 2.0 ** -k for k in range(40)]
-        st, v = cm.trace_limit(vals)
-        assert st == "converged" and abs(v - 1.0) < 1e-9
+    def test_cancelled_head_is_exactly_zero(self):
+        assert cm.trace_limit(trace_witness_op(), "head") == ("converged", 0.0)
+
+    def test_log_tail_is_one_over_log_two(self):
+        st, v = cm.trace_limit(cli._log_witness_b(), "tail")
+        assert st == "converged" and v == 1.0 / math.log(2.0)
+        dec = cm.member_F_plus(cli._log_witness_b(), md.BPart(md.Lp(1.0)))
+        assert dec.obstruction["side"] == "b"
+        assert dec.obstruction["a"] == -1.0 / math.log(2.0)
 
     def test_diverges(self):
-        vals = [float(k) for k in range(40)]
-        st, _ = cm.trace_limit(vals)
-        assert st == "diverges"
+        # 1/t at 0 and t^-0.6 at infinity are not integrable
+        assert cm.trace_limit(power_op(1.0, 1.0, 1.0), "head") \
+            == ("diverges", None)
+        assert cm.trace_limit(power_op(1.0, 0.6, df.INF), "tail") \
+            == ("diverges", None)
 
-    def test_unsettled(self):
-        vals = [(-1.0) ** k * 5.0 for k in range(40)]
-        st, _ = cm.trace_limit(vals)
-        assert st == "unsettled"
+    def test_converged(self):
+        # 1/t is not integrable at infinity, but this T_b stops at 4
+        T_b = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0),), 1j),
+                          df.Seg(1.0, 4.0, (df.Term(1.0, 1.0),), -1.0)])
+        st, v = cm.trace_limit(T_b, "tail")
+        assert st == "converged" and v == so.trace(T_b)
+        assert v == 1j - math.log(4.0)
+
+    def test_nonzero_head_trace_rejects_against_L1(self):
+        # [M, L_1] = L_1 n ker tau and tau(t^-3/4 on (0,1)) = 4
+        T = power_op(1.0, 0.75, 1.0)
+        assert cm.trace_limit(T, "head") == ("converged", 4.0)
+        dec = cm.member_IIinf(T, md.M(), md.Lp(1.0))
+        assert dec.answer == "not_member"
+        assert dec.obstruction["side"] == "both"
+
+    def test_cancelled_log_head_fails_at_a_zero(self):
+        # the block ends before 1, so T_fs is T and T_b is zero
+        T = log_head_op(1.0, 0.9 * math.exp(2.0) / 4.0)
+        assert cm.trace_limit(T, "head") == ("converged", 0.0)
+        dec = cm.member_IIinf(T, md.FsPart(md.Lp(1.0)), md.M())
+        assert dec.answer == "not_member"
+        assert dec.obstruction["side"] == "fs"
+        assert dec.obstruction["a"] == 0.0
+
+
+PHASES = st.sampled_from([1.0, -1.0, 1j, -1j, 0.6 + 0.8j])
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.1, 10.0), g=st.floats(0.05, 1.5),
+       h=st.floats(0.01, 1.0), length=st.floats(0.01, 2.0),
+       frac=st.floats(0.0, 1.0), p=PHASES, q=PHASES)
+def test_head_limit_against_closed_form_and_long_grid(c, g, h, length, frac,
+                                                      p, q):
+    # c t^-g on (0, h) with phase p, then a block no higher, phase q
+    v = frac * c * h ** -g
+    T = so.make_op([df.Seg(0.0, h, (df.Term(c, g),), p),
+                    df.Seg(h, h + length, (df.Term(v),), q)])
+    status, lim = cm.trace_limit(T, "head")
+    near, far = (so.band_trace(T, "head", r=2.0 ** -k) for k in (30, 60))
+    if g >= 1.0:
+        assert (status, lim) == ("diverges", None)
+        assert abs(far - near) > 1.0
+        return
+    scale = c * h ** (1.0 - g) / (1.0 - g) + v * length
+    assert status == "converged"
+    assert abs(lim - (p * c * h ** (1.0 - g) / (1.0 - g) + q * v * length)) \
+        <= 2.0 * cm.TRACE_TOL * max(1.0, scale)
+    # the band at r leaves out (0, r), where the head carries this much
+    rest = c * 2.0 ** (-60 * (1.0 - g)) / (1.0 - g)
+    assert abs(far - lim) <= rest * (1.0 + 1e-9) + 2.0 * cm.TRACE_TOL * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.1, 10.0), d=st.floats(0.3, 3.0),
+       lift=st.floats(1.0, 4.0), end=st.one_of(st.just(df.INF),
+                                                st.floats(2.0, 100.0)),
+       p=PHASES, q=PHASES)
+def test_tail_limit_against_closed_form_and_long_grid(c, d, lift, end, p, q):
+    # a flat block of height lift * c on (0, 1), then c t^-d on (1, end)
+    T_b = so.make_op([df.Seg(0.0, 1.0, (df.Term(lift * c),), p),
+                      df.Seg(1.0, end, (df.Term(c, d),), q)])
+    status, lim = cm.trace_limit(T_b, "tail")
+    near, far = (so.band_trace(T_b, "tail", s=2.0 ** k) for k in (30, 60))
+    if end == df.INF and d <= 1.0:
+        assert (status, lim) == ("diverges", None)
+        assert abs(far - near) > 1.0
+        return
+    if d == 1.0:
+        body = math.log(end)
+    else:
+        body = ((0.0 if end == df.INF else end ** (1.0 - d)) - 1.0) \
+            / (1.0 - d)
+    scale = lift * c + c * body
+    assert status == "converged"
+    assert abs(lim - (p * lift * c + q * c * body)) \
+        <= 2.0 * cm.TRACE_TOL * scale
+    # the band at s leaves out (s, oo), where the tail carries this much
+    rest = 0.0 if end < df.INF else c * 2.0 ** (60 * (1.0 - d)) / (d - 1.0)
+    assert abs(far - lim) <= rest * (1.0 + 1e-9) + 2.0 * cm.TRACE_TOL * scale
 
 
 class TestFullAlgebra:

@@ -17,8 +17,8 @@ from commcalc import serialize as sz
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "report_digests.json")
 
-# decision_to_json cannot serialize the complex obstruction `a` of these
-# rows, so their reports are pinned in the text format
+# these rows, the three whose obstruction carries a trace constant `a`,
+# are pinned in the text format, which keeps that format's bytes covered
 TEXT_ROWS = ("lp_one_fs_witness", "lp_one_b_witness", "example_iii")
 
 ROWS = {row[0]: row for row in cli._table_rows("all")}
@@ -47,3 +47,14 @@ def test_witness_report_bytes(rid, tmp_path, capsysbinary):
     with open(DIGESTS) as fh:
         expected = json.load(fh)[rid]
     assert hashlib.sha256(out).hexdigest() == expected
+
+
+@pytest.mark.parametrize("rid", TEXT_ROWS)
+def test_obstruction_constant_is_a_pair_in_json(rid, tmp_path, capsysbinary):
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps(query_doc(ROWS[rid])))
+    code = cli.main(["witness", "--input", str(path), "--format", "json"])
+    assert code == cli.EXIT_OK
+    doc = json.loads(capsysbinary.readouterr().out)
+    a = doc["decision"]["obstruction"]["a"]
+    assert isinstance(a, list) and len(a) == 2
