@@ -198,7 +198,7 @@ def _level_cross(seg, hi, x):
         return a
     if d(b) > 0.0:
         return b
-    return optimize.brentq(d, a, b, xtol=1e-300, rtol=1e-13)
+    return optimize.brentq(d, a, b, xtol=1e-300, rtol=1e-13, maxiter=1000)
 
 
 def _check_band_integrable(T, u, w):

@@ -103,6 +103,82 @@ class TestShoda:
         assert np.array_equal(B1.entries, B2.entries)
 
 
+def counted_rotations(monkeypatch):
+    calls = []
+    apply = mo._apply_rotation
+
+    def counted(*args):
+        calls.append(args[3:5])
+        return apply(*args)
+
+    monkeypatch.setattr(mo, "_apply_rotation", counted)
+    return calls
+
+
+class TestShodaOnePass:
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 12, 15, 16, 17, 33, 64])
+    def test_residual_and_rotation_count(self, n, monkeypatch):
+        calls = counted_rotations(monkeypatch)
+        rng = np.random.default_rng(n)
+        t = rand_complex(rng, n)
+        t -= np.trace(t) / n * np.eye(n)
+        _, _, rep = mo.shoda_decompose(t)
+        assert rep["residual"] <= 1e-12 * np.linalg.norm(t, 2)
+        assert len(calls) <= n * (n - 1) // 2
+
+    def test_nilpotent_jordan_block(self):
+        t = np.diag(np.ones(7), 1)
+        _, _, rep = mo.shoda_decompose(t)
+        assert rep["residual"] <= 1e-12 * np.linalg.norm(t, 2)
+
+    def test_diagonal_input(self, monkeypatch):
+        # q = r = 0 in every pair: the rotation mixes the diagonal alone
+        calls = counted_rotations(monkeypatch)
+        t = np.diag([3.0, -1.0, -1.0, -1.0])
+        _, _, rep = mo.shoda_decompose(t)
+        assert rep["residual"] <= 1e-12 * 3.0
+        assert 0 < len(calls) <= 6
+
+    def test_zero_diagonal_needs_no_rotation(self, monkeypatch):
+        calls = counted_rotations(monkeypatch)
+        rng = np.random.default_rng(19)
+        t = rand_complex(rng, 9)
+        np.fill_diagonal(t, 0.0)
+        _, _, rep = mo.shoda_decompose(t)
+        assert calls == []
+        assert rep["residual"] <= 1e-12 * np.linalg.norm(t, 2)
+
+    def test_tolerated_trace_ends_after_one_pass(self, monkeypatch):
+        # a trace within the tolerance cannot be rotated away; the diagonal
+        # is made equal once and the trace stays in the residual
+        calls = counted_rotations(monkeypatch)
+        rng = np.random.default_rng(23)
+        t = rand_complex(rng, 12)
+        t -= np.trace(t) / 12 * np.eye(12)
+        t[0, 0] += 1e-10
+        _, _, rep = mo.shoda_decompose(t)
+        assert len(calls) <= 66
+        assert rep["residual"] <= 1e-10
+
+
+class TestPairRotation:
+    @pytest.mark.parametrize("w", [0.0, 0.25, 0.5, 1.0])
+    def test_moves_the_first_entry_by_the_weight(self, w):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            t = rand_complex(rng, 2)
+            p, u = t[0, 0], t[1, 1]
+            theta, phi = mo._pair_rotation(p, u, t[0, 1], t[1, 0], w)
+            mo._apply_rotation(t, np.eye(2, dtype=complex), 0, 1,
+                               theta, phi)
+            assert abs(t[0, 0] - ((1 - w) * p + w * u)) <= 1e-12
+            assert abs(t[0, 0] + t[1, 1] - (p + u)) <= 1e-12
+
+    def test_equal_entries_need_no_rotation(self):
+        assert mo._pair_rotation(1.0 + 1j, 1.0 + 1j, 2.0, 3.0, 0.5) \
+            == (0.0, 0.0)
+
+
 class TestSuites:
     def test_snumb(self):
         cfg = mo.OracleConfig(seed=101, dims=(2, 5, 9), trials=20)

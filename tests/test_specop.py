@@ -106,6 +106,13 @@ class TestBandTrace:
         v = so.band_trace(T, "head", r=0.25)
         assert close(v, 1.0)
 
+    def test_head_band_at_a_tiny_scale(self):
+        # the level 2^100 of 1/t is found by a steep root search that needs
+        # more than brentq's default 100 iterations
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 1.0),))])
+        v = so.band_trace(T, "head", r=2.0 ** -100)
+        assert abs(v - 100.0 * math.log(2.0)) <= 1e-12 * 100.0 * math.log(2.0)
+
     def test_band_additivity(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
