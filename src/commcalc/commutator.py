@@ -19,6 +19,8 @@ apart for F + [I, M].
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import decfun as df
 from . import modules as md
 from . import specop as so
@@ -377,13 +379,18 @@ def beta_sequence(alpha, phi, K):
     P = {-K: 0.0}
     for n in idx:
         P[n + 1] = P[n] + 2.0 ** n * a[n]
-    for k in idx:
-        for ell in range(k + 1, K + 1):
-            lhs = abs(P[ell] - P[k])
-            rhs = 2.0 ** k * phival[k] + 2.0 ** ell * phival[ell]
-            if lhs > rhs * (1.0 + 1e-9) + 1e-300:
-                raise DomainError(
-                    "summed-block bound violated at (%d, %d)" % (k, ell))
+    # |P[ell] - P[k]| <= 2^k phi(2^k) + 2^ell phi(2^ell) for all k < ell,
+    # at [k + K, ell + K]; float64 ops are the scalar ones, and numpy's
+    # overflow and nan warnings are silenced as float arithmetic's are
+    Pn = np.array([P[n] for n in idx])
+    w = np.array([2.0 ** n * phival[n] for n in idx])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.triu(np.abs(Pn[None, :] - Pn[:, None])
+                      > (w[:, None] + w[None, :]) * (1.0 + 1e-9) + 1e-300, 1)
+    if bad.any():
+        k, ell = divmod(int(np.argmax(bad)), len(idx))  # row-major first
+        raise DomainError(
+            "summed-block bound violated at (%d, %d)" % (idx[k], idx[ell]))
     lo, hi = -INF, INF
     for mpos in range(1, K + 1):
         S = 0.5 * (P[mpos + 1] - P[1])
@@ -413,30 +420,58 @@ def beta_sequence(alpha, phi, K):
 
 def fdh_certificate(T, h, K=40):
     """Norm-certificate data for the block decomposition, without the
-    inner block operators."""
+    inner block operators.
+
+    T's side of the two-variable bound does not depend on h, so it is
+    tabled once (_certificate_table) and h is read at the 2K + 1 dyadic
+    points only (_certificate_for).  The bits are unchanged: the array
+    comparison makes the products, sums and slacks of the pair loop in
+    float64, which is IEEE arithmetic as Python floats are, and the first
+    failing (r, s) is the first the row-major loop met.  An error of T's
+    own side (a nonvanishing tail, an out-of-domain level) now comes
+    before one from combine(h, mu(T)).
+    """
+    return _certificate_for(_certificate_table(T, K), h)
+
+
+def _certificate_table(T, K):
+    """The h-free half of fdh_certificate.
+
+    The band edges of the 2K + 1 dyadic levels, the running band integrals
+    between them, |tau(T E(mu_s, mu_r])| for each pair of levels r < s
+    (at [i + K, j + K] for r = 2^i, s = 2^j; -inf on and below the
+    diagonal, where no bound fails), and the block averages alpha.
+    """
     m = so.mu(T)
     if df.limit_at_inf(m) > 0.0:
         raise DomainError("certificate requires vanishing singular values")
+    edges = [so.dist_fun(m, m(2.0 ** i)) for i in range(-K, K + 1)]
+    cumul = [0.0 + 0.0j]
+    for u, w in zip(edges, edges[1:]):
+        cumul.append(cumul[-1] + so.integrate_v(T, u, w))
+    lhs = np.full((len(cumul), len(cumul)), -INF)
+    for i, ci in enumerate(cumul):
+        lhs[i, i + 1:] = [abs(cj - ci) for cj in cumul[i + 1:]]
+    alpha = {n: 2.0 ** -n * so.integrate_v(T, 2.0 ** n, 2.0 ** (n + 1))
+             for n in range(-K, K)}
+    return K, m, lhs, alpha
+
+
+def _certificate_for(table, h):
+    """The h half of fdh_certificate: h at the 2K + 1 dyadic points, the
+    two-variable bound on every pair as one float64 array comparison, then
+    the beta sequences and the block bounds."""
+    K, m, lhs, alpha = table
     phi = df.combine(h, m, "sum")
-    # two-variable bound probe on the dyadic grid
-    levels = list(range(-K, K + 1))
-    edges = {i: so.dist_fun(m, m(2.0 ** i)) for i in levels}
-    cumul = {-K: 0.0 + 0.0j}
-    for i in levels[:-1]:
-        cumul[i + 1] = cumul[i] + so.integrate_v(T, edges[i], edges[i + 1])
-    for i in levels:
-        for j in levels:
-            if j <= i:
-                continue
-            r, s = 2.0 ** i, 2.0 ** j
-            lhs = abs(cumul[j] - cumul[i])
-            rhs = r * h(r) + s * h(s)
-            if lhs > rhs * (1.0 + 1e-9) + 1e-12:
-                raise DomainError(
-                    "criterion bound fails at (r, s)=(%g, %g)" % (r, s))
-    alpha = {}
-    for n in range(-K, K):
-        alpha[n] = 2.0 ** -n * so.integrate_v(T, 2.0 ** n, 2.0 ** (n + 1))
+    pts = [2.0 ** i for i in range(-K, K + 1)]
+    rh = np.array([t * h(t) for t in pts])
+    # overflow to inf and inf - inf are silent in float arithmetic too
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = lhs > (rh[:, None] + rh[None, :]) * (1.0 + 1e-9) + 1e-12
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), len(pts))  # row-major first
+        raise DomainError(
+            "criterion bound fails at (r, s)=(%g, %g)" % (pts[i], pts[j]))
     iv_re, beta_re = beta_sequence(
         {n: v.real for n, v in alpha.items()}, phi, K)
     iv_im, beta_im = beta_sequence(
@@ -455,6 +490,8 @@ def fdh_certificate(T, h, K=40):
 
 
 def _attach_block_data(T, dec, K=40, ppo=GRID_PPO):
+    """Certificate data for the first witness scaling 2^j, j < 13, that
+    passes; the h-free table of T is built once for all of them."""
     cert = dec.certificate
     hs = [h for h in (cert.h_fs, cert.h_b) if h is not None]
     if not hs:
@@ -462,9 +499,13 @@ def _attach_block_data(T, dec, K=40, ppo=GRID_PPO):
     h = hs[0] if len(hs) == 1 else df.combine(hs[0], hs[1], "sum")
     if abs(cert.a) > 0:
         h = df.combine(h, df.scale_fun(md.omega_fs(), abs(cert.a)), "sum")
+    try:
+        table = _certificate_table(T, K)
+    except DomainError:
+        return dec
     for j in range(13):
         try:
-            full = fdh_certificate(T, df.scale_fun(h, 2.0 ** j), K)
+            full = _certificate_for(table, df.scale_fun(h, 2.0 ** j))
         except DomainError:
             continue
         cert2 = WitnessCertificate(

@@ -133,8 +133,9 @@ def shoda_decompose(T, tol_abs=1e-9):
     scale = max(norm, 1.0)
     for _ in range(SHODA_SWEEPS):
         d = np.diag(Tp)
-        # equal, not zero: a trace within tol_abs stays on the diagonal
-        if np.abs(d - d.mean()).max() <= SHODA_TOL * scale:
+        # equal, not zero: a trace within tol_abs stays on the diagonal;
+        # an empty diagonal is equal already
+        if not n or np.abs(d - d.mean()).max() <= SHODA_TOL * scale:
             break
         for k in range(1, n):
             m = np.trace(Tp[:k + 1, :k + 1]) / (k + 1)

@@ -16,7 +16,6 @@ integral diverges or raises fails exactly where that scan would.
 """
 
 import bisect
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -124,7 +123,8 @@ def from_atoms(atoms, factor_type=II_INF):
             raise DomainError("atom length must be positive")
         if z == 0:
             continue
-        items.append((-abs(z), cmath.phase(z), i, z, ln))
+        # math.atan2, not cmath.phase: that raises when the angle underflows
+        items.append((-abs(z), math.atan2(z.imag, z.real), i, z, ln))
     items.sort(key=lambda x: x[:3])
     segs = []
     lo = 0.0

@@ -32,6 +32,10 @@ class TestBrownMeasure:
         assert nu.atoms == ((2.0 + 0j, 1.0), (1.0 + 0j, 1.0))
         assert abs(nu.total_mass - 2.0) < 1e-15
 
+    def test_atom_with_an_underflowing_angle(self):
+        nu = br.BrownMeasure(((-2.0, 1.0), (2.0 + 5e-324j, 1.0)))
+        assert nu.atoms == ((2.0 + 5e-324j, 1.0), (-2.0 + 0j, 1.0))
+
     def test_negative_mass(self):
         with pytest.raises(df.DomainError):
             br.BrownMeasure(((1.0, -0.1),))

@@ -1,0 +1,466 @@
+"""Certificate layers computed from per-point tables.
+
+commutator.fdh_certificate splits into an h-free table of T and a test
+of h against it, _attach_block_data builds that table once for all its
+witness scalings, beta_sequence checks its summed blocks as one array
+comparison, and brown.verify_certificate tables both sides of its bound
+per probe point.  The pair loops below are the definitions they replace;
+every outcome must equal theirs bit for bit, errors included.
+"""
+
+import cmath
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from commcalc import brown as br
+from commcalc import cli
+from commcalc import commutator as cm
+from commcalc import decfun as df
+from commcalc import modules as md
+from commcalc import serialize as sz
+from commcalc import specop as so
+from commcalc.decfun import INF, DomainError, Seg, Term
+
+DIGESTS = os.path.join(os.path.dirname(__file__), "brown_digests.json")
+
+
+# ---------------------------------------------------------------------------
+# the pair loops the tables replace
+
+
+def ref_beta_sequence(alpha, phi, K):
+    idx = list(range(-K, K + 1))
+    a = {n: float(alpha.get(n, 0.0)) for n in idx}
+    phival = {n: phi(2.0 ** n) for n in idx}
+    P = {-K: 0.0}
+    for n in idx:
+        P[n + 1] = P[n] + 2.0 ** n * a[n]
+    for k in idx:
+        for ell in range(k + 1, K + 1):
+            lhs = abs(P[ell] - P[k])
+            rhs = 2.0 ** k * phival[k] + 2.0 ** ell * phival[ell]
+            if lhs > rhs * (1.0 + 1e-9) + 1e-300:
+                raise DomainError(
+                    "summed-block bound violated at (%d, %d)" % (k, ell))
+    lo, hi = -INF, INF
+    for mpos in range(1, K + 1):
+        S = 0.5 * (P[mpos + 1] - P[1])
+        w = 2.0 ** mpos * phival[mpos]
+        lo, hi = max(lo, S - w), min(hi, S + w)
+    for mneg in range(0, K + 1):
+        R = 0.5 * (P[1] - P[-mneg + 1])
+        w = 2.0 ** -mneg * phival[-mneg]
+        lo, hi = max(lo, -R - w), min(hi, -R + w)
+    if lo > hi:
+        if lo - hi <= 1e-9 * max(1.0, abs(lo), abs(hi)):
+            lo = hi = 0.5 * (lo + hi)
+        else:
+            raise DomainError("empty feasible interval despite the "
+                              "hypothesis; data inconsistent")
+    beta0 = 0.5 * (lo + hi)
+    beta = {0: beta0}
+    for n in range(1, K + 1):
+        beta[n] = 0.5 * (beta[n - 1] - a[n])
+    for n in range(0, -K, -1):
+        beta[n - 1] = 2.0 * beta[n] + a[n]
+    for n in beta:
+        if abs(beta[n]) > phival.get(n, INF) * (1.0 + 1e-9) + 1e-12:
+            raise DomainError("beta bound violated at n=%d" % n)
+    return (lo, hi), beta
+
+
+def ref_fdh_certificate(T, h, K=40):
+    m = so.mu(T)
+    if df.limit_at_inf(m) > 0.0:
+        raise DomainError("certificate requires vanishing singular values")
+    phi = df.combine(h, m, "sum")
+    levels = list(range(-K, K + 1))
+    edges = {i: so.dist_fun(m, m(2.0 ** i)) for i in levels}
+    cumul = {-K: 0.0 + 0.0j}
+    for i in levels[:-1]:
+        cumul[i + 1] = cumul[i] + so.integrate_v(T, edges[i], edges[i + 1])
+    for i in levels:
+        for j in levels:
+            if j <= i:
+                continue
+            r, s = 2.0 ** i, 2.0 ** j
+            lhs = abs(cumul[j] - cumul[i])
+            rhs = r * h(r) + s * h(s)
+            if lhs > rhs * (1.0 + 1e-9) + 1e-12:
+                raise DomainError(
+                    "criterion bound fails at (r, s)=(%g, %g)" % (r, s))
+    alpha = {}
+    for n in range(-K, K):
+        alpha[n] = 2.0 ** -n * so.integrate_v(T, 2.0 ** n, 2.0 ** (n + 1))
+    iv_re, beta_re = ref_beta_sequence(
+        {n: v.real for n, v in alpha.items()}, phi, K)
+    iv_im, beta_im = ref_beta_sequence(
+        {n: v.imag for n, v in alpha.items()}, phi, K)
+    blocks = []
+    for n in range(-K, K):
+        s_bound = 2.0 * m(2.0 ** n)
+        blocks.append({"n": n, "S_norm_bound": s_bound,
+                       "X_norm_bound": 12.0 * s_bound,
+                       "Y_norm_bound": 2.0, "commutators": 10})
+    return cm.WitnessCertificate(
+        a=0.0, h_fs=None, h_b=None, alpha=alpha,
+        beta={n: (beta_re[n], beta_im[n]) for n in beta_re},
+        beta0_interval=(iv_re, iv_im), phi=phi,
+        block_bounds=tuple(blocks), total_count=14)
+
+
+def ref_attach_block_data(T, dec, K=40):
+    cert = dec.certificate
+    hs = [h for h in (cert.h_fs, cert.h_b) if h is not None]
+    if not hs:
+        return dec
+    h = hs[0] if len(hs) == 1 else df.combine(hs[0], hs[1], "sum")
+    if abs(cert.a) > 0:
+        h = df.combine(h, df.scale_fun(md.omega_fs(), abs(cert.a)), "sum")
+    for j in range(13):
+        try:
+            full = ref_fdh_certificate(T, df.scale_fun(h, 2.0 ** j), K)
+        except DomainError:
+            continue
+        cert2 = cm.WitnessCertificate(
+            a=cert.a, h_fs=cert.h_fs, h_b=cert.h_b, alpha=full.alpha,
+            beta=full.beta, beta0_interval=full.beta0_interval,
+            phi=full.phi, block_bounds=full.block_bounds, total_count=14)
+        note = "" if j == 0 else " (witness scaled by 2^%d)" % j
+        return cm.Decision("member", cert2, None, dec.notes + note)
+    return dec
+
+
+def ref_phi_of(T):
+    return lambda r, s: br.phi(T, r, s)
+
+
+def ref_class_bound(V, nu_V, r, s, cls):
+    if cls == "F":
+        return (r * so.distribution(V, r) + s * so.distribution(V, s))
+    if cls == "G":
+        acc = 0.0
+        for z, mass in nu_V.atoms:
+            x = abs(z)
+            acc += mass * (r * max(0.0, math.log(x / r))
+                           + s * max(0.0, math.log(x / s)))
+        return acc
+    raise ValueError("unknown class %r" % cls)
+
+
+def ref_verify_certificate(F, V, cls, grid_n=40, lo=2.0 ** -20,
+                           hi=2.0 ** 20):
+    nu_V = br.brown_of_normal(V) if cls == "G" else None
+    pts = np.geomspace(lo, hi, grid_n)
+    worst = 0.0
+    worst_rs = (pts[0], pts[1])
+    violations = 0
+    for i, r in enumerate(pts):
+        for s in pts[i + 1:]:
+            lhs = abs(F(r, s))
+            if lhs == 0.0:
+                continue
+            bound = ref_class_bound(V, nu_V, r, s, cls)
+            ratio = lhs / bound if bound > 0.0 else INF
+            if ratio > worst:
+                worst, worst_rs = ratio, (float(r), float(s))
+            if ratio > 1.0 + 1e-9:
+                violations += 1
+    return {"ok": violations == 0, "class": cls, "worst_ratio": worst,
+            "worst_rs": worst_rs, "violations": violations}
+
+
+# ---------------------------------------------------------------------------
+# outcomes, as bits
+
+
+def _hex(x):
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    return float(x).hex()
+
+
+def cert_bits(cert):
+    return {
+        "a": _hex(complex(cert.a)), "h": (cert.h_fs, cert.h_b),
+        "alpha": sorted((n, _hex(v)) for n, v in cert.alpha.items()),
+        "beta": sorted((n, _hex(re), _hex(im))
+                       for n, (re, im) in cert.beta.items()),
+        "beta0_interval": [[_hex(x) for x in iv]
+                           for iv in cert.beta0_interval],
+        "phi": cert.phi,
+        "blocks": [sorted((k, _hex(v)) for k, v in b.items())
+                   for b in cert.block_bounds],
+        "total_count": cert.total_count,
+    }
+
+
+def decision_bits(dec):
+    cert = dec.certificate
+    block = "no block data" if cert.alpha is None else cert_bits(cert)
+    return dec.answer, dec.notes, block
+
+
+def report_bits(rep):
+    return (rep["ok"], rep["class"], _hex(rep["worst_ratio"]),
+            tuple(_hex(x) for x in rep["worst_rs"]), rep["violations"])
+
+
+def outcome(fn, bits, *args):
+    """bits of fn's result, or the type and message of what it raises."""
+    try:
+        return "ok", bits(fn(*args))
+    except Exception as exc:  # the loops define which errors are right
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# random operators and witnesses
+
+
+def balanced(atoms):
+    """The atoms plus one unit-mass atom that cancels the trace."""
+    return atoms + [(-sum(z * m for z, m in atoms), 1.0)]
+
+
+atom_lists = st.lists(
+    st.tuples(st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                 allow_infinity=False),
+              st.floats(0.1, 2.0)),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def operators(draw):
+    """Atom operators, balanced or raw, and power heads c t^-p on (0, a)
+    with atoms below them; the last atom may be tiny."""
+    atoms = draw(atom_lists)
+    if draw(st.booleans()):
+        atoms = balanced(atoms)
+    atoms = [(z, m) for z, m in atoms if abs(z) > 1e-3]
+    assume(atoms)
+    if draw(st.booleans()):
+        # a band sum near the absolute slack of the two-variable bound
+        atoms.append((draw(st.floats(1e-13, 1e-10)),
+                      draw(st.floats(0.1, 2.0))))
+    if draw(st.booleans()):
+        return so.from_atoms(atoms)
+    p = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    a, c = draw(st.floats(0.05, 2.0)), draw(st.floats(0.1, 3.0))
+    phase = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    top = max(abs(z) for z, _ in atoms)
+    shrink = min(1.0, c * a ** -p / top)
+    segs, lo = [Seg(0.0, a, (Term(c, p),), phase)], a
+    for z, m in sorted(atoms, key=lambda zm: -abs(zm[0])):
+        segs.append(Seg(lo, lo + m, (Term(abs(z) * shrink),), z / abs(z)))
+        lo += m
+    try:
+        return so.make_op(segs)
+    except DomainError:
+        assume(False)
+
+
+@st.composite
+def witnesses(draw):
+    """Nonincreasing h: zero, a tiny constant that fails at every 2^j,
+    or a power head and steps that may end in a zero segment."""
+    kind = draw(st.sampled_from(["zero", "tiny", "shaped", "shaped"]))
+    if kind == "zero":
+        return df.zero()
+    if kind == "tiny":
+        return df.const(1e-30)
+    level = draw(st.sampled_from([0.01, 0.3, 1.0, 5.0, 40.0, 500.0]))
+    p = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    cuts = sorted(set(draw(st.lists(st.floats(0.01, 50.0), min_size=1,
+                                    max_size=3))))
+    segs = [Seg(0.0, cuts[0], (Term(level * cuts[0] ** p, p),))]
+    level = level * draw(st.floats(0.2, 1.0))
+    for lo, hi in zip(cuts, cuts[1:] + [INF]):
+        terms = (Term(level),) if draw(st.booleans()) or hi < INF else ()
+        segs.append(Seg(lo, hi, terms))
+        level *= draw(st.floats(0.2, 1.0))
+    try:
+        return df.make(segs)
+    except DomainError:
+        assume(False)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=operators(), h=witnesses(), K=st.sampled_from([2, 5, 12, 40]))
+def test_fdh_certificate_equals_the_pair_loop(T, h, K):
+    assert (outcome(cm.fdh_certificate, cert_bits, T, h, K)
+            == outcome(ref_fdh_certificate, cert_bits, T, h, K))
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=operators(), h1=st.none() | witnesses(),
+       h2=st.none() | witnesses(),
+       a=st.sampled_from([0.0, 0.5, 1.5 - 2j]),
+       K=st.sampled_from([3, 8, 40]))
+def test_block_data_equals_the_scaling_loop(T, h1, h2, a, K):
+    dec = cm.member(cm.WitnessCertificate(a=a, h_fs=h1, h_b=h2), "criteria")
+    assert (outcome(cm._attach_block_data, decision_bits, T, dec, K)
+            == outcome(ref_attach_block_data, decision_bits, T, dec, K))
+
+
+def test_absolute_slack_does_not_scale_with_the_witness():
+    # the witness vanishes from 1.5 on, so the band (2, 3] of the 3e-12
+    # atom meets only the 1e-12 slack, at every scaling 2^j of h
+    T = so.from_atoms([(1.0, 1.0), (-1.0, 1.0), (3e-12, 1.0)])
+    h = df.make([Seg(0.0, 1.5, (Term(10.0),)), Seg(1.5, INF, ())])
+    dec = cm.member(cm.WitnessCertificate(h_fs=h), "criteria")
+    for K in (3, 40):
+        assert decision_bits(cm._attach_block_data(T, dec, K)) == (
+            "member", "criteria", "no block data")
+        assert (decision_bits(ref_attach_block_data(T, dec, K))
+                == ("member", "criteria", "no block data"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), K=st.integers(1, 12))
+def test_beta_sequence_equals_the_pair_loop(data, K):
+    # alpha from a beta sequence within phi passes; a bump makes it fail
+    c, p = data.draw(st.floats(0.5, 4.0)), data.draw(st.floats(0.0, 0.9))
+    phi = df.power_fun(c, p)
+    u = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * K + 2,
+                           max_size=2 * K + 2))
+    beta = {n: u[n + K + 1] * phi(2.0 ** (n + 1))
+            for n in range(-K - 1, K + 1)}
+    alpha = {n: beta[n - 1] - 2.0 * beta[n] for n in range(-K, K + 1)}
+    bump = data.draw(st.sampled_from([0.0, 1e-9, 0.5, 40.0]))
+    alpha[data.draw(st.integers(-K, K))] += bump
+    assert (outcome(cm.beta_sequence, repr, alpha, phi, K)
+            == outcome(ref_beta_sequence, repr, alpha, phi, K))
+
+
+def test_summed_block_slack_absorbs_a_subnormal_sum():
+    # phi vanishes from 1 on, so the block sum 4e-305 at (2, 3) meets only
+    # the 1e-300 slack
+    phi = df.make([Seg(0.0, 1.0, (Term(1.0),)), Seg(1.0, INF, ())])
+    got = outcome(cm.beta_sequence, repr, {2: 1e-305}, phi, 4)
+    assert got[0] == "ok"
+    assert got == outcome(ref_beta_sequence, repr, {2: 1e-305}, phi, 4)
+
+
+@st.composite
+def certificate_operators(draw):
+    """V for the class bounds: positive atoms, or a power profile whose
+    spectral measure is chopped into many atoms."""
+    if draw(st.booleans()):
+        return so.from_atoms([(abs(z) + 1e-3, m)
+                              for z, m in draw(atom_lists)])
+    c, p = draw(st.floats(0.1, 4.0)), draw(st.sampled_from([0.3, 0.7]))
+    return so.make_op([Seg(0.0, draw(st.floats(0.1, 4.0)), (Term(c, p),))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=operators(), V=certificate_operators(),
+       grid_n=st.sampled_from([2, 5, 9]))
+def test_verify_certificate_equals_the_pair_loop(T, V, grid_n):
+    # one F serves both classes, as in member_F
+    F = br.phi_of(T)
+    for cls, W in (("F", V), ("G", so.scale_op(V, math.e))):
+        assert (outcome(br.verify_certificate, report_bits, F, W, cls,
+                        grid_n)
+                == outcome(ref_verify_certificate, report_bits,
+                           ref_phi_of(T), W, cls, grid_n))
+
+
+def test_verify_certificate_on_the_full_grid():
+    T = so.from_atoms(balanced([(1.5 - 0.5j, 0.75), (0.2 + 0.9j, 0.4)]))
+    V = br.build_V(T)
+    F = br.phi_of(T)
+    for cls, W in (("F", V), ("G", so.scale_op(V, math.e))):
+        rep = br.verify_certificate(F, W, cls)
+        assert rep["ok"]
+        assert report_bits(rep) == report_bits(
+            ref_verify_certificate(ref_phi_of(T), W, cls))
+
+
+def test_phi_of_checks_its_arguments_on_every_call():
+    T = so.from_atoms([(1.0, 1.0)])
+    F = br.phi_of(T)
+    for _ in range(2):
+        assert outcome(F, repr, 2.0, 1.0) == outcome(br.phi, repr, T,
+                                                     2.0, 1.0)
+    assert F(0.5, 0.5) == 0.0 + 0.0j
+    assert F(0.5, 2.0) == 1.0 + 0.0j
+
+
+def test_unknown_class_is_refused():
+    V = so.from_atoms([(1.0, 1.0)])
+    with pytest.raises(ValueError, match="unknown class 'H'"):
+        br.verify_certificate(lambda r, s: 1.0, V, "H", grid_n=3)
+
+
+# ---------------------------------------------------------------------------
+# pinned member_F reports
+
+# atom documents with module_I = L_1: balanced ones reach member_F's
+# certificates, at witness scalings 2^0, 2^3 and 2^5, and one whose block
+# data fail at every scaling; raw ones are rejected
+DOCS = {
+    "balanced_two": balanced([(1.5 - 0.5j, 0.75)]),
+    "balanced_three": balanced([(0.3 + 1.1j, 0.4), (-2.0 + 0.2j, 0.9)]),
+    "balanced_four": balanced([(1.0, 1.2), (0.5j, 0.3), (-0.7 - 0.7j, 0.6)]),
+    "balanced_scaled_by_8": balanced([(0.06 + 0.06j, 1.33),
+                                      (0.26 + 1.01j, 1.48),
+                                      (0.86 - 0.89j, 1.45),
+                                      (-2.19 - 0.55j, 0.47)]),
+    "balanced_scaled_by_32": balanced([(-1.84 - 1.59j, 0.23),
+                                       (-1.33 + 1.84j, 1.26),
+                                       (0.08 + 0.08j, 0.92)]),
+    "raw_two": [(0.8 + 0.6j, 0.5), (-1.2 + 0.3j, 1.0)],
+    "raw_four": [(1.0 - 1.0j, 0.3), (0.4 + 0.2j, 1.2), (-0.6, 0.7),
+                 (2.0j, 0.45)],
+}
+
+
+def brown_report(atoms, tmp_dir):
+    """stdout of `commcalc brown` on the atoms against L_1, as bytes."""
+    doc = {"schema_version": sz.SCHEMA_VERSION,
+           "operator": sz.op_to_json(so.from_atoms(atoms)),
+           "module_I": sz.module_to_json(md.Lp(1.0))}
+    path = os.path.join(tmp_dir, "query.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out = io.TextIOWrapper(io.BytesIO())
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["brown", "--input", path, "--format", "json"])
+    assert code == cli.EXIT_OK
+    return out.buffer.getvalue()
+
+
+def brown_digests(tmp_dir):
+    return {name: hashlib.sha256(brown_report(atoms, tmp_dir)).hexdigest()
+            for name, atoms in DOCS.items()}
+
+
+def test_member_F_report_bytes(tmp_path):
+    with open(DIGESTS) as fh:
+        expected = json.load(fh)
+    assert brown_digests(str(tmp_path)) == expected
+
+
+if __name__ == "__main__":
+    # regenerate the pinned digests: python tests/test_certificate_tables.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = brown_digests(tmp)
+    with open(DIGESTS, "w") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")

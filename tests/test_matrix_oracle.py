@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ class TestShoda:
         A, B, rep = mo.shoda_decompose(np.zeros((3, 3)))
         assert rep["residual"] == 0.0
         assert np.all(B.entries == 0.0)
+
+    def test_empty(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A, B, rep = mo.shoda_decompose(np.zeros((0, 0)))
+        assert A.entries.shape == B.entries.shape == (0, 0)
+        assert rep == {"residual": 0.0, "A_norm_ratio": 0.0,
+                       "B_norm_ratio": 0.0}
 
     def test_nonzero_trace_rejected(self):
         with pytest.raises(df.DomainError):

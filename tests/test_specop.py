@@ -45,6 +45,12 @@ class TestMu:
         assert close(m(0.25), 2.0)
         assert m(2.0) == 0.0
 
+    def test_atom_with_an_underflowing_angle(self):
+        # the angle of 2 + 5e-324j underflows, which cmath.phase refuses
+        T = so.from_atoms([(1.0, 1.0), (2.0 + 5e-324j, 1.0), (-2.0, 1.0)])
+        assert [s.phase for s in T.segs] == [1.0, -1.0, 1.0]
+        assert [so.mu(T)(t) for t in (0.5, 1.5, 2.5)] == [2.0, 2.0, 1.0]
+
     def test_profile_is_kept_on_the_operator(self):
         T = so.from_atoms([(3.0, 1.0), (2j, 2.0)])
         assert so.mu(T) is so.mu(T) is T.profile
