@@ -68,13 +68,14 @@ class BrownMeasure:
 def phi_of(T):
     """The band functional (r, s) -> Phi(r, s; T) of an operator.
 
-    The closure keeps the band edge dist_fun(mu(T), x) of every level x
-    it meets and the value of every (r, s), so an n-point probe grid
-    costs n level queries and one integrate_v per pair.  Each value is
-    the float phi(T, r, s) gives: the same edges, the same integral.
+    The band edge dist_fun(mu(T), x) of every level x and the value of
+    every (r, s) are tabled on T (NormalOp.band_tables), so an n-point
+    probe grid costs n level queries and one integrate_v per pair, once
+    per operator: build_V and member_F read the same tables.  Each value
+    is the float phi(T, r, s) gives: the same edges, the same integral.
     """
     m = so.mu(T)
-    edges, values = {}, {}
+    edges, values = T.band_tables
 
     def edge(x):
         if x not in edges:
@@ -130,7 +131,13 @@ def brown_of_normal(T, ppo=BROWN_PPO):
             cuts.insert(0, seg.lo)
         for a, b in zip(cuts, cuts[1:]):
             mid = math.sqrt(max(a, b * 1e-30) * b)
-            atoms.append((seg.phase * seg.value(mid), b - a))
+            try:
+                v = seg.value(mid)
+            except OverflowError:
+                # a float limit, not divergence of the measure
+                raise DomainError("|T| overflows a float at t=%g"
+                                  % mid) from None
+            atoms.append((seg.phase * v, b - a))
     return BrownMeasure(tuple(atoms))
 
 
@@ -242,27 +249,28 @@ def fk_det(T, mode="I+T", k=1, w=1.0):
 
 
 def _class_bound(V, cls, pts):
-    """The class bound of V on the probe pair (pts[i], pts[j]), as a
-    function of (i, j) assembled from per-point tables.
+    """The class bound of V on probe pairs (pts[i], pts[j]), as a function
+    of index arrays i, j assembled from per-point tables.
 
     Class F: r nu_V(r, oo) + s nu_V(s, oo).  Class G: the sum over the
     atoms z of nu_V, in order, of mass * (r max(0, log(|z|/r))
-    + s max(0, log(|z|/s))).  Each table entry is the term the pair would
-    compute, so every bound is the same float.
+    + s max(0, log(|z|/s))), added atom by atom for all pairs at once.
+    Each entry is the float the pair would compute, with the same float64
+    operations in the same order, so an overflow warns as it does there.
     """
     if cls == "F":
-        w = [x * so.distribution(V, x) for x in pts]
+        w = np.array([x * so.distribution(V, x) for x in pts])
         return lambda i, j: w[i] + w[j]
     if cls == "G":
         atoms = brown_of_normal(V).atoms
-        masses = [mass for _, mass in atoms]
-        w = [[x * max(0.0, math.log(abs(z) / x)) for z, _ in atoms]
-             for x in pts]
+        masses = np.array([mass for _, mass in atoms])
+        w = np.array([[x * max(0.0, math.log(abs(z) / x)) for z, _ in atoms]
+                      for x in pts]).reshape(len(pts), len(atoms))
 
         def bound(i, j):
-            acc = 0.0
-            for mass, u, v in zip(masses, w[i], w[j]):
-                acc += mass * (u + v)
+            acc = np.zeros(len(i))
+            for col in ((w[i] + w[j]) * masses).T:
+                acc += col
             return acc
 
         return bound
@@ -272,29 +280,33 @@ def _class_bound(V, cls, pts):
 def verify_certificate(F, V, cls, grid_n=40, lo=2.0 ** -20, hi=2.0 ** 20):
     """Probe |F(r,s)| <= class bound of V over a log-spaced (r,s) grid.
 
-    Returns a report dict with the worst ratio and its location.  V's
-    side of the bound is tabled over the grid_n points once per call
-    (_class_bound), and F tables its own side when it comes from phi_of.
-    Each table entry is the term a pair would compute, with the same
-    operands, so the report is the pair-by-pair one bit for bit.
+    Returns a report dict with the worst ratio and its location.  F is
+    called once per pair in row-major order (and tables its own side when
+    it comes from phi_of); the pairs with F != 0 then get V's side of the
+    bound (_class_bound) and their ratios as float64 arrays.  Every entry
+    is the float the pair loop computes, a NaN ratio is never the worst
+    nor a violation, and the worst is the first maximal ratio in
+    row-major order, so the report is the pair loop's bit for bit.
     """
     pts = np.geomspace(lo, hi, grid_n)
     bound = _class_bound(V, cls, pts)
     worst = 0.0
     worst_rs = (pts[0], pts[1])
-    violations = 0
-    for i, r in enumerate(pts):
-        for j in range(i + 1, grid_n):
-            s = pts[j]
-            lhs = abs(F(r, s))
-            if lhs == 0.0:
-                continue
-            b = bound(i, j)
-            ratio = lhs / b if b > 0.0 else INF
-            if ratio > worst:
-                worst, worst_rs = ratio, (float(r), float(s))
-            if ratio > 1.0 + 1e-9:
-                violations += 1
+    xs = pts.tolist()
+    lhs = np.array([abs(F(r, s)) for k, r in enumerate(xs)
+                    for s in xs[k + 1:]])
+    live = lhs != 0.0
+    i, j = (ix[live] for ix in np.triu_indices(grid_n, 1))
+    lhs = lhs[live]
+    b = bound(i, j)
+    ratio = np.full(len(lhs), INF)
+    pos = b > 0.0
+    ratio[pos] = lhs[pos] / b[pos]
+    ratio[np.isnan(ratio)] = 0.0  # never beats worst = 0 nor counts
+    if ratio.size and ratio.max() > worst:
+        k = int(np.argmax(ratio))
+        worst, worst_rs = float(ratio[k]), (xs[i[k]], xs[j[k]])
+    violations = int(np.count_nonzero(ratio > 1.0 + 1e-9))
     return {"ok": violations == 0, "class": cls, "worst_ratio": worst,
             "worst_rs": worst_rs, "violations": violations}
 

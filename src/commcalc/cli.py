@@ -98,9 +98,55 @@ def _fmt_complex(z):
                         _fmt_num(abs(z.imag)))
 
 
+# the report layout: json.dumps(..., sort_keys=True, indent=2,
+# allow_nan=False), which before Python 3.13 runs the pure-Python encoder
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+# a list of flat records one level down, compact, so the C encoder runs:
+# the item separator already puts each field on its own indented line
+_RECORDS = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=(",\n      ", ": "))
+_SCALARS = (str, int, float, type(None))
+
+
+def _is_records(value):
+    """A non-empty list of non-empty dicts with string keys and scalar
+    values, such as the Brown atom list."""
+    return isinstance(value, (list, tuple)) and bool(value) and all(
+        isinstance(rec, dict) and rec
+        and all(type(k) is str and isinstance(v, _SCALARS)
+                for k, v in rec.items())
+        for rec in value)
+
+
 def _json_bytes(obj):
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) plus a newline.
+
+    The top-level keys of a document are laid out here; each value is
+    encoded by the stdlib and indented by one level with str.replace,
+    which is exact because json never writes a raw newline inside a
+    string.  A list of flat records goes through the C encoder in compact
+    form, and one replace of its record boundaries gives the indented
+    layout (the boundary needs a raw newline, so it too never matches
+    inside a string).  Floats, strings and errors (ValueError for NaN and
+    infinities, TypeError for other types) stay the stdlib's.
+    """
+    if not (isinstance(obj, dict) and obj
+            and all(type(k) is str for k in obj)):
+        return (_ENCODER.encode(obj) + "\n").encode("utf-8")
+    fields = []
+    for key in sorted(obj):
+        value = obj[key]
+        if _is_records(value):
+            text = _RECORDS.encode(value)
+            text = ("[\n    {\n      "
+                    + text[2:-2].replace("},\n      {",
+                                         "\n    },\n    {\n      ")
+                    + "\n    }\n  ]")
+        else:
+            text = _ENCODER.encode(value).replace("\n", "\n  ")
+        fields.append("  %s: %s" % (_ENCODER.encode(key), text))
+    return ("{\n" + ",\n".join(fields) + "\n}\n").encode("utf-8")
 
 
 def _csv_bytes(header, rows):
@@ -199,8 +245,15 @@ def cmd_mu(args, query):
     T = _query_field(query, "operator", sz.op_from_json, required=True)
     m = so.mu(T)
     # the domain of a II_1 operator is the open interval (0, 1)
-    samples = [(t, m(t)) for t in cm.dyadic_grid(-args.K, args.K, args.grid)
-               if t < T.domain_hi]
+    samples = []
+    for t in cm.dyadic_grid(-args.K, args.K, args.grid):
+        if t < T.domain_hi:
+            try:
+                samples.append((t, m(t)))
+            except OverflowError:
+                # a float limit, not an infinite singular value
+                raise CliError("query.operator: mu(%s) overflows a float"
+                               % _fmt_num(t)) from None
     if args.format == "csv":
         _write(args, "mu.csv", _samples_csv(samples))
         return EXIT_OK

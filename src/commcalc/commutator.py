@@ -428,8 +428,8 @@ def fdh_certificate(T, h, K=40):
     comparison makes the products, sums and slacks of the pair loop in
     float64, which is IEEE arithmetic as Python floats are, and the first
     failing (r, s) is the first the row-major loop met.  An error of T's
-    own side (a nonvanishing tail, an out-of-domain level) now comes
-    before one from combine(h, mu(T)).
+    own side (a nonvanishing tail, an out-of-domain level) and a failing
+    pair now come before one from combine(h, mu(T)).
     """
     return _certificate_for(_certificate_table(T, K), h)
 
@@ -460,9 +460,9 @@ def _certificate_table(T, K):
 def _certificate_for(table, h):
     """The h half of fdh_certificate: h at the 2K + 1 dyadic points, the
     two-variable bound on every pair as one float64 array comparison, then
-    the beta sequences and the block bounds."""
+    the beta sequences and the block bounds.  phi = h + mu(T) is built
+    only once the pair test has passed, as most scalings fail it."""
     K, m, lhs, alpha = table
-    phi = df.combine(h, m, "sum")
     pts = [2.0 ** i for i in range(-K, K + 1)]
     rh = np.array([t * h(t) for t in pts])
     # overflow to inf and inf - inf are silent in float arithmetic too
@@ -472,6 +472,7 @@ def _certificate_for(table, h):
         i, j = divmod(int(np.argmax(bad)), len(pts))  # row-major first
         raise DomainError(
             "criterion bound fails at (r, s)=(%g, %g)" % (pts[i], pts[j]))
+    phi = df.combine(h, m, "sum")
     iv_re, beta_re = beta_sequence(
         {n: v.real for n, v in alpha.items()}, phi, K)
     iv_im, beta_im = beta_sequence(

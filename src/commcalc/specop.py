@@ -48,6 +48,24 @@ class NormalOp:
         """Segment-integral table behind integrate_v, filled on demand."""
         return SegIntegrals(self.segs)
 
+    @functools.cached_property
+    def integrable_at_0(self):
+        """Whether |v| is integrable at 0, decided on first use."""
+        return not df._diverges_at_0(df.dominant_at_0(self.profile), 1.0)
+
+    @functools.cached_property
+    def integrable_at_inf(self):
+        """Whether |v| is integrable at infinity, decided on first use.  A
+        finite support is: its last profile segment is zero, so it has no
+        dominant term."""
+        return not df._diverges_at_inf(df.dominant_at_inf(self.profile), 1.0)
+
+    @functools.cached_property
+    def band_tables(self):
+        """The band-edge and band-value tables of brown.phi_of, so that
+        every phi_of(T) of this operator shares them."""
+        return {}, {}
+
     def value(self, t):
         for seg in self.segs:
             if seg.lo <= t < seg.hi:
@@ -202,15 +220,17 @@ def _level_cross(seg, hi, x):
 
 
 def _check_band_integrable(T, u, w):
-    m = mu(T)
-    if u == 0.0:
-        dom = df.dominant_at_0(m)
-        if df._diverges_at_0(dom, 1.0):
-            raise DomainError("non-integrable band")
-    if w == INF and T.domain_hi == INF:
-        dom = df.dominant_at_inf(m)
-        if df._diverges_at_inf(dom, 1.0) and df.support_hi(m) == INF:
-            raise DomainError("non-integrable band")
+    """Refuse a band that reaches an end where |v| is not integrable.
+
+    Every call builds the profile or fails as building it does.  Each end
+    is decided once per operator (NormalOp.integrable_at_0/_inf); a
+    decision that raises is not kept, so it raises again on the next call.
+    """
+    T.profile  # an operator whose profile fails has no band
+    if u == 0.0 and not T.integrable_at_0:
+        raise DomainError("non-integrable band")
+    if w == INF and T.domain_hi == INF and not T.integrable_at_inf:
+        raise DomainError("non-integrable band")
 
 
 def integrate_v(T, u, w):

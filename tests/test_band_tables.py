@@ -225,6 +225,93 @@ def test_divergent_head_fails_where_the_scan_fails():
 
 
 # ---------------------------------------------------------------------------
+# integrability of each end, decided once per operator
+
+
+def ref_check_band_integrable(T, u, w):
+    """The check integrate_v made on every call, from the profile."""
+    m = so.mu(T)
+    if u == 0.0:
+        dom = df.dominant_at_0(m)
+        if df._diverges_at_0(dom, 1.0):
+            raise DomainError("non-integrable band")
+    if w == INF and T.domain_hi == INF:
+        dom = df.dominant_at_inf(m)
+        if df._diverges_at_inf(dom, 1.0) and df.support_hi(m) == INF:
+            raise DomainError("non-integrable band")
+
+
+def refused(fn, T, u, w):
+    """The message of the DomainError fn raises, or None."""
+    try:
+        fn(T, u, w)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+EXPONENTS = [(p, q) for p in (0.5, 1.0, 1.5) for q in (0.0, 0.5, 1.0, 1.5)]
+HEAD_TOP = math.exp(-4.0)  # t^-p |log t|^-q decreases on (0, e^-4)
+
+
+def head_seg(p, q, phase=1.0):
+    return Seg(0.0, HEAD_TOP, (Term(1.0, p, q),), phase)
+
+
+def integrability_ops():
+    """Power-log heads and tails, II_1 and II_inf, finite supports, the
+    zero operator, and unvalidated overlapping segments."""
+    ops = {"zero": so.zero_op(), "zero_II_1": so.zero_op(so.II_1)}
+    for p, q in EXPONENTS:
+        head = head_seg(p, q, 0.6 + 0.8j)
+        below = 0.5 * head.value(HEAD_TOP)
+        tail = Term(0.5 * below * 2.0 ** p * math.log(2.0) ** q, p, q)
+        ops["head_%g_%g" % (p, q)] = so.make_op(
+            [head, Seg(HEAD_TOP, 1.0, (Term(below),), -1.0)])
+        ops["head_%g_%g_II_1" % (p, q)] = so.make_op(
+            [head, Seg(HEAD_TOP, 1.0, (Term(below),))], so.II_1)
+        ops["tail_%g_%g" % (p, q)] = so.make_op(
+            [Seg(0.0, 2.0, (Term(below),)), Seg(2.0, INF, (tail,), 1j)])
+        ops["both_%g_%g" % (p, q)] = so.make_op(
+            [head, Seg(HEAD_TOP, 2.0, (Term(below),)),
+             Seg(2.0, INF, (tail,))])
+        edge = Term(0.5 * 2.0 ** p * math.log(2.0) ** q, p, q, 0.5)
+        ops["finite_%g_%g" % (p, q)] = so.make_op(
+            [Seg(0.0, 1.0, (Term(1.0),)), Seg(1.0, 4.0, (edge,))])
+    ops["overlap"] = so.make_op([Seg(0.0, 2.0, (Term(1.0),)),
+                                 Seg(1.0, 3.0, (Term(0.5),))], validate=False)
+    return ops
+
+
+BANDS = [(u, w) for u in (0.0, 1e-3, 0.5, 1.0) for w in (0.5, 3.0, INF)]
+
+
+@pytest.mark.parametrize("name", sorted(integrability_ops()))
+def test_integrate_v_refuses_exactly_as_the_check_did(name):
+    fresh = integrability_ops()[name]
+    T = integrability_ops()[name]
+    for u, w in BANDS + BANDS[::-1]:  # both ends decided in either order
+        expected = refused(ref_check_band_integrable, fresh, u,
+                           min(w, fresh.domain_hi))
+        assert refused(so.integrate_v, T, u, w) == expected
+        assert refused(so._check_band_integrable, T, u,
+                       min(w, T.domain_hi)) == expected
+
+
+def test_integrability_cases_cover_both_answers():
+    ops = integrability_ops()
+    head = {n: refused(ref_check_band_integrable, T, 0.0, 0.5)
+            for n, T in ops.items() if n.startswith("head_")}
+    tail = {n: refused(ref_check_band_integrable, T, 1.0, INF)
+            for n, T in ops.items() if n.startswith("tail_")}
+    for answers in (head, tail):
+        assert None in answers.values()
+        assert "non-integrable band" in answers.values()
+    # the overlap fails in the profile, on every band
+    assert "overlapping" in refused(so.integrate_v, ops["overlap"], 0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # split_fs_b keeps T when T lies on one side of the cut
 
 

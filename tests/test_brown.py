@@ -52,6 +52,20 @@ class TestBrownMeasure:
         assert not br.BrownMeasure(((1e-9, 1.0),)).is_zero()
 
 
+class TestFloatOverflow:
+    # t^-20 on (0, 1): its chunk values pass the float range below 2^-52
+    T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 20.0),))])
+
+    def test_brown_of_normal(self):
+        with pytest.raises(df.DomainError, match="overflows a float"):
+            br.brown_of_normal(self.T)
+
+    def test_build_V(self):
+        # the error member_F reports as "certificate construction failed"
+        with pytest.raises(df.DomainError, match="overflows a float"):
+            br.build_V(self.T)
+
+
 class TestRoundTrip:
     def test_atomic_identity(self):
         rng = np.random.default_rng(7)

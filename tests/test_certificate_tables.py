@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,33 @@ def test_verify_certificate_equals_the_pair_loop(T, V, grid_n):
                         grid_n)
                 == outcome(ref_verify_certificate, report_bits,
                            ref_phi_of(T), W, cls, grid_n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cls=st.sampled_from(["F", "G"]),
+       grid_n=st.sampled_from([2, 4, 7]),
+       huge=st.booleans())
+def test_verify_certificate_with_nan_inf_and_ties(data, cls, grid_n, huge):
+    # |F| may be 0, NaN, inf or tied at the maximum; a huge V makes the
+    # class-G bound overflow to inf, so inf / inf ratios are NaN
+    V = so.from_atoms([(1e308, 1e308)] if huge else [(2.0, 1.5), (0.5, 1.0)])
+    pts = np.geomspace(2.0 ** -20, 2.0 ** 20, grid_n).tolist()
+    pairs = [(r, s) for k, r in enumerate(pts) for s in pts[k + 1:]]
+    values = data.draw(st.lists(
+        st.sampled_from([0.0, math.nan, INF, 1e-300, 0.5, 3.0, 3.0, 1e308]),
+        min_size=len(pairs), max_size=len(pairs)))
+    table = dict(zip(pairs, values))
+
+    def F(r, s):
+        return complex(table[float(r), float(s)])
+
+    with warnings.catch_warnings():
+        # both sides warn on overflow in float64 arithmetic
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert (outcome(br.verify_certificate, report_bits, F, V, cls,
+                        grid_n)
+                == outcome(ref_verify_certificate, report_bits, F, V, cls,
+                           grid_n))
 
 
 def test_verify_certificate_on_the_full_grid():

@@ -207,6 +207,31 @@ class TestMu:
         assert (outdir / "mu.csv").read_text().startswith("t,value\n")
 
 
+def power_head(pow):
+    """t^-pow on (0, 1): its profile overflows a float near 0."""
+    return sz.op_to_json(so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, pow),))]))
+
+
+class TestFloatOverflow:
+    """A value beyond the float range is an input error (exit 1) and
+    never reported as an infinite value."""
+
+    def test_mu(self, capsys, tmp_path):
+        path = write_query(tmp_path, operator=power_head(60.0))
+        code, out, err = run(capsys, ["mu", "--input", path])
+        assert code == 1 and out == ""
+        assert err == ("commcalc: query.operator: mu(9.5367431640625e-07)"
+                       " overflows a float\n")
+
+    def test_brown(self, capsys, tmp_path):
+        path = write_query(tmp_path, operator=power_head(20.0),
+                           module_I=sz.module_to_json(md.Lp(1.0)))
+        code, out, err = run(capsys, ["brown", "--input", path])
+        assert code == 1 and out == ""
+        assert err.startswith("commcalc: query.operator: |T| overflows a"
+                              " float at t=")
+
+
 class TestWitness:
     def test_witness_report(self, capsys, tmp_path):
         path = write_query(tmp_path, operator=sz.op_to_json(pair_op()),
