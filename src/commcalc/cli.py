@@ -304,6 +304,9 @@ def _decide_and_write(args, query, name):
         dec = _run_member(query)
     except DomainError as exc:
         raise CliError("query: %s" % exc)
+    except OverflowError as exc:
+        # a float limit, not a property of the operator
+        raise CliError("query.operator: %s" % exc) from None
     _write(args, name + "." + _EXT[args.format], emit_report(dec, args.format))
     return dec
 

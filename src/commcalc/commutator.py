@@ -14,6 +14,13 @@ single phase: the trace converges to tau of that part exactly when |v| is
 integrable at that end, and a divergent limit rules membership out.  So
 one constant is tried per side, shared by both sides for [I, J] and kept
 apart for F + [I, M].
+
+Each side is then decided from the exact class of its side function at
+the end (side_classes): Karamata's mean of the profile's end term, plus
+|a - lim| / t where a misses a convergent limit.  The module judges the
+witness h, that class past the samples and their step majorant at mid
+scale, so no verdict depends on a fit.  The one end outside the class,
+c t^-1 |log t|^-1, is decided from its two brackets.
 """
 
 import math
@@ -24,13 +31,14 @@ import numpy as np
 from . import decfun as df
 from . import modules as md
 from . import specop as so
-from .decfun import INF, DomainError, PLFun
+from .decfun import INF, DomainError, PLFun, Term
 from .specop import II_1, II_INF
 
 GRID_K = 60
 GRID_PPO = 2
-FIT_RESID_TOL = 0.05
 TRACE_TOL = 1e-9
+# c t^-1 log L (L = |log t|) lies below c t^-1 L^EPS / (e EPS) for L > 1
+LOGLOG_EPS = 0.125
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,6 @@ def trace_limit(T, side):
 class SideResult:
     answer: str
     h: PLFun = None
-    resid: float = 0.0
     worst: tuple = None  # (r, required) sample behind a "no"
     reason: str = ""
 
@@ -134,40 +141,66 @@ def _clean_samples(pairs, a):
     return out
 
 
-def _decide_samples(samples, module, domain_hi, fit_head, fit_tail, tail):
-    positive = [(t, v) for t, v in samples if v > 0.0]
-    if not positive:
-        return SideResult("yes", df.zero(domain_hi), 0.0, None, "zero bound")
-    h, info = df.envelope_majorant(samples, domain_hi, fit_head=fit_head,
-                                   fit_tail=fit_tail, tail=tail)
-    resid = max(
-        (info[k] or {}).get("resid", 0.0) for k in ("head", "tail")
-    )
-    verdict = md.contains(module, h)
-    worst = max(positive, key=lambda tv: tv[1])
-    if verdict.answer == "yes":
-        return SideResult("yes", h, resid, None, verdict.reason)
-    if verdict.answer == "no" and resid <= FIT_RESID_TOL:
-        return SideResult("no", h, resid, worst, verdict.reason)
+def side_classes(T, side, a):
+    """Exact end class of |a - head(r)| / r as r -> 0 (side "head") or of
+    |a + tail(s)| / s as s -> oo (side "tail").
+
+    mean_term of the end term of mu(T), plus |a - lim| / t when the trace
+    converges to lim (minus the tail limit) and a != lim.  Returns the list
+    of classes (two for p = q = 1: the brackets c L^EPS / (e EPS t) above
+    c log L / t and c / t below it) and the inner end of the end segment.
+    """
+    m = so.mu(T)
+    if side == "head":
+        dom, reach = df.dominant_at_0(m), m.segs[0].hi
+    else:
+        dom, reach = df.dominant_at_inf(m), m.segs[-1].lo
+    _, lim = trace_limit(T, side)
+    d = (a - lim if side == "head" else a + lim) if lim is not None else 0.0
+    near = (Term(abs(d), 1.0),) if d else ()
+    if dom is None:
+        return [near], reach
+    term = df.mean_term(dom)
+    if term is not None:
+        return [near + (term,)], reach
+    c = dom[2]
+    return [near + (Term(c / (math.e * LOGLOG_EPS), 1.0, -LOGLOG_EPS),),
+            near + (Term(c, 1.0),)], reach
+
+
+def _decide_side(T, samples, module, domain_hi, side, a, hold):
+    """Whether module holds a majorant of the sampled side function: the
+    step majorant with the exact end class attached (envelope_majorant).
+    Of two brackets, "yes" comes from the upper and "no" from the lower."""
+    classes, reach = side_classes(T, side, a)
+    if classes == [()] and all(v == 0.0 for _, v in samples):
+        return SideResult("yes", df.zero(domain_hi), None, "zero bound")
+    worst = max(samples, key=lambda tv: tv[1])
+    for i, ends in enumerate(classes):
+        h = df.envelope_majorant(samples, domain_hi, reach=reach, hold=hold,
+                                 **{side: ends})
+        verdict = md.contains(module, h)
+        if verdict.answer == "yes" and i == 0:
+            return SideResult("yes", h, None, verdict.reason)
     if verdict.answer == "no":
-        return SideResult("inconclusive", h, resid, worst,
-                          "envelope fit too loose for a sound rejection")
-    return SideResult("inconclusive", h, resid, worst, verdict.reason)
+        return SideResult("no", h, worst, verdict.reason)
+    if len(classes) == 2:
+        return SideResult("inconclusive", h, worst,
+                          "the brackets of t^-1 log|log t| disagree")
+    return SideResult("inconclusive", h, worst, verdict.reason)
 
 
 def decide_fs(T_fs, I, a=0.0, K=GRID_K, ppo=GRID_PPO):
     """Existence of h in mu(FsPart(I)) with |a - head(r)| <= r h(r), r < 1."""
     samples = _clean_samples(head_values(T_fs, K, ppo), a)
-    return _decide_samples(samples, md.FsPart(I), INF,
-                           fit_head=True, fit_tail=False, tail="zero")
+    return _decide_side(T_fs, samples, md.FsPart(I), INF, "head", a, False)
 
 
 def decide_b(T_b, I, a=0.0, K=GRID_K, ppo=GRID_PPO):
     """Existence of h in mu(BPart(I)) with |a + tail(s)| <= s h(s), s >= 1."""
     samples = _clean_samples([(s, -v) for s, v in tail_values(T_b, K, ppo)],
                              a)
-    return _decide_samples(samples, md.BPart(I), INF,
-                           fit_head=False, fit_tail=True, tail="hold")
+    return _decide_side(T_b, samples, md.BPart(I), INF, "tail", a, True)
 
 
 def member_side(Tside, I, side, a=0.0):
@@ -238,13 +271,14 @@ def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
     if b_status == "impossible":
         return not_member({"side": "b", "reason":
                            "tail trace diverges with no absorbing omega_b"})
-    if shared_a:
-        if fs_status == "forced" and b_status == "forced":
-            scale = max(1.0, abs(a_fs), abs(a_b))
-            if abs(a_fs - a_b) > 1e-6 * scale:
-                return not_member(
-                    {"side": "both", "reason":
-                     "forced constants disagree: %r vs %r" % (a_fs, a_b)})
+    if shared_a and fs_status == b_status == "forced":
+        # agreeing constants are one a; each side keeps its own limit
+        scale = max(1.0, abs(a_fs), abs(a_b))
+        if abs(a_fs - a_b) > 1e-6 * scale:
+            return not_member(
+                {"side": "both", "reason":
+                 "forced constants disagree: %r vs %r" % (a_fs, a_b)})
+    elif shared_a:
         # + 0.0 turns the -0.0 of a vanishing tail limit into 0.0
         a_fs = a_b = (a_fs if fs_status == "forced" else a_b) + 0.0
     sides = []
@@ -334,8 +368,7 @@ def member_II1(T, I, J, K=GRID_K, ppo=GRID_PPO):
         return inconclusive("mu(T) membership in the product undecided")
     heads = head_values(T, K, ppo)
     samples = _clean_samples([(r, v) for r, v in heads if r < 1.0], 0.0)
-    res = _decide_samples(samples, IJ, 1.0, fit_head=True,
-                          fit_tail=False, tail="hold")
+    res = _decide_side(T, samples, IJ, 1.0, "head", 0.0, True)
     if res.answer == "yes":
         cert = WitnessCertificate(h_fs=res.h, total_count=12)
         return member(cert, res.reason)
@@ -532,7 +565,8 @@ def dfww_discrete_test(lambdas, I_d, tail=None, K=40):
 
     lambdas: finite list of complex values with nonincreasing modulus;
     tail: optional (coeff, gamma) continuing |lambda_k| = coeff*k^-gamma
-    beyond the list (positive reals assumed for the tail).
+    beyond the list (positive reals assumed for the tail).  Past the
+    samples the means follow their exact class (mean_term, plus |S| / k).
     """
     n0 = len(lambdas)
     mods = [abs(z) for z in lambdas]
@@ -545,10 +579,8 @@ def dfww_discrete_test(lambdas, I_d, tail=None, K=40):
         req = max(0.0, abs(S) / k - abs(z))
         samples.append((float(k), req))
     if tail is None:
-        Sn = S
-        for i in range(1, K + 1):
-            ell = n0 * 2.0 ** i
-            samples.append((ell, max(0.0, abs(Sn) / ell)))
+        # past the list the means are S / k exactly
+        ends = (Term(abs(S), 1.0),) if S else ()
     else:
         c, g = tail
         Sn = S
@@ -563,15 +595,16 @@ def dfww_discrete_test(lambdas, I_d, tail=None, K=40):
             lam_ell = c * ell ** -g
             samples.append((ell, max(0.0, abs(Sn) / ell - lam_ell)))
             prev = ell
-    if all(v == 0.0 for _, v in samples):
+        S_oo = S + c * n0 ** (1 - g) / (g - 1) if g > 1.0 else 0.0
+        ends = ((Term(abs(S_oo), 1.0),) if S_oo else ()) \
+            + (df.mean_term((g, 0.0, c)),)
+    if not ends and all(v == 0.0 for _, v in samples):
         return member(WitnessCertificate(h_b=df.zero()), "Cesaro means vanish")
-    h, info = df.envelope_majorant(samples, INF, fit_head=False,
-                                   fit_tail=True, tail="hold")
+    h = df.envelope_majorant(samples, INF, tail=ends)
     v = md.contains(I_d, h)
     if v.answer == "yes":
         return member(WitnessCertificate(h_b=h), v.reason)
-    resid = (info["tail"] or {}).get("resid", 0.0)
-    if v.answer == "no" and resid <= FIT_RESID_TOL:
+    if v.answer == "no":
         worst = max(samples, key=lambda tv: tv[1])
         return not_member({"side": "b", "r": worst[0],
                            "required": worst[1], "reason": v.reason})

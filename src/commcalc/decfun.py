@@ -38,15 +38,9 @@ class Term:
         v = self.coeff * u ** (-self.pow)
         if self.logpow:
             v *= abs(math.log(u)) ** (-self.logpow)
-        return v
-
-    def values(self, ts):
-        if self.coeff == 0.0:
-            return np.zeros_like(ts)
-        u = np.asarray(ts, dtype=float) / self.scale
-        v = self.coeff * u ** (-self.pow)
-        if self.logpow:
-            v = v * np.abs(np.log(u)) ** (-self.logpow)
+        if abs(v) == INF:
+            # a float limit, never a value of the function
+            raise OverflowError("term value overflows a float at t=%g" % t)
         return v
 
 
@@ -246,7 +240,15 @@ def _probe_points(lo, hi, n=17):
     if ends is None:
         return []
     a, b = ends
-    return list(np.geomspace(a * (1 + 1e-12), b * (1 - 1e-12), n))
+    return np.geomspace(a * (1 + 1e-12), b * (1 - 1e-12), n).tolist()
+
+
+def _value_or_inf(seg, t):
+    """seg.value(t), with a value beyond the float range read as +inf."""
+    try:
+        return seg.value(t)
+    except OverflowError:
+        return INF
 
 
 def _check_monotone(f, rtol=1e-9):
@@ -266,14 +268,14 @@ def _check_monotone(f, rtol=1e-9):
                 prev = v
         else:
             for t in _probe_points(seg.lo, hi):
-                v = seg.value(t)
+                v = _value_or_inf(seg, t)
                 if v > prev * (1 + rtol) + 1e-300:
                     raise DomainError("not nonincreasing near t=%g" % t)
                 prev = v
         # junction: compare right limit of next seg against left value here
         if seg.hi < f.domain_hi:
             tj = seg.hi
-            prev = min(prev, seg.value(tj * (1 - 1e-12)))
+            prev = min(prev, _value_or_inf(seg, tj * (1 - 1e-12)))
 
 
 def zero(domain_hi=INF):
@@ -530,6 +532,22 @@ def _diverges_at_inf(dom, p):
     return not (gp > 1.0 or (gp == 1.0 and dp > 1.0))
 
 
+def mean_term(dom):
+    """Exact class of |integral of f from the end to t| / t (or from a fixed
+    point to t, where f is not integrable at the end) for the end term
+    dom = (p, q, c), f ~ c t^-p L^-q with L = |log t|.  By Karamata's
+    theorem (Bingham, Goldie, Teugels, Regular Variation, 1.5-1.6) it is
+    c t^-p L^-q / |1 - p| for p != 1 and c t^-1 L^(1-q) / |1 - q| for
+    p = 1, at 0 and at infinity alike; None for p = q = 1 (c log L / t).
+    """
+    p, q, c = dom
+    if p != 1.0:
+        return Term(c / abs(1.0 - p), p, q)
+    if q != 1.0:
+        return Term(c / abs(1.0 - q), 1.0, q - 1.0)
+    return None
+
+
 def _term_integral(tm, lo, hi, p):
     """Integral of (coeff*(t/s)^-g*|log(t/s)|^-d)^p over (lo, hi), finite case."""
     c = tm.coeff ** p
@@ -562,22 +580,35 @@ def _term_integral(tm, lo, hi, p):
     return None  # no closed form
 
 
-def _seg_integral(terms, lo, hi, p, log1p):
+def _log_quad(tm, lo, hi, p):
+    """Quadrature of the term's p-th power over (lo, hi) in u = log(t/s),
+    where the integrand c s e^((1-g)u) |u|^-d is smooth."""
+    g, d, s = tm.pow * p, tm.logpow * p, tm.scale
+    val, _ = integrate.quad(
+        lambda u: math.exp((1.0 - g) * u - d * math.log(abs(u))),
+        math.log(lo / s) if lo > 0.0 else -INF,
+        math.log(hi / s) if hi < INF else INF,
+        epsabs=0.0, epsrel=1e-12, limit=500)
+    return tm.coeff ** p * s * val
+
+
+def _seg_integral(terms, lo, hi, p, log1p, exact=False):
     if not terms:
         return 0.0
-    if not log1p:
-        if len(terms) == 1:
-            v = _term_integral(terms[0], lo, hi, p)
-            if v is not None:
-                return v
-        elif p == 1.0:
-            vals = [_term_integral(tm, lo, hi, 1.0) for tm in terms]
-            if all(v is not None for v in vals):
-                return sum(vals)
+    if not log1p and (len(terms) == 1 or p == 1.0):
+        vals = [_term_integral(tm, lo, hi, p) for tm in terms]
+        if all(v is not None for v in vals):
+            return sum(vals)
+        if exact:
+            return None
+        return sum(_log_quad(tm, lo, hi, p) if v is None else v
+                   for tm, v in zip(terms, vals))
     if log1p and len(terms) == 1 and terms[0].pow == 0.0 and terms[0].logpow == 0.0:
         if hi == INF:
             return INF if terms[0].coeff > 0.0 else 0.0
         return (hi - lo) * math.log1p(terms[0].coeff)
+    if exact:
+        return None
 
     def fn(t):
         v = sum(tm.value(t) for tm in terms)
@@ -587,28 +618,36 @@ def _seg_integral(terms, lo, hi, p, log1p):
     return val
 
 
-def integral(f, a, b, p=1.0, log1p=False):
-    """Integral of f^p (or log(1+f)) over (a, b); +inf detected symbolically."""
+def diverges(f, a, b, p=1.0, log1p=False):
+    """Whether the integral of f^p (or log(1+f)) over (a, b) diverges at an
+    end of the domain, from the end exponents; (a, b) within the domain."""
+    if a == 0.0 and not log1p and _diverges_at_0(dominant_at_0(f), p):
+        return True
+    if b < INF:
+        return False
+    dom = dominant_at_inf(f)
+    if log1p:
+        return dom is not None and dom[2] > 0.0 and _diverges_at_inf(dom, 1.0)
+    return _diverges_at_inf(dom, p)
+
+
+def integral(f, a, b, p=1.0, log1p=False, exact=False):
+    """Integral of f^p (or log(1+f)) over (a, b); +inf detected symbolically.
+    With exact, None where a segment has no closed form (no quadrature)."""
     if not (0.0 <= a < b <= INF):
         raise DomainError("bad interval")
     b = min(b, f.domain_hi)
-    if a == 0.0:
-        dom = dominant_at_0(f)
-        if not log1p and _diverges_at_0(dom, p):
-            return INF
-    if b == INF:
-        dom = dominant_at_inf(f)
-        if log1p:
-            if dom is not None and dom[2] > 0.0 and _diverges_at_inf(dom, 1.0):
-                return INF
-        elif _diverges_at_inf(dom, p):
-            return INF
+    if diverges(f, a, b, p, log1p):
+        return INF
     total = 0.0
     for seg in f.segs:
         lo, hi = max(seg.lo, a), min(seg.hi, b)
         if hi <= lo or seg.is_zero():
             continue
-        total += _seg_integral(seg.terms, lo, hi, p, log1p)
+        v = _seg_integral(seg.terms, lo, hi, p, log1p, exact)
+        if v is None:
+            return None
+        total += v
     return total
 
 
@@ -701,123 +740,48 @@ def least_decreasing_majorant(samples, domain_hi=INF, tail="hold"):
     return make(segs, domain_hi, validate=False)
 
 
-SNAP_DENOM = 24
+def _scaled(terms, pairs):
+    """The terms times the least c >= 1 keeping them >= v at each (t, v)."""
+    c = 1.0
+    for t, v in pairs:
+        tv = sum(tm.value(t) for tm in terms)
+        if v > c * tv and tv > 0.0:
+            c = v / tv
+    return tuple(replace(tm, coeff=tm.coeff * c) for tm in terms)
 
 
-def _snap(x, tol=0.02):
-    q = round(x * SNAP_DENOM) / SNAP_DENOM
-    return q if abs(q - x) <= tol else x
+def envelope_majorant(samples, domain_hi=INF, head=(), tail=(), reach=None,
+                      hold=True):
+    """Decreasing majorant of the samples carrying the given end terms.
 
-
-def powerlog_fit(samples, side):
-    """Least-squares power-log envelope of (t, v) samples.
-
-    side 'head' fits the small-t asymptotics (needs t < e^-1), side 'tail'
-    the large-t ones (t > e).  Returns (term, resid) with the term
-    inflated so term.value(t) >= v on every fitted sample, or None when too
-    few usable samples or all values vanish.
+    The head (or tail) terms are the exact class of the sampled function at
+    that end (mean_term).  Log-free, they cover the samples beyond reach,
+    where the profile has that end term; with a log factor, or no reach,
+    they start past the samples.  They are scaled by the least c >= 1 that
+    keeps them above the samples they cover and the majorant nonincreasing;
+    the step majorant (least_decreasing_majorant) covers the other samples.
     """
-    if side == "head":
-        use = [(t, v) for t, v in samples if t < math.exp(-LOG_GUARD) and v > 0.0]
+    ts = [t for t, _ in samples]
+    ends = head or tail
+    mode = "hold" if hold else "zero"
+    if not ends:
+        return least_decreasing_majorant(samples, domain_hi, mode)
+    k = 0 if head else len(ts) - 1
+    if reach is not None and not any(tm.logpow for tm in ends):
+        k = min(bisect.bisect_left(ts, reach), len(ts) - 1)
+    t = ts[k]
+    if head:
+        steps = least_decreasing_majorant(samples[k:], domain_hi, mode)
+        ends = _scaled(ends, samples[:k] + [(t, steps(t))])
+        segs = [Seg(0.0, t, ends)] + [replace(s, lo=max(s.lo, t))
+                                      for s in steps.segs if s.hi > t]
     else:
-        use = [(t, v) for t, v in samples if t > math.exp(LOG_GUARD) and v > 0.0]
-    if len(use) < 6:
-        return None
-    # keep the asymptotic half of the log-range so lower-order terms at
-    # moderate scales cannot drag the fitted exponents
-    lmin = math.log(min(t for t, _ in use))
-    lmax = math.log(max(t for t, _ in use))
-    mid = 0.5 * (lmin + lmax)
-    if side == "head":
-        deep = [(t, v) for t, v in use if math.log(t) <= mid]
-    else:
-        deep = [(t, v) for t, v in use if math.log(t) >= mid]
-    if len(deep) >= 6:
-        use = deep
-    ts = np.array([t for t, _ in use])
-    vs = np.array([v for _, v in use])
-    A = np.column_stack(
-        [np.ones_like(ts), -np.log(ts), -np.log(np.abs(np.log(ts)))]
-    )
-    y = np.log(vs)
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    logc, gamma, delta = sol
-    resid = float(np.max(np.abs(A @ sol - y)))
-    gs, ds = _snap(gamma), _snap(delta)
-    sol2 = np.array([float(np.mean(y + gs * np.log(ts) + ds * np.log(np.abs(np.log(ts))))), gs, ds])
-    resid2 = float(np.max(np.abs(A @ sol2 - y)))
-    if resid2 <= max(1.5 * resid, resid + 0.005):
-        logc, gamma, delta, resid = sol2[0], gs, ds, resid2
-    if gamma < 0.0 or (gamma == 0.0 and delta < 0.0):
-        # a growing envelope cannot majorize decreasingly; use a constant
-        gamma, delta = 0.0, 0.0
-        logc = float(np.log(np.max(vs)))
-        resid = float(np.max(np.abs(np.log(vs) - logc)))
-    term = Term(math.exp(logc), float(gamma), float(delta))
-    worst = max(v / term.value(t) for t, v in use)
-    if worst > 1.0:
-        term = replace(term, coeff=term.coeff * worst * (1 + 1e-12))
-    return term, resid
-
-
-def envelope_majorant(samples, domain_hi=INF, fit_head=True, fit_tail=False,
-                      tail="hold"):
-    """Decreasing majorant of the samples with asymptotic power-log envelopes.
-
-    Returns (PLFun, info) where info records fit exponents and residuals.
-    The step majorant is used mid-scale; the head (and optionally tail)
-    region is replaced by the fitted envelope so the true asymptotic
-    exponents survive into membership tests.
-    """
-    steps = least_decreasing_majorant(samples, domain_hi, tail=tail)
-    info = {"head": None, "tail": None}
-    f = steps
-    tpos = [t for t, v in samples if v > 0.0]
-    # an asymptotic fit is meaningful only when positive values persist to
-    # that end of the sampled range; otherwise the data is genuinely zero
-    # there and the step majorant already tells the truth
-    if tpos:
-        fit_head = fit_head and min(tpos) <= samples[0][0] * 4.0
-        fit_tail = fit_tail and max(tpos) >= samples[-1][0] * 0.25
-    else:
-        fit_head = fit_tail = False
-    if fit_head:
-        fit = powerlog_fit(samples, "head")
-        if fit is not None:
-            term, resid = fit
-            cut = max(t for t, v in samples if t < math.exp(-LOG_GUARD))
-            if term.logpow == 0.0:
-                cut = max(t for t, _ in samples)
-                cut = min(cut, domain_hi)
-            right = steps(cut * (1 + 1e-12)) if cut < domain_hi else 0.0
-            vcut = term.value(cut)
-            if vcut < right:
-                term = replace(term, coeff=term.coeff * right / vcut * (1 + 1e-12))
-            segs = [Seg(0.0, cut, (term,))]
-            for s in steps.segs:
-                lo, hi = max(s.lo, cut), s.hi
-                if hi > lo:
-                    segs.append(Seg(lo, hi, s.terms))
-            f = make(segs, domain_hi, validate=False)
-            info["head"] = {"pow": term.pow, "logpow": term.logpow,
-                            "coeff": term.coeff, "resid": resid}
-    if fit_tail and domain_hi == INF:
-        fit = powerlog_fit(samples, "tail")
-        if fit is not None:
-            term, resid = fit
-            cut = min(t for t, v in samples if t > math.exp(LOG_GUARD))
-            left = f(cut * (1 - 1e-12))
-            vcut = term.value(cut)
-            if vcut > left and left > 0.0:
-                # keep monotone: cap the envelope by the mid-scale level
-                term = replace(term, coeff=term.coeff * left / vcut)
-            segs = [Seg(s.lo, min(s.hi, cut), s.terms)
-                    for s in f.segs if s.lo < cut]
-            segs.append(Seg(cut, INF, (term,)))
-            f = make(segs, INF, validate=False)
-            info["tail"] = {"pow": term.pow, "logpow": term.logpow,
-                            "coeff": term.coeff, "resid": resid}
-    return f, info
+        ends = _scaled(ends, samples[k:])
+        top = (t, sum(tm.value(t) for tm in ends))
+        steps = least_decreasing_majorant(samples[:k] + [top], domain_hi)
+        segs = [replace(s, hi=min(s.hi, t)) for s in steps.segs if s.lo < t]
+        segs.append(Seg(t, domain_hi, ends))
+    return make(segs, domain_hi, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -164,16 +164,18 @@ def contains(I, f):
     if f.is_zero():
         return yes(f, "zero function")
     k = I.kind
-    if k == "Lp":
-        v = df.integral(f, 0.0, I.domain_hi, p=I.p)
+    if k in ("Lp", "Llog"):
+        # finiteness from the end exponents; the value only in closed form
+        name = "L_%g integral" % I.p if k == "Lp" else "log-integral"
+        p, log1p = (I.p, False) if k == "Lp" else (1.0, True)
+        if df.diverges(f, 0.0, I.domain_hi, p, log1p):
+            return no(name + " diverges")
+        v = df.integral(f, 0.0, I.domain_hi, p, log1p, exact=True)
+        if v is None:
+            return yes(f, name + " finite")
         if v < INF:
-            return yes(f, "L_%g integral %.6g" % (I.p, v))
-        return no("L_%g integral diverges" % I.p)
-    if k == "Llog":
-        v = df.integral(f, 0.0, I.domain_hi, log1p=True)
-        if v < INF:
-            return yes(f, "log-integral %.6g" % v)
-        return no("log-integral diverges")
+            return yes(f, "%s %.6g" % (name, v))
+        return yes(f, name + " overflows a float")
     if k == "M":
         if is_bounded(f):
             return yes(f, "bounded by %.6g" % df.value_at_0(f))

@@ -380,20 +380,20 @@ def _shift_left(segs, c, ppo=16):
             out.append(replace(seg, lo=lo, hi=hi))
         else:
             # discretize on the shifted axis with left-endpoint values of
-            # the true shifted profile t -> modulus(t + c)
-            lo_ = lo if lo > 0 else min(hi, c) * 2.0 ** -60
-            hi_ = hi if hi < INF else max(lo_, c, 1.0) * 2.0 ** 60
-            n = max(2, int(math.ceil(math.log2(max(hi_ / lo_, 2.0)) * ppo)) + 1)
-            cuts = [lo] + list(np.geomspace(lo_, hi_, n))[1:]
-            if hi == INF:
-                cuts.append(INF)
-            else:
-                cuts[-1] = hi
+            # the true shifted profile t -> modulus(t + c), up to the far
+            # point, and keep the segment's own terms beyond it
+            far = min(hi, c * 2.0 ** 20)
+            lo_ = lo if lo > 0 else min(far, c) * 2.0 ** -60
+            n = max(2, int(math.ceil(math.log2(max(far / lo_, 2.0)) * ppo)) + 1)
+            cuts = [lo] + np.geomspace(lo_, far, n).tolist()[1:]
+            cuts[-1] = far
             for a_, b_ in zip(cuts, cuts[1:]):
                 if b_ <= a_:
                     continue
                 v = seg.value(a_ + c)
                 out.append(Seg(a_, b_, (Term(v),), seg.phase))
+            if far < hi:
+                out.append(replace(seg, lo=far, hi=hi))
     return out
 
 

@@ -200,18 +200,28 @@ class TestMajorant:
         for t, v in zip(ts, vs):
             assert m(t) >= v
 
-    def test_envelope_recovers_exponents(self):
-        ts = np.geomspace(2.0 ** -60, 0.5, 120)
-        samples = [(t, 1.0 / (t * abs(math.log(t)))) for t in ts]
-        f, info = df.envelope_majorant(samples, fit_head=True)
-        assert info["head"] is not None
-        assert abs(info["head"]["pow"] - 1.0) < 1e-6
-        assert abs(info["head"]["logpow"] - 1.0) < 1e-6
+    def test_envelope_carries_end_terms(self):
+        ts = [2.0 ** (j / 2) for j in range(-20, 1)]
+        samples = [(t, 2.0 * t ** -0.5) for t in ts]
+        head = (df.Term(1.0, 0.5),)
+        # past the samples: the least c >= 1 keeping h nonincreasing
+        f = df.envelope_majorant(samples, head=head)
+        assert f.segs[0] == df.Seg(0.0, ts[0], (df.Term(2.0, 0.5),))
+        # log-free terms cover the samples below reach
+        f = df.envelope_majorant(samples, head=head, reach=1.0, hold=False)
+        assert f.segs[0].hi == 1.0 and f(2.0 ** -30) == 2.0 * 2.0 ** 15
         for t, v in samples:
-            assert f(t) >= v * (1 - 1e-12)
-        # within factor 2 of the true function on the fitted range
-        for t, v in samples[:80]:
-            assert f(t) <= 2.0 * v
+            assert f(t) >= v
+        assert f(1.5) == 0.0
+        # terms with a log factor start past the samples all the same
+        logs = (df.Term(1.0, 0.5, -1.0),)
+        f = df.envelope_majorant(samples, head=logs, reach=1.0)
+        assert f.segs[0].hi == ts[0]
+        # a tail: c t^-1 from the last sample on, steps before it
+        tail = [(2.0 ** j, 3.0 / 2.0 ** j) for j in range(0, 11)]
+        f = df.envelope_majorant(tail, tail=(df.Term(1.0, 1.0),))
+        assert f.segs[-1] == df.Seg(2.0 ** 10, df.INF, (df.Term(3.0, 1.0),))
+        assert f(0.5) == 3.0 and f(3.0) == 1.5
 
 
 class TestLogAverage:
