@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from . import decfun as df
 from . import modules as md
@@ -105,18 +106,19 @@ def trace_limit(T, side):
     TRACE_TOL * max(1, int |v|), the size of the cancellation error,
     snapped to 0.0.
     """
-    m = so.mu(T)
-    if side == "head":
-        diverges = df._diverges_at_0(df.dominant_at_0(m), 1.0)
-    elif side == "tail":
-        diverges = df._diverges_at_inf(df.dominant_at_inf(m), 1.0)
-    else:
+    ends = {"head": (0.0, 1.0), "tail": (1.0, INF)}
+    if side not in ends:
         raise ValueError("side must be head or tail")
-    if diverges:
+    if df.diverges(so.mu(T), *ends[side]):
         return "diverges", None
     v = so.trace(T)
-    scale = max(1.0, df.integral(m, 0.0, m.domain_hi))
-    return "converged", 0.0 if abs(v) <= TRACE_TOL * scale else v
+    return "converged", 0.0 if abs(v) <= trace_noise(T) else v
+
+
+def trace_noise(T):
+    """TRACE_TOL * max(1, int |v|): below it a trace is cancellation error."""
+    m = so.mu(T)
+    return TRACE_TOL * max(1.0, df.integral(m, 0.0, m.domain_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +151,7 @@ def side_classes(T, side, a):
     converges to lim (minus the tail limit) and a != lim.  Returns the list
     of classes (two for p = q = 1: the brackets c L^EPS / (e EPS t) above
     c log L / t and c / t below it) and the inner end of the end segment.
+    A miss |a - lim| within trace_noise(T) is float noise and counts as 0.
     """
     m = so.mu(T)
     if side == "head":
@@ -157,6 +160,8 @@ def side_classes(T, side, a):
         dom, reach = df.dominant_at_inf(m), m.segs[-1].lo
     _, lim = trace_limit(T, side)
     d = (a - lim if side == "head" else a + lim) if lim is not None else 0.0
+    if d and abs(d) <= trace_noise(T):
+        d = 0.0
     near = (Term(abs(d), 1.0),) if d else ()
     if dom is None:
         return [near], reach
@@ -271,14 +276,12 @@ def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
     if b_status == "impossible":
         return not_member({"side": "b", "reason":
                            "tail trace diverges with no absorbing omega_b"})
-    if shared_a and fs_status == b_status == "forced":
-        # agreeing constants are one a; each side keeps its own limit
-        scale = max(1.0, abs(a_fs), abs(a_b))
-        if abs(a_fs - a_b) > 1e-6 * scale:
+    if shared_a:
+        if fs_status == b_status == "forced" \
+                and abs(a_fs - a_b) > max(trace_noise(T_fs), trace_noise(T_b)):
             return not_member(
                 {"side": "both", "reason":
                  "forced constants disagree: %r vs %r" % (a_fs, a_b)})
-    elif shared_a:
         # + 0.0 turns the -0.0 of a vanishing tail limit into 0.0
         a_fs = a_b = (a_fs if fs_status == "forced" else a_b) + 0.0
     sides = []
@@ -368,14 +371,11 @@ def member_II1(T, I, J, K=GRID_K, ppo=GRID_PPO):
         return inconclusive("mu(T) membership in the product undecided")
     heads = head_values(T, K, ppo)
     samples = _clean_samples([(r, v) for r, v in heads if r < 1.0], 0.0)
-    res = _decide_side(T, samples, IJ, 1.0, "head", 0.0, True)
-    if res.answer == "yes":
-        cert = WitnessCertificate(h_fs=res.h, total_count=12)
-        return member(cert, res.reason)
-    if res.answer == "no":
-        return not_member({"side": "fs", "r": res.worst[0],
-                           "required": res.worst[1], "reason": res.reason})
-    return inconclusive(res.reason)
+    dec = _side_to_decision(
+        _decide_side(T, samples, IJ, 1.0, "head", 0.0, True), 0.0, "fs")
+    if dec.certificate is None:
+        return dec
+    return replace(dec, certificate=replace(dec.certificate, total_count=12))
 
 
 def member_F_plus(T, I, K=GRID_K, ppo=GRID_PPO):
@@ -565,8 +565,10 @@ def dfww_discrete_test(lambdas, I_d, tail=None, K=40):
 
     lambdas: finite list of complex values with nonincreasing modulus;
     tail: optional (coeff, gamma) continuing |lambda_k| = coeff*k^-gamma
-    beyond the list (positive reals assumed for the tail).  Past the
-    samples the means follow their exact class (mean_term, plus |S| / k).
+    beyond the list (positive reals assumed for the tail).  The tail's
+    block sums at mid scale are integral estimates; past the samples the
+    means follow their exact class (mean_term, plus |S_oo| / k with the
+    series sum S_oo, a Hurwitz zeta value, counted as 0 at float noise).
     """
     n0 = len(lambdas)
     mods = [abs(z) for z in lambdas]
@@ -595,8 +597,10 @@ def dfww_discrete_test(lambdas, I_d, tail=None, K=40):
             lam_ell = c * ell ** -g
             samples.append((ell, max(0.0, abs(Sn) / ell - lam_ell)))
             prev = ell
-        S_oo = S + c * n0 ** (1 - g) / (g - 1) if g > 1.0 else 0.0
-        ends = ((Term(abs(S_oo), 1.0),) if S_oo else ()) \
+        # |S + sum_{k > n0} c k^-g|, float noise flushed to 0
+        S_oo = _clean_samples([(1.0, -c * special.zeta(g, n0 + 1))], S)[0][1] \
+            if g > 1.0 else 0.0
+        ends = ((Term(S_oo, 1.0),) if S_oo else ()) \
             + (df.mean_term((g, 0.0, c)),)
     if not ends and all(v == 0.0 for _, v in samples):
         return member(WitnessCertificate(h_b=df.zero()), "Cesaro means vanish")

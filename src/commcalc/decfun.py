@@ -85,17 +85,11 @@ def _merge_terms(terms):
 
 def _check_log_guard(seg):
     for term in seg.terms:
-        if term.logpow == 0.0:
-            continue
         # log(t/scale) must keep one sign on [lo, hi)
-        lo_u = seg.lo / term.scale
-        hi_u = seg.hi / term.scale
-        if hi_u <= 1.0 or lo_u >= 1.0:
-            continue
-        raise DomainError(
-            "log-power segment [%g, %g) straddles its scale %g"
-            % (seg.lo, seg.hi, term.scale)
-        )
+        if term.logpow and seg.lo / term.scale < 1.0 < seg.hi / term.scale:
+            raise DomainError(
+                "log-power segment [%g, %g) straddles its scale %g"
+                % (seg.lo, seg.hi, term.scale))
 
 
 @dataclass(frozen=True)
@@ -476,26 +470,16 @@ def scale_fun(f, c):
 def dilate2(f, k):
     """t -> f(t / 2^k)."""
     factor = 2.0 ** k
-    if f.domain_hi < INF:
-        if k < 0:
-            raise DomainError("negative dilation leaves the (0,1) domain")
-        segs = []
-        for s in f.segs:
-            lo, hi = s.lo * factor, s.hi * factor
-            if lo >= f.domain_hi:
-                break
-            terms = tuple(replace(tm, scale=tm.scale * factor) for tm in s.terms)
-            segs.append(Seg(lo, min(hi, f.domain_hi), terms))
-        return make(segs, f.domain_hi, validate=False)
-    segs = [
-        Seg(
-            s.lo * factor,
-            s.hi * factor,
-            tuple(replace(tm, scale=tm.scale * factor) for tm in s.terms),
-        )
-        for s in f.segs
-    ]
-    return make(segs, INF, validate=False)
+    if f.domain_hi < INF and k < 0:
+        raise DomainError("negative dilation leaves the (0,1) domain")
+    segs = []
+    for s in f.segs:
+        lo, hi = s.lo * factor, s.hi * factor
+        if lo >= f.domain_hi:
+            break
+        terms = tuple(replace(tm, scale=tm.scale * factor) for tm in s.terms)
+        segs.append(Seg(lo, min(hi, f.domain_hi), terms))
+    return make(segs, f.domain_hi, validate=False)
 
 
 def clip(f, a, b):
@@ -580,41 +564,59 @@ def _term_integral(tm, lo, hi, p):
     return None  # no closed form
 
 
-def _log_quad(tm, lo, hi, p):
-    """Quadrature of the term's p-th power over (lo, hi) in u = log(t/s),
-    where the integrand c s e^((1-g)u) |u|^-d is smooth."""
-    g, d, s = tm.pow * p, tm.logpow * p, tm.scale
-    val, _ = integrate.quad(
-        lambda u: math.exp((1.0 - g) * u - d * math.log(abs(u))),
-        math.log(lo / s) if lo > 0.0 else -INF,
-        math.log(hi / s) if hi < INF else INF,
-        epsabs=0.0, epsrel=1e-12, limit=500)
-    return tm.coeff ** p * s * val
-
-
-def _seg_integral(terms, lo, hi, p, log1p, exact=False):
+def _seg_integral(terms, lo, hi, p, log1p):
     if not terms:
         return 0.0
-    if not log1p and (len(terms) == 1 or p == 1.0):
-        vals = [_term_integral(tm, lo, hi, p) for tm in terms]
-        if all(v is not None for v in vals):
-            return sum(vals)
-        if exact:
-            return None
-        return sum(_log_quad(tm, lo, hi, p) if v is None else v
-                   for tm, v in zip(terms, vals))
+    if not log1p:
+        if len(terms) == 1:
+            v = _term_integral(terms[0], lo, hi, p)
+            if v is not None:
+                return v
+        elif p == 1.0:
+            vals = [_term_integral(tm, lo, hi, 1.0) for tm in terms]
+            if all(v is not None for v in vals):
+                return sum(vals)
     if log1p and len(terms) == 1 and terms[0].pow == 0.0 and terms[0].logpow == 0.0:
         if hi == INF:
             return INF if terms[0].coeff > 0.0 else 0.0
         return (hi - lo) * math.log1p(terms[0].coeff)
-    if exact:
-        return None
+    return _log_quad(terms, lo, hi, p, log1p)
 
-    def fn(t):
-        v = sum(tm.value(t) for tm in terms)
-        return math.log1p(v) if log1p else v ** p
 
-    val, _ = integrate.quad(fn, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=500)
+def _log_quad(terms, lo, hi, p, log1p):
+    """Quadrature of (sum of terms)^p (or log(1 + sum)) over (lo, hi) in
+    u = log(t/s), s the first term's scale, where dt = t du.  Each term
+    times t^a (a = 1/p, or 1 for log1p) is c e^(-(g - a) u) |w|^-d up to
+    constants, w = log(t/s_k), and its log is taken in that form, so the
+    integrand is smooth, free of cancellation between g u and a u, and in
+    the float range where t^-g is not."""
+    a = 1.0 if log1p else 1.0 / p
+    log_s = math.log(terms[0].scale)
+    shifts = [log_s - math.log(tm.scale) for tm in terms]
+
+    def fn(u):
+        # ls: log of t^a times the sum of the terms at t = s e^u
+        logs = [(math.log(abs(tm.coeff)) - (tm.pow - a) * u - tm.pow * sh
+                 + a * log_s
+                 - (tm.logpow * math.log(abs(u + sh)) if tm.logpow else 0.0),
+                 tm.coeff) for tm, sh in zip(terms, shifts) if tm.coeff]
+        top = max(lv for lv, _ in logs)
+        tot = sum(math.copysign(math.exp(lv - top), c) for lv, c in logs)
+        if tot <= 0.0:
+            return 0.0
+        ls = top + math.log(tot)
+        if not log1p:
+            return math.exp(p * ls)
+        lv = ls - u - log_s  # log of the sum
+        if lv > 0.0:  # log(1 + e^lv) = lv + log(1 + e^-lv)
+            return (lv + math.log1p(math.exp(-lv))) * math.exp(u + log_s)
+        x = math.exp(lv)
+        return math.exp(ls) * (math.log1p(x) / x if x > 0.0 else 1.0)
+
+    val, _ = integrate.quad(
+        fn, math.log(lo) - log_s if lo > 0.0 else -INF,
+        math.log(hi) - log_s if hi < INF else INF,
+        epsabs=0.0, epsrel=1e-12, limit=500)
     return val
 
 
@@ -631,9 +633,8 @@ def diverges(f, a, b, p=1.0, log1p=False):
     return _diverges_at_inf(dom, p)
 
 
-def integral(f, a, b, p=1.0, log1p=False, exact=False):
-    """Integral of f^p (or log(1+f)) over (a, b); +inf detected symbolically.
-    With exact, None where a segment has no closed form (no quadrature)."""
+def integral(f, a, b, p=1.0, log1p=False):
+    """Integral of f^p (or log(1+f)) over (a, b); +inf detected symbolically."""
     if not (0.0 <= a < b <= INF):
         raise DomainError("bad interval")
     b = min(b, f.domain_hi)
@@ -644,10 +645,7 @@ def integral(f, a, b, p=1.0, log1p=False, exact=False):
         lo, hi = max(seg.lo, a), min(seg.hi, b)
         if hi <= lo or seg.is_zero():
             continue
-        v = _seg_integral(seg.terms, lo, hi, p, log1p, exact)
-        if v is None:
-            return None
-        total += v
+        total += _seg_integral(seg.terms, lo, hi, p, log1p)
     return total
 
 

@@ -356,6 +356,15 @@ class TestDiscreteTest:
         with pytest.raises(df.DomainError):
             cm.dfww_discrete_test([0.5, 1.0], md.Lp(1.0))
 
+    def test_balanced_tail(self):
+        # lambda_1 = 1 - zeta(2) cancels the tail k^-2, k >= 2: the sums
+        # tend to 0, the means are ~ 1/k^2 and lie in l^1
+        lam = 1.0 - math.pi ** 2 / 6.0
+        dec = cm.dfww_discrete_test([lam], md.Lp(1.0), tail=(1.0, 2.0))
+        assert dec.answer == "member"
+        dec = cm.dfww_discrete_test([lam - 1e-3], md.Lp(1.0), tail=(1.0, 2.0))
+        assert dec.answer == "not_member"
+
 
 class TestNecessaryH:
     def test_formula(self):

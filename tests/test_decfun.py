@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,25 @@ class TestIntegral:
         assert df.integral(df.const(0.5), 0, df.INF, log1p=True) == df.INF
         f = df.power_fun(1.0, 2.0)
         assert df.integral(f, 0, df.INF, log1p=True) < df.INF
+
+    # references: mpmath.quad at 30 digits in x = log t
+    @pytest.mark.parametrize("terms, lo, hi, p, log1p, ref", [
+        # log(1 + 1/(t log^2 t)) decays like 1/(t log^2 t): slow in t
+        ((df.Term(1.0, 1.0, 2.0),), math.exp(3.0), df.INF, 1.0, True,
+         0.33319168189933529),
+        # two terms squared, one with no closed form
+        ((df.Term(1.0, 0.5, 2.0), df.Term(0.5, 0.25)), 0.0, math.exp(-3.0),
+         2.0, False, 0.19628107343909132),
+        # log1p of a sum with two scales
+        ((df.Term(1.0, 0.5, 2.0), df.Term(1.0, 0.5, 2.0, scale=0.5)), 0.0,
+         0.1, 1.0, True, 0.075610939545997735),
+    ])
+    def test_quadrature_in_log_t(self, terms, lo, hi, p, log1p, ref):
+        f = df.make([df.Seg(lo, hi, terms)], validate=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = df.integral(f, lo, hi, p=p, log1p=log1p)
+        assert abs(v - ref) <= 1e-12 * ref
 
 
 class TestDominatedBy:

@@ -280,6 +280,17 @@ def test_bounded_part_keeps_its_tail_term():
     assert cm.member_F_plus(T, md.Lp(1.0)).answer == "member"
 
 
+def test_shared_constant_on_both_sides():
+    # tau(T) = 2 - (2 - 1e-7) != 0, and [L_1, M] = L_1 ∩ ker tau: the b side
+    # must be held to a_fs, whose gap to its own limit is 1e-7 / s
+    T = so.from_atoms([(2.0, 1.0), (-1.0, 2.0 - 1e-7)])
+    assert cm.member_IIinf(T, md.Lp(1.0), md.M()).answer == "not_member"
+    assert cm.member_F_plus(T, md.Lp(1.0)).answer == "member"
+    dec = cm.member_IIinf(so.from_atoms([(2.0, 1.0), (-1.0, 2.0)]),
+                          md.Lp(1.0), md.M())
+    assert dec.answer == "member" and dec.certificate.a == 2.0
+
+
 # ---------------------------------------------------------------------------
 # float overflow is not divergence
 
