@@ -381,13 +381,12 @@ def approx_nilpotent(tag, I):
     """
     if not tag.is_zero():
         raise DomainError("spectral measure must vanish")
-    st = md.geometrically_stable(I)
-    if st == "yes":
+    if md.geometrically_stable(I) == "yes":
         return cm.member(cm.WitnessCertificate(h_fs=df.zero(),
                                                h_b=df.zero()),
                          "vanishing spectral measure against a"
                          " geometrically stable module")
-    return cm.inconclusive("geometric stability undecided: %s" % st)
+    return cm.inconclusive("module is not geometrically stable")
 
 
 # ---------------------------------------------------------------------------

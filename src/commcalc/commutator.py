@@ -104,15 +104,20 @@ def trace_limit(T, side):
     finite support has no dominant term at oo, so its tail converges.
     Returns ("diverges", None) or ("converged", value), with a value below
     TRACE_TOL * max(1, int |v|), the size of the cancellation error,
-    snapped to 0.0.
+    snapped to 0.0.  A nonzero trace that passes the float range, or whose
+    noise level does, returns ("overflows", None): never a limit of 0.
     """
     ends = {"head": (0.0, 1.0), "tail": (1.0, INF)}
     if side not in ends:
         raise ValueError("side must be head or tail")
     if df.diverges(so.mu(T), *ends[side]):
         return "diverges", None
-    v = so.trace(T)
-    return "converged", 0.0 if abs(v) <= trace_noise(T) else v
+    v, noise = so.trace(T), trace_noise(T)
+    if v == 0.0 or abs(v) <= noise < INF:
+        return "converged", 0.0
+    if abs(v) < INF and noise < INF:
+        return "converged", v
+    return "overflows", None
 
 
 def trace_noise(T):
@@ -245,12 +250,14 @@ def _side_to_decision(res, a, side):
 
 def _side_constant(T, side, absorbed):
     """(status, a) for the head or tail side: free, forced by the trace
-    limit, or impossible when that limit diverges."""
+    limit, impossible when that limit diverges, or overflows."""
     if absorbed:
         return "free", 0.0
     status, val = trace_limit(T, side)
     if status == "diverges":
         return "impossible", None
+    if status == "overflows":
+        return status, None
     return "forced", val if side == "head" else -val
 
 
@@ -276,6 +283,8 @@ def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
     if b_status == "impossible":
         return not_member({"side": "b", "reason":
                            "tail trace diverges with no absorbing omega_b"})
+    if "overflows" in (fs_status, b_status):
+        return inconclusive("trace overflows a float")
     if shared_a:
         if fs_status == b_status == "forced" \
                 and abs(a_fs - a_b) > max(trace_noise(T_fs), trace_noise(T_b)):

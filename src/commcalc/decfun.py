@@ -9,7 +9,7 @@ divergence tests from the exponents.
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate, optimize
@@ -96,7 +96,6 @@ def _check_log_guard(seg):
 class PLFun:
     domain_hi: float
     segs: tuple
-    fit_error: float = field(default=0.0, compare=False)
 
     @functools.cached_property
     def breaks(self):
@@ -182,7 +181,7 @@ class Levels:
         self.negmin.append(neg)
 
 
-def make(segs, domain_hi=INF, validate=True, fit_error=0.0):
+def make(segs, domain_hi=INF, validate=True):
     """Normalize a segment list into a PLFun covering (0, domain_hi)."""
     cleaned = []
     for seg in sorted(segs, key=lambda s: s.lo):
@@ -214,7 +213,7 @@ def make(segs, domain_hi=INF, validate=True, fit_error=0.0):
             merged[-1] = Seg(prev.lo, seg.hi, prev.terms)
         else:
             merged.append(seg)
-    f = PLFun(domain_hi, tuple(merged), fit_error)
+    f = PLFun(domain_hi, tuple(merged))
     if validate:
         for seg in merged:
             _check_log_guard(seg)
@@ -780,101 +779,3 @@ def envelope_majorant(samples, domain_hi=INF, head=(), tail=(), reach=None,
         segs = [replace(s, hi=min(s.hi, t)) for s in steps.segs if s.lo < t]
         segs.append(Seg(t, domain_hi, ends))
     return make(segs, domain_hi, validate=False)
-
-
-# ---------------------------------------------------------------------------
-# geometric mean transform
-
-
-def log_average(h, ppo=2, octaves=40, tol=1e-7):
-    """g(t) = exp(t^-1 * integral_0^t log h), piecewise-power approximant.
-
-    Exact on an initial pure-power segment; elsewhere interpolated in
-    log-log coordinates on a dyadic grid (ppo points/octave spanning
-    `octaves` octaves) refined adaptively until the midpoint relative
-    error is below tol.  The worst accepted error is reported as
-    fit_error on the result.
-    """
-    first = h.segs[0]
-    if first.is_zero():
-        raise DomainError("log_average of a function vanishing near 0")
-    supp = support_hi(h)
-    segs = []
-    fit_err = 0.0
-
-    def logh(t):
-        return math.log(h(t))
-
-    def chunk(a, b):
-        val, _ = integrate.quad(logh, a, b, epsabs=1e-13, epsrel=1e-12,
-                                limit=500)
-        return val
-
-    if len(first.terms) == 1 and first.terms[0].logpow == 0.0:
-        tm = first.terms[0]
-        g0 = Term(tm.coeff * math.exp(tm.pow), tm.pow, 0.0, tm.scale)
-        b1 = min(first.hi, supp)
-        segs.append(Seg(0.0, b1, (g0,)))
-        if b1 >= min(supp, h.domain_hi):
-            # the head covers everything; past the support g collapses to 0
-            return make(segs, h.domain_hi, validate=False)
-        L = b1 * math.log(g0.value(b1))
-        start = b1
-    else:
-        # no pure-power head: start the grid deep below the first break
-        b1 = min(first.hi, supp)
-        start = b1 * 2.0 ** -octaves
-        L = chunk(0.0, start)
-        segs.append(Seg(0.0, start, (Term(math.exp(L / start)),)))
-        fit_err = max(fit_err, 1e-3)  # crude below the grid, flagged
-
-    grid_end = min(supp, start * 2.0 ** octaves, h.domain_hi)
-    if grid_end > start:
-        n = max(2, int(math.ceil(math.log2(grid_end / start) * ppo)) + 1)
-        gs = list(np.geomspace(start, grid_end, n))
-        # (t, L(t)) knots; refine cells until the midpoint error is small
-        knots = [(gs[0], L)]
-        for t in gs[1:]:
-            knots.append((t, knots[-1][1] + chunk(knots[-1][0], t)))
-        stack = list(zip(knots, knots[1:]))
-        accepted = []
-        while stack:
-            (t0, L0), (t1, L1) = stack.pop()
-            tm_mid = math.sqrt(t0 * t1)
-            Lm = L0 + chunk(t0, tm_mid)
-            g0v, g1v = math.exp(L0 / t0), math.exp(L1 / t1)
-            gamma = -math.log(g1v / g0v) / math.log(t1 / t0)
-            approx = g0v * (tm_mid / t0) ** (-gamma)
-            true_mid = math.exp(Lm / tm_mid)
-            err = abs(approx / true_mid - 1.0)
-            if err <= tol or t1 / t0 < 1.0 + 1e-9:
-                accepted.append((t0, t1, Term(g0v * t0 ** gamma, gamma)))
-                fit_err = max(fit_err, err)
-            else:
-                stack.append(((t0, L0), (tm_mid, Lm)))
-                stack.append(((tm_mid, Lm), (t1, L1)))
-        for t0, t1, term in sorted(accepted):
-            segs.append(Seg(t0, t1, (term,)))
-        prev_t = grid_end
-        prev_g = math.exp(knots[-1][1] / grid_end)
-    else:
-        prev_t, prev_g = start, math.exp(L / start)
-
-    if prev_t < h.domain_hi:
-        if prev_t >= supp:
-            # h vanishes beyond: the geometric mean collapses to 0
-            segs.append(Seg(prev_t, h.domain_hi, ()))
-        else:
-            # continue with the symbolic tail exponents of h
-            dom = dominant_at_inf(h) if h.domain_hi == INF else None
-            if dom is not None:
-                g_exp, d_exp, _ = dom
-                coeff = prev_g * prev_t ** g_exp
-                if d_exp:
-                    coeff *= abs(math.log(prev_t)) ** d_exp
-                segs.append(Seg(prev_t, INF,
-                                (Term(coeff * (1 + 1e-6), g_exp, d_exp),)))
-                fit_err = max(fit_err, 1e-6)
-            else:
-                segs.append(Seg(prev_t, h.domain_hi, (Term(prev_g),)))
-    return make(segs, h.domain_hi, validate=False, fit_error=fit_err)

@@ -7,6 +7,7 @@ the piecewise power-log class: "yes" answers are sound outright, "no"
 answers are sound within the class (noted in the reason).
 """
 
+import math
 from dataclasses import dataclass
 
 from . import decfun as df
@@ -14,8 +15,6 @@ from .decfun import INF, DomainError, PLFun, Seg, Term
 from .specop import II_1, II_INF
 
 CLASS_NOTE = "verdict quantifies over the power-log class"
-
-PRINCIPAL_DILATION_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -231,17 +230,43 @@ def _exponents_fit(f, g):
     return True
 
 
+def _end_limit(g, end):
+    """Left limit of g at its support end: a log factor vanishing there
+    (|log(t/s)|^-d, d < 0, at t = s) counts as an exact 0."""
+    seg = [s for s in g.segs if not s.is_zero()][-1]
+    return sum(0.0 if tm.logpow < 0.0 and tm.scale == end else tm.value(end)
+               for tm in seg.terms)
+
+
+def _covering_dilation(f, g):
+    """The least k >= 0 for which g(./2^k) has a positive left limit at the
+    support end of f; 0 when f never vanishes or g never does."""
+    s, end = df.support_hi(f), df.support_hi(g)
+    if INF in (s, end):
+        return 0
+    # s <= end * 2^k, compared exactly on mantissas and exponents
+    (ms, es), (mg, eg) = math.frexp(s), math.frexp(end)
+    k = es - eg + (ms > mg)
+    if k < 0:
+        return 0
+    if ms == mg and not _end_limit(g, end) > 0.0:
+        k += 1  # s == end * 2^k, where g(./2^k) tends to 0
+    return k
+
+
 def _contains_principal(I, f):
+    """f in <g> means f <= C g(./2^k) for some C and k.  Dilation keeps the
+    end exponents, so _exponents_fit decides membership; the one k whose
+    dilate stays positive on the support of f is computed, and the probe
+    in dominated_by only sizes C."""
     g = I.gen
     if not _exponents_fit(f, g):
         return no("asymptotic exponents exceed the generator's")
-    for k in range(PRINCIPAL_DILATION_CAP + 1):
-        gk = df.dilate2(g, k)
-        C = df.dominated_by(f, gk)
-        if C is not None:
-            return yes(df.scale_fun(gk, C),
-                       "dominated by %g * dilate2(gen, %d)" % (C, k))
-    return maybe("no dominating dilate up to cap %d" % PRINCIPAL_DILATION_CAP)
+    k = _covering_dilation(f, g)
+    gk = df.dilate2(g, k)
+    C = df.dominated_by(f, gk)
+    return yes(df.scale_fun(gk, C),
+               "dominated by %g * dilate2(gen, %d)" % (C, k))
 
 
 def _contains_sum(I, f):
@@ -355,39 +380,30 @@ STABLE_KINDS = {"Lp", "Llog", "F", "K", "M"}
 
 
 def geometrically_stable(I):
-    """'yes' / 'no' / 'inconclusive' for closure under the log-average."""
+    """'yes' or 'no': closure under the log-average
+    g(t) = exp(t^-1 int_0^t log h), the condition of Dykema, Figiel, Weiss
+    and Wodzicki (Commutator structure of operator ideals, Adv. Math. 185,
+    2004).
+
+    Principal(h) is stable exactly when g lies in <h>.  For an end term
+    c t^-p L^-q of h (L = |log t|), Karamata's theorem gives
+    g ~ e^p c t^-p L^-q at 0 and at oo alike; past a finite support g
+    vanishes, and on compact sets g is bounded while h(./2) is bounded
+    below.  So g lies in <h> for every h of the class, and the verdict is
+    the ambient hypothesis h in M + L_log, read from the end exponents:
+    "no" when log(1 + h) is not integrable at oo, "yes" otherwise.
+    """
     k = I.kind
     if k in STABLE_KINDS:
         return "yes"
     if k in ("Sum", "Product", "FsPart", "BPart", "Vanish"):
-        sub = [geometrically_stable(c) for c in I.children]
-        if all(s == "yes" for s in sub):
-            return "yes"
-        if any(s == "no" for s in sub):
-            return "no"
-        return "inconclusive"
+        stable = all(geometrically_stable(c) == "yes" for c in I.children)
+        return "yes" if stable else "no"
     if k == "Principal":
         h = I.gen
-        if h.is_zero():
-            return "yes"
-        # the ambient hypothesis: the generator sits inside M + L_log
-        if df.value_at_0(h) == INF or df.support_hi(h) == INF:
-            tail = df.clip(h, 1.0, INF) if h.domain_hi == INF else None
-            if tail is not None and not tail.is_zero():
-                if df.integral(tail, 1.0, INF, log1p=True) == INF:
-                    return "no"
-        try:
-            g = df.log_average(h)
-        except DomainError:
-            return "inconclusive"
-        v = contains(I, g)
-        if v.answer == "yes":
-            return "yes"
-        if v.answer == "no" and g.fit_error == 0.0:
+        if h.domain_hi == INF and df.diverges(h, 1.0, INF, log1p=True):
             return "no"
-        if v.answer == "no":
-            return "no" if g.fit_error < 1e-6 else "inconclusive"
-        return "inconclusive"
+        return "yes"
     raise ValueError("unknown module kind %r" % k)
 
 

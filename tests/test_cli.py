@@ -262,6 +262,26 @@ class TestBrown:
         assert code == 0
         assert '"answer": "member"' in out
 
+    def test_principal_module_with_log_ends(self, capsys, tmp_path):
+        # gen: t^-1 L^-1 on (0, e^-2), a constant up to e^2, then
+        # c t^-1 L^-2 (L = |log t|), each half the level before it
+        lo, hi = math.exp(-2.0), math.exp(2.0)
+        head = df.Term(1.0, 1.0, 1.0)
+        c = head.value(lo) / 2.0
+        gen = df.make([df.Seg(0.0, lo, (head,)),
+                       df.Seg(lo, hi, (df.Term(c),)),
+                       df.Seg(hi, df.INF, (df.Term(2.0 * c * hi, 1.0, 2.0),))])
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0),)),
+                        df.Seg(1.0, 2.0, (df.Term(1.0),), -1.0)])
+        path = write_query(tmp_path, operator=sz.op_to_json(T),
+                           module_I=sz.module_to_json(md.Principal(gen)))
+        outdir = tmp_path / "b"
+        code, _, err = run(capsys, ["brown", "--input", path,
+                                    "--out", str(outdir)])
+        assert code in (0, 2) and err == ""
+        for name in ("brown.json", "member_F.json"):
+            json.loads((outdir / name).read_text())
+
 
 class TestOracle:
     def test_snumb(self, capsys, tmp_path):

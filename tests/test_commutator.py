@@ -77,6 +77,22 @@ class TestTraceLimit:
         assert dec.obstruction["side"] == "fs"
         assert dec.obstruction["a"] == 0.0
 
+    def test_overflowing_trace_is_no_zero_limit(self):
+        # tau = 2e308 passes the float range, so no constant is forced
+        T = so.from_atoms([(1e308, 1.0), (1e308, 1.0)])
+        assert cm.trace_limit(T, "head") == ("overflows", None)
+        for I in (md.Lp(1.0), md.F()):
+            dec = cm.member_IIinf(T, I, md.M())
+            assert (dec.answer, dec.notes) \
+                == ("inconclusive", "trace overflows a float")
+
+    def test_cancelling_huge_pair_stays_member(self):
+        # int |v| overflows, but tau = 1e308 - 1e308 is exactly 0
+        T = so.from_atoms([(1e308, 1.0), (-1e308, 1.0)])
+        assert cm.trace_limit(T, "head") == ("converged", 0.0)
+        for I in (md.Lp(1.0), md.F()):
+            assert cm.member_IIinf(T, I, md.M()).answer == "member"
+
 
 PHASES = st.sampled_from([1.0, -1.0, 1j, -1j, 0.6 + 0.8j])
 

@@ -244,34 +244,6 @@ class TestMajorant:
         assert f(0.5) == 3.0 and f(3.0) == 1.5
 
 
-class TestLogAverage:
-    def test_pure_power_closed_form(self):
-        h = df.power_fun(1.0, 0.5)
-        g = df.log_average(h)
-        for t in [0.1, 1.0, 100.0]:
-            assert close(g(t), math.exp(0.5) * t ** -0.5)
-        assert g.fit_error == 0.0
-
-    def test_constant_fixed_point(self):
-        h = df.const(2.0)
-        g = df.log_average(h)
-        assert close(g(0.5), 2.0)
-        assert close(g(7.0), 2.0)
-
-    def test_piecewise_vs_quadrature(self):
-        h = df.combine(df.const(1.0), df.power_fun(1.0, 0.5), "max")
-        g = df.log_average(h)
-        from scipy import integrate as si
-        for t in [0.25, 2.0, 9.0]:
-            val, _ = si.quad(lambda s: math.log(h(s)), 1e-14, t, limit=500)
-            assert close(g(t), math.exp(val / t), tol=1e-5)
-
-    def test_vanishing_head_error(self):
-        h = df.zero()
-        with pytest.raises(df.DomainError):
-            df.log_average(h)
-
-
 @given(
     st.lists(
         st.tuples(st.floats(0.01, 100.0), st.floats(0.0, 10.0)),

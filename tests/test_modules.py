@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from commcalc import decfun as df
 from commcalc import modules as md
@@ -62,6 +63,24 @@ class TestPrincipal:
         v = md.contains(I, f)
         assert v.answer == "yes"
         assert "dilate2(gen, 3)" in v.reason
+
+    def test_dilation_past_64(self):
+        # support 2^70 against a generator of support 1
+        I = md.Principal(df.power_fun(1.0, 0.5, hi=1.0))
+        v = md.contains(I, df.step_fun([(2.0 ** 70, 0.5)]))
+        assert v.answer == "yes"
+        assert "dilate2(gen, 70)" in v.reason
+
+    def test_witness_where_the_generator_vanishes_at_its_end(self):
+        # |log t| tends to 0 at 1: only g(t/2) is bounded below on (0, 1)
+        g = df.make([df.Seg(0.0, 0.5, (df.Term(math.log(2.0)),)),
+                     df.Seg(0.5, 1.0, (df.Term(1.0, 0.0, -1.0),))], 1.0)
+        f = df.const(1.0, 1.0)
+        v = md.contains(md.Principal(g), f)
+        assert v.answer == "yes"
+        assert "dilate2(gen, 1)" in v.reason
+        for t in np.geomspace(2.0 ** -60, 1.0 - 2.0 ** -53, 1000):
+            assert v.witness(t) >= f(t) * (1.0 - 1e-12)
 
 
 class TestHereditaryProperties:
@@ -134,6 +153,59 @@ class TestOmega:
         assert (a, b) == (False, True)
 
 
+# t^-p L^-q heads on (0, e^-2) that are nonincreasing there (L = |log t|)
+HEADS = [(0.0, 0.0), (0.0, -1.0), (0.5, 0.0), (0.5, -1.0), (0.5, 1.0),
+         (1.0, 0.0), (1.0, -1.0), (1.0, 1.0), (1.0, 2.0),
+         (2.0, 0.0), (2.0, -1.0), (2.0, 1.0), (2.0, 2.0)]
+TAILS = ["zero", "const", (0.5, 0.0), (1.0, 1.0), (1.0, 2.0), (2.0, 1.0),
+         (2.0, 2.0)]
+
+
+def grid_id(v):
+    return v if isinstance(v, str) else "p%g_q%g" % v
+
+
+def grid_generator(p, q, tail):
+    """t^-p L^-q on (0, e^-2), half its end value up to e^2, then zero, a
+    constant ("const") or t^-p2 L^-q2 (tail = (p2, q2)), each starting at
+    half the level before it."""
+    lo, hi = math.exp(-2.0), math.exp(2.0)
+    head = df.Term(1.0, p, q)
+    c = head.value(lo) / 2.0
+    segs = [df.Seg(0.0, lo, (head,)), df.Seg(lo, hi, (df.Term(c),))]
+    if tail == "const":
+        segs.append(df.Seg(hi, df.INF, (df.Term(c / 2.0),)))
+    elif tail != "zero":
+        shape = df.Term(1.0, *tail)
+        segs.append(df.Seg(hi, df.INF, (df.Term(c / 2.0 / shape.value(hi),
+                                                 *tail),)))
+    return df.make(segs)
+
+
+def log_average(h, t):
+    """exp(t^-1 int_0^t log h) for h with one term per segment, by
+    quadrature in u = log s, segment by segment."""
+    total = 0.0
+    for seg in h.segs:
+        hi = min(seg.hi, t)
+        if hi <= seg.lo:
+            break
+        (tm,) = seg.terms
+
+        def fn(u, tm=tm):
+            w = u - math.log(tm.scale)
+            logv = math.log(tm.coeff) - tm.pow * w
+            if tm.logpow:
+                logv -= tm.logpow * math.log(abs(w))
+            return logv * math.exp(u)
+
+        val, _ = integrate.quad(
+            fn, math.log(seg.lo) if seg.lo > 0.0 else -math.inf,
+            math.log(hi), epsabs=0.0, epsrel=1e-10, limit=200)
+        total += val
+    return math.exp(total / t)
+
+
 class TestStability:
     def test_base_spaces(self):
         for I in [md.Lp(1.0), md.Llog(), md.M(), md.F(), md.K()]:
@@ -146,6 +218,25 @@ class TestStability:
     def test_composites(self):
         I = md.Sum(md.FsPart(md.Lp(0.5)), md.BPart(md.Lp(2.0)))
         assert md.geometrically_stable(I) == "yes"
+
+    @pytest.mark.parametrize("tail", TAILS, ids=grid_id)
+    @pytest.mark.parametrize("head", HEADS, ids=grid_id)
+    def test_principal_grid(self, head, tail):
+        # stable unless log(1 + h) fails to be integrable at infinity:
+        # a constant tail, or t^-p L^-q with p < 1 or p = 1, q <= 1
+        h = grid_generator(*head, tail)
+        unstable = tail == "const" or (
+            tail != "zero" and (tail[0] < 1.0 or tail == (1.0, 1.0)))
+        expected = "no" if unstable else "yes"
+        assert md.geometrically_stable(md.Principal(h)) == expected
+
+    def test_log_average_follows_the_end_terms(self):
+        # Karamata: g(t) / h(t) -> e^p at 0 and at oo, for the end term
+        # c t^-p L^-q; the gap in log is about q / L at L = |log t|
+        h = grid_generator(1.0, 1.0, (1.0, 2.0))
+        for t, p, q in ((2.0 ** -30, 1.0, 1.0), (2.0 ** 30, 1.0, 2.0)):
+            gap = math.log(log_average(h, t) / h(t)) - p
+            assert abs(gap) <= 1.5 * q / abs(math.log(t))
 
 
 class TestToII1:
