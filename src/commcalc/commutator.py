@@ -4,7 +4,8 @@ The semifinite criterion asks for a decreasing h with
 |tau(T E(mu_s, mu_r])| <= r h(r) + s h(s); after splitting T into its
 finite-support and bounded parts the two single-variable criteria
 |a - tau(T_fs E[0, mu_r])| <= r h(r) and |a + tau(T_b E(mu_s, oo))| <= s h(s)
-decide membership.
+decide membership.  T_b is T read past the cut (specop.BoundedPart): its
+tail traces, trace, |v| integral and end term are read from T exactly.
 
 The constant of each side is free (0) when the module holds that side's
 omega test function, and otherwise forced to the limit of that side's
@@ -90,40 +91,63 @@ def head_values(T, K=GRID_K, ppo=GRID_PPO):
             for r in dyadic_grid(-K, 0, ppo)]
 
 
-def tail_values(T, K=GRID_K, ppo=GRID_PPO):
-    """(s, tau(T E(mu_s, oo))) over the dyadic grid in [1, oo)."""
-    return [(s, so.band_trace(T, "tail", s=s))
-            for s in dyadic_grid(0, K, ppo)]
+def tail_values(T_b, K=GRID_K, ppo=GRID_PPO):
+    """(s, tau(T_b E(mu_s, oo))) over the dyadic grid in [1, oo)."""
+    return [(s, T_b.tail(s)) for s in dyadic_grid(0, K, ppo)]
+
+
+@dataclass(frozen=True)
+class Side:
+    """A side of the split criterion, its facts computed once (side_facts)."""
+    name: str  # "head" (part T_fs) or "tail" (part a specop.BoundedPart)
+    part: object
+    status: str  # converged | diverges | overflows, with the limit
+    limit: complex
+    noise: float  # TRACE_TOL * max(1, int |v|): a trace below it is noise
+    end: tuple  # dominant term of the profile there; None past the support
+    reach: float  # inner end of the end segment, on the part's axis
+
+
+def side_facts(X, name):
+    """The Side of T_fs = X (name "head") or of T_b = X (name "tail"); an
+    operator X is its own bounded part, cut at 0.
+
+    The end segment carries a single phase, so the band trace converges
+    exactly when |v| is integrable at that end, and then to tau of the
+    part; a finite support has no dominant term at oo.  A limit within
+    noise is snapped to 0.0; a nonzero trace that passes the float range,
+    or whose noise does, "overflows": it is never a limit of 0.
+    """
+    if name == "head":
+        T, lo = X, 0.0
+        m = so.mu(T)
+        end, reach = df.dominant_at_0(m), m.segs[0].hi
+    elif name == "tail":
+        if not isinstance(X, so.BoundedPart):
+            X = so.BoundedPart(X, 0.0)
+        T, lo = X.T, X.cut
+        m = so.mu(T)
+        end, reach = df.dominant_at_inf(m), max(0.0, m.segs[-1].lo - lo)
+    else:
+        raise ValueError("side must be head or tail")
+    if df.diverges(m, *((0.0, 1.0) if name == "head" else (1.0, INF))):
+        return Side(name, X, "diverges", None, None, end, reach)
+    v = so.integrate_v(T, lo, T.domain_hi)
+    noise = TRACE_TOL * max(1.0, df.integral(m, lo, m.domain_hi))
+    if v == 0.0 or abs(v) <= noise < INF:
+        status, v = "converged", 0.0
+    elif abs(v) < INF and noise < INF:
+        status = "converged"
+    else:
+        status, v = "overflows", None
+    return Side(name, X, status, v, noise, end, reach)
 
 
 def trace_limit(T, side):
-    """Exact limit of the head trace (r -> 0) or the tail trace (s -> oo).
-
-    The end segment carries a single phase, so the band trace converges
-    exactly when |v| is integrable at that end, and then to tau(T); a
-    finite support has no dominant term at oo, so its tail converges.
-    Returns ("diverges", None) or ("converged", value), with a value below
-    TRACE_TOL * max(1, int |v|), the size of the cancellation error,
-    snapped to 0.0.  A nonzero trace that passes the float range, or whose
-    noise level does, returns ("overflows", None): never a limit of 0.
-    """
-    ends = {"head": (0.0, 1.0), "tail": (1.0, INF)}
-    if side not in ends:
-        raise ValueError("side must be head or tail")
-    if df.diverges(so.mu(T), *ends[side]):
-        return "diverges", None
-    v, noise = so.trace(T), trace_noise(T)
-    if v == 0.0 or abs(v) <= noise < INF:
-        return "converged", 0.0
-    if abs(v) < INF and noise < INF:
-        return "converged", v
-    return "overflows", None
-
-
-def trace_noise(T):
-    """TRACE_TOL * max(1, int |v|): below it a trace is cancellation error."""
-    m = so.mu(T)
-    return TRACE_TOL * max(1.0, df.integral(m, 0.0, m.domain_hi))
+    """Exact limit of the head trace (r -> 0) or the tail trace (s -> oo),
+    as side_facts decides it: ("converged", value) or (status, None)."""
+    facts = side_facts(T, side)
+    return facts.status, facts.limit
 
 
 # ---------------------------------------------------------------------------
@@ -148,47 +172,43 @@ def _clean_samples(pairs, a):
     return out
 
 
-def side_classes(T, side, a):
+def side_classes(side, a):
     """Exact end class of |a - head(r)| / r as r -> 0 (side "head") or of
-    |a + tail(s)| / s as s -> oo (side "tail").
+    |a + tail(s)| / s as s -> oo (side "tail"), for a Side.
 
-    mean_term of the end term of mu(T), plus |a - lim| / t when the trace
-    converges to lim (minus the tail limit) and a != lim.  Returns the list
-    of classes (two for p = q = 1: the brackets c L^EPS / (e EPS t) above
-    c log L / t and c / t below it) and the inner end of the end segment.
-    A miss |a - lim| within trace_noise(T) is float noise and counts as 0.
+    mean_term of the end term of the profile, plus |a - lim| / t when the
+    trace converges to lim (minus the tail limit) and a != lim.  Returns
+    the list of classes: two for p = q = 1, the brackets c L^EPS / (e EPS t)
+    above c log L / t and c / t below it.  A miss |a - lim| within the
+    side's noise is float noise and counts as 0.
     """
-    m = so.mu(T)
-    if side == "head":
-        dom, reach = df.dominant_at_0(m), m.segs[0].hi
-    else:
-        dom, reach = df.dominant_at_inf(m), m.segs[-1].lo
-    _, lim = trace_limit(T, side)
-    d = (a - lim if side == "head" else a + lim) if lim is not None else 0.0
-    if d and abs(d) <= trace_noise(T):
+    lim = side.limit
+    d = (a - lim if side.name == "head" else a + lim) \
+        if lim is not None else 0.0
+    if d and abs(d) <= side.noise:
         d = 0.0
     near = (Term(abs(d), 1.0),) if d else ()
-    if dom is None:
-        return [near], reach
-    term = df.mean_term(dom)
+    if side.end is None:
+        return [near]
+    term = df.mean_term(side.end)
     if term is not None:
-        return [near + (term,)], reach
-    c = dom[2]
+        return [near + (term,)]
+    c = side.end[2]
     return [near + (Term(c / (math.e * LOGLOG_EPS), 1.0, -LOGLOG_EPS),),
-            near + (Term(c, 1.0),)], reach
+            near + (Term(c, 1.0),)]
 
 
-def _decide_side(T, samples, module, domain_hi, side, a, hold):
+def _decide_side(side, samples, module, domain_hi, a, hold):
     """Whether module holds a majorant of the sampled side function: the
     step majorant with the exact end class attached (envelope_majorant).
     Of two brackets, "yes" comes from the upper and "no" from the lower."""
-    classes, reach = side_classes(T, side, a)
+    classes = side_classes(side, a)
     if classes == [()] and all(v == 0.0 for _, v in samples):
         return SideResult("yes", df.zero(domain_hi), None, "zero bound")
     worst = max(samples, key=lambda tv: tv[1])
     for i, ends in enumerate(classes):
-        h = df.envelope_majorant(samples, domain_hi, reach=reach, hold=hold,
-                                 **{side: ends})
+        h = df.envelope_majorant(samples, domain_hi, reach=side.reach,
+                                 hold=hold, **{side.name: ends})
         verdict = md.contains(module, h)
         if verdict.answer == "yes" and i == 0:
             return SideResult("yes", h, None, verdict.reason)
@@ -200,17 +220,26 @@ def _decide_side(T, samples, module, domain_hi, side, a, hold):
     return SideResult("inconclusive", h, worst, verdict.reason)
 
 
+def _split_criterion(side, I, a, K=GRID_K, ppo=GRID_PPO):
+    """decide_fs (side "head") or decide_b (side "tail") on a Side."""
+    if side.name == "head":
+        pairs, module = head_values(side.part, K, ppo), md.FsPart(I)
+    else:
+        pairs = [(s, -v) for s, v in tail_values(side.part, K, ppo)]
+        module = md.BPart(I)
+    return _decide_side(side, _clean_samples(pairs, a), module, INF, a,
+                        side.name == "tail")
+
+
 def decide_fs(T_fs, I, a=0.0, K=GRID_K, ppo=GRID_PPO):
     """Existence of h in mu(FsPart(I)) with |a - head(r)| <= r h(r), r < 1."""
-    samples = _clean_samples(head_values(T_fs, K, ppo), a)
-    return _decide_side(T_fs, samples, md.FsPart(I), INF, "head", a, False)
+    return _split_criterion(side_facts(T_fs, "head"), I, a, K, ppo)
 
 
 def decide_b(T_b, I, a=0.0, K=GRID_K, ppo=GRID_PPO):
-    """Existence of h in mu(BPart(I)) with |a + tail(s)| <= s h(s), s >= 1."""
-    samples = _clean_samples([(s, -v) for s, v in tail_values(T_b, K, ppo)],
-                             a)
-    return _decide_side(T_b, samples, md.BPart(I), INF, "tail", a, True)
+    """Existence of h in mu(BPart(I)) with |a + tail(s)| <= s h(s), s >= 1,
+    for a bounded part T_b or a bounded operator."""
+    return _split_criterion(side_facts(T_b, "tail"), I, a, K, ppo)
 
 
 def member_side(Tside, I, side, a=0.0):
@@ -248,17 +277,16 @@ def _side_to_decision(res, a, side):
 # the constant a
 
 
-def _side_constant(T, side, absorbed):
-    """(status, a) for the head or tail side: free, forced by the trace
-    limit, impossible when that limit diverges, or overflows."""
+def _side_constant(side, absorbed):
+    """(status, a) for a Side: free, forced by the trace limit,
+    impossible when that limit diverges, or overflows."""
     if absorbed:
         return "free", 0.0
-    status, val = trace_limit(T, side)
-    if status == "diverges":
+    if side.status == "diverges":
         return "impossible", None
-    if status == "overflows":
-        return status, None
-    return "forced", val if side == "head" else -val
+    if side.status == "overflows":
+        return side.status, None
+    return "forced", side.limit if side.name == "head" else -side.limit
 
 
 def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
@@ -275,8 +303,9 @@ def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
     if "inconclusive" in (vfs.answer, vb.answer):
         return inconclusive("omega tests undecided: %s / %s"
                             % (vfs.reason, vb.reason))
-    fs_status, a_fs = _side_constant(T_fs, "head", vfs.answer == "yes")
-    b_status, a_b = _side_constant(T_b, "tail", vb.answer == "yes")
+    fs, b = side_facts(T_fs, "head"), side_facts(T_b, "tail")
+    fs_status, a_fs = _side_constant(fs, vfs.answer == "yes")
+    b_status, a_b = _side_constant(b, vb.answer == "yes")
     if fs_status == "impossible":
         return not_member({"side": "fs", "reason":
                            "head trace diverges with no absorbing omega_fs"})
@@ -287,18 +316,17 @@ def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
         return inconclusive("trace overflows a float")
     if shared_a:
         if fs_status == b_status == "forced" \
-                and abs(a_fs - a_b) > max(trace_noise(T_fs), trace_noise(T_b)):
+                and abs(a_fs - a_b) > max(fs.noise, b.noise):
             return not_member(
                 {"side": "both", "reason":
                  "forced constants disagree: %r vs %r" % (a_fs, a_b)})
         # + 0.0 turns the -0.0 of a vanishing tail limit into 0.0
         a_fs = a_b = (a_fs if fs_status == "forced" else a_b) + 0.0
     sides = []
-    for side, decide, T, a in (("fs", decide_fs, T_fs, a_fs),
-                               ("b", decide_b, T_b, a_b)):
-        res = decide(T, I, a, K, ppo)
+    for name, side, a in (("fs", fs, a_fs), ("b", b, a_b)):
+        res = _split_criterion(side, I, a, K, ppo)
         if res.answer == "no":
-            return not_member({"side": side, "a": a, "r": res.worst[0],
+            return not_member({"side": name, "a": a, "r": res.worst[0],
                                "required": res.worst[1],
                                "reason": res.reason})
         sides.append(res)
@@ -349,10 +377,7 @@ def member_IIinf(T, I, J, K=GRID_K, ppo=GRID_PPO, _depth=0):
                                       h_b=df.const(2.0 * df.value_at_0(m)))
             return member(cert, "flat profile handled by the full-algebra"
                           " identity")
-        head = so.make_op([replace(s, hi=min(s.hi, cut))
-                           for s in T.segs if s.lo < cut],
-                          II_INF, validate=False)
-        dec = member_IIinf(head, I, J, K, ppo, _depth + 1)
+        dec = member_IIinf(so.truncate(T, cut), I, J, K, ppo, _depth + 1)
         note = "tail at level %g handled by the full-algebra identity" % d
         return Decision(dec.answer, dec.certificate, dec.obstruction,
                         (dec.notes + "; " + note).strip("; "))
@@ -380,8 +405,8 @@ def member_II1(T, I, J, K=GRID_K, ppo=GRID_PPO):
         return inconclusive("mu(T) membership in the product undecided")
     heads = head_values(T, K, ppo)
     samples = _clean_samples([(r, v) for r, v in heads if r < 1.0], 0.0)
-    dec = _side_to_decision(
-        _decide_side(T, samples, IJ, 1.0, "head", 0.0, True), 0.0, "fs")
+    dec = _side_to_decision(_decide_side(side_facts(T, "head"), samples,
+                                         IJ, 1.0, 0.0, True), 0.0, "fs")
     if dec.certificate is None:
         return dec
     return replace(dec, certificate=replace(dec.certificate, total_count=12))

@@ -13,6 +13,10 @@ segment-integral table of the operator (SegIntegrals).  Both tables are
 filled lazily, only as far as the queries reach, so every answer is the
 float a scan over all segments from the left gives, and a segment whose
 integral diverges or raises fails exactly where that scan would.
+
+split_fs_b cuts T at D(mu_1(T)) into T truncated there and T read past
+the cut (BoundedPart), whose band queries are exact band queries on T:
+no shifted or discretized copy is built.
 """
 
 import bisect
@@ -285,8 +289,7 @@ def band_trace(T, mode, r=None, s=None, a=None, b=None):
         u = dist_fun(m, m(min(r, T.domain_hi * (1 - 1e-15))))
         return integrate_v(T, u, T.domain_hi)
     if mode == "tail":
-        wv = m(s) if s < T.domain_hi else 0.0
-        return integrate_v(T, 0.0, dist_fun(m, wv))
+        return BoundedPart(T, 0.0).tail(s)
     raise ValueError("unknown mode %r" % mode)
 
 
@@ -319,32 +322,15 @@ def _discretize_seg(seg, ppo=16):
     return out
 
 
-def is_step(T):
-    return all(s.is_const() for s in T.segs)
-
-
 def oplus(S, T, ppo=16):
     """Direct sum: decreasing rearrangement of the disjoint union."""
     if S.factor_type != T.factor_type:
         raise DomainError("mixed factor types")
-    out_type = II_INF  # the ambient semifinite model hosts both summands
-    ops = []
-    for op in (S, T):
-        if is_step(op):
-            ops.append(op.segs)
-        else:
-            segs = []
-            for seg in op.segs:
-                segs.extend(_discretize_seg(seg, ppo))
-            ops.append(tuple(segs))
-    atoms = []
-    for segs in ops:
-        for s in segs:
-            atoms.append((s.phase * sum(tm.coeff for tm in s.terms),
-                          s.hi - s.lo))
-    if not atoms:
-        return zero_op(out_type)
-    return from_atoms(atoms, out_type)
+    atoms = [(p.phase * sum(tm.coeff for tm in p.terms), p.hi - p.lo)
+             for op in (S, T) for seg in op.segs
+             for p in _discretize_seg(seg, ppo)]
+    # the ambient semifinite model hosts both summands
+    return from_atoms(atoms, II_INF) if atoms else zero_op(II_INF)
 
 
 def scale_op(T, alpha):
@@ -365,61 +351,50 @@ def adjoint(T):
     return NormalOp(T.factor_type, tuple(segs))
 
 
-def _shift_left(segs, c, ppo=16):
-    """Profile segments shifted by -c in scale; steps shift exactly."""
-    out = []
-    for seg in segs:
-        lo, hi = seg.lo - c, (seg.hi - c if seg.hi < INF else INF)
-        if hi <= 0:
-            continue
-        lo = max(lo, 0.0)
-        if seg.is_const() or c == 0.0:
-            out.append(replace(seg, lo=lo, hi=hi))
-        elif seg.lo >= c * 2.0 ** 20:
-            # far from the cut the shift is below every tolerance
-            out.append(replace(seg, lo=lo, hi=hi))
-        else:
-            # discretize on the shifted axis with left-endpoint values of
-            # the true shifted profile t -> modulus(t + c), up to the far
-            # point, and keep the segment's own terms beyond it
-            far = min(hi, c * 2.0 ** 20)
-            lo_ = lo if lo > 0 else min(far, c) * 2.0 ** -60
-            n = max(2, int(math.ceil(math.log2(max(far / lo_, 2.0)) * ppo)) + 1)
-            cuts = [lo] + np.geomspace(lo_, far, n).tolist()[1:]
-            cuts[-1] = far
-            for a_, b_ in zip(cuts, cuts[1:]):
-                if b_ <= a_:
-                    continue
-                v = seg.value(a_ + c)
-                out.append(Seg(a_, b_, (Term(v),), seg.phase))
-            if far < hi:
-                out.append(replace(seg, lo=far, hi=hi))
-    return out
+@dataclass(frozen=True)
+class BoundedPart:
+    """The bounded part T_b of split_fs_b: T read past cut.
+
+    The singular numbers of T_b are mu(T)(t + cut), so each band query of
+    T_b is one on T over (cut, oo); nothing is copied or discretized.  An
+    operator is its own bounded part with cut 0.
+    """
+    T: NormalOp
+    cut: float
+
+    @property
+    def segs(self):
+        """T's segments past the cut, on T's axis; the one across it is
+        clipped at the cut."""
+        cut = self.cut
+        return tuple(s if s.lo >= cut else replace(s, lo=cut)
+                     for s in self.T.segs if s.hi > cut)
+
+    def tail(self, s):
+        """tau(T_b E(mu_s(T_b), oo)): v over (cut, D(mu_{cut + s}(T)))."""
+        T, cut = self.T, self.cut
+        m = mu(T)
+        wv = m(cut + s) if cut + s < T.domain_hi else 0.0
+        return integrate_v(T, cut, max(cut, dist_fun(m, wv)))
 
 
-def split_fs_b(T, t0=1.0, ppo=16):
-    """T = T_fs + T_b: the tau-finite-support head and the bounded rest."""
+def truncate(T, cut):
+    """T on (0, cut); T itself when it ends by cut."""
+    head = make_op([replace(s, hi=min(s.hi, cut)) for s in T.segs
+                    if s.lo < cut], T.factor_type, validate=False)
+    # T keeps the profile and tables built on it
+    return T if head == T else head
+
+
+def split_fs_b(T):
+    """T = T_fs + T_b, cut at D(mu_1(T)): the tau-finite-support head
+    T_fs, T truncated exactly to (0, cut), and the bounded part T_b, T
+    read past the cut (BoundedPart)."""
     if T.factor_type != II_INF:
         raise DomainError("split_fs_b needs the semifinite model")
-    if T.is_zero():
-        return zero_op(), zero_op()
     m = mu(T)
-    x0 = m(t0)
-    cut = dist_fun(m, x0, closed=False)
-    fs_segs = []
-    b_segs = []
-    for seg in T.segs:
-        if seg.hi <= cut:
-            fs_segs.append(seg)
-        elif seg.lo >= cut:
-            b_segs.append(seg)
-        else:
-            fs_segs.append(replace(seg, hi=cut))
-            b_segs.append(replace(seg, lo=cut))
-    T_fs = make_op(fs_segs, II_INF, validate=False)
-    T_b = make_op(_shift_left(b_segs, cut, ppo), II_INF, validate=False)
-    # a part equal to T is T, which keeps the profile and tables built on it
-    return (T if T_fs == T else T_fs), (T if T_b == T else T_b)
+    cut = dist_fun(m, m(1.0))
+    return truncate(T, cut), BoundedPart(T, cut)
 
 
 def re_im(T, ppo=16):
@@ -431,8 +406,7 @@ def re_im(T, ppo=16):
             coef = pick(seg.phase)
             if coef == 0.0:
                 continue
-            pieces = [seg] if seg.is_const() else _discretize_seg(seg, ppo)
-            for p in pieces:
+            for p in _discretize_seg(seg, ppo):
                 v = abs(coef) * sum(tm.coeff for tm in p.terms)
                 if v:
                     atoms.append((math.copysign(1.0, coef) * v, p.hi - p.lo))

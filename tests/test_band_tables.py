@@ -21,10 +21,14 @@ from commcalc.decfun import INF, DomainError, Seg, Term
 
 BITS = os.path.join(os.path.dirname(__file__), "band_trace_bits.json")
 
-# the operator t^-1/2 on (0, 1), t^-0.6 beyond; its bounded part is the
-# ~1,900-segment staircase that the head and tail grids run over
+# the operator t^-1/2 on (0, 1), t^-0.6 beyond, split at 1; the head grid
+# runs over its finite-support part and the tail grid over its bounded part
 ROADMAP_OP = [Seg(0.0, 1.0, (Term(1.0, 0.5),)),
               Seg(1.0, INF, (Term(1.0, 0.6),))]
+# 1,280 left-endpoint steps of t^-0.6 on (0, 2^20), then t^-0.6 itself:
+# the many-segment operator that the explicit bands run over
+STAIRCASE = so._discretize_seg(Seg(0.0, 2.0 ** 20, (Term(1.0, 0.6),))) \
+    + [Seg(2.0 ** 20, INF, (Term(1.0, 0.6),))]
 BY_SCALE = [(2.0 ** -20, 1.0), (0.5, 2.0), (1.0, 2.0 ** 10),
             (2.0 ** -3, 2.0 ** 40), (3.0, 7.5), (2.0 ** -10, 2.0 ** 59)]
 BY_MODULUS = [(0.01, 0.5), (0.1, 0.3), (0.25, 1.0), (1e-6, 2.0)]
@@ -147,22 +151,21 @@ def _hex(z):
 
 
 def band_bits():
-    """float.hex of band traces of the two parts of ROADMAP_OP.
-
-    The head grid runs over the finite-support part (the head trace of the
-    bounded part diverges); the tail grid and the explicit bands run over
-    the bounded part.
+    """float.hex of band traces: the head grid over the finite-support part
+    of ROADMAP_OP (the head trace of its bounded part diverges), the tail
+    grid over its bounded part, and the explicit bands over STAIRCASE.
     """
     T_fs, T_b = so.split_fs_b(so.make_op(ROADMAP_OP))
+    S = so.make_op(STAIRCASE)
     return {
-        "segments": len(T_b.segs),
+        "segments": len(S.segs),
         "head": [[r.hex()] + _hex(v) for r, v in cm.head_values(T_fs)],
         "tail": [[s.hex()] + _hex(v) for s, v in cm.tail_values(T_b)],
-        "by_scale": [_hex(so.band_trace(T_b, "by_scale", r=r, s=s))
+        "by_scale": [_hex(so.band_trace(S, "by_scale", r=r, s=s))
                      for r, s in BY_SCALE],
-        "by_modulus": [_hex(so.band_trace(T_b, "by_modulus", a=a, b=b))
+        "by_modulus": [_hex(so.band_trace(S, "by_modulus", a=a, b=b))
                        for a, b in BY_MODULUS],
-        "by_scale_phased": [_hex(so.band_trace(so.scale_op(T_b, 0.6 + 0.8j),
+        "by_scale_phased": [_hex(so.band_trace(so.scale_op(S, 0.6 + 0.8j),
                                                "by_scale", r=r, s=s))
                             for r, s in BY_SCALE],
     }
@@ -312,28 +315,33 @@ def test_integrability_cases_cover_both_answers():
 
 
 # ---------------------------------------------------------------------------
-# split_fs_b keeps T when T lies on one side of the cut
+# split_fs_b: T_fs is T truncated at the cut, T_b is T read past it
 
 
 def test_split_keeps_a_head_only_operator():
     T = so.make_op([Seg(0.0, 1.0, (Term(1.0, 0.5),))])
     T_fs, T_b = so.split_fs_b(T)
     assert T_fs is T
-    assert T_b.is_zero()
+    assert (T_b.T, T_b.cut, T_b.segs) == (T, 1.0, ())
+    assert [v for _, v in cm.tail_values(T_b)] == [0.0] * 121
 
 
 def test_split_keeps_a_bounded_operator_cut_at_zero():
     T = so.from_atoms([(2.0, 3.0), (1.0, 1.0)])
-    T_fs, T_b = so.split_fs_b(T, t0=0.5)
+    T_fs, T_b = so.split_fs_b(T)
     assert T_fs.is_zero()
-    assert T_b is T
+    assert T_b.T is T and T_b.cut == 0.0 and T_b.segs == T.segs
+    assert cm.tail_values(T_b) == [(s, so.band_trace(T, "tail", s=s))
+                                   for s in cm.dyadic_grid(0, cm.GRID_K)]
 
 
 def test_split_of_both_sides_builds_both_parts():
     T = so.make_op(ROADMAP_OP)
     T_fs, T_b = so.split_fs_b(T)
-    assert T_fs is not T and T_b is not T
-    assert so.mu(T_fs)(0.25) == 2.0
+    assert T_fs is not T and so.mu(T_fs)(0.25) == 2.0
+    # the power segment on (1, oo) starts at the cut and is T's own
+    assert T_b.T is T and T_b.cut == 1.0 and T_b.segs == T.segs[1:]
+    assert len(T_fs.segs) + len(T_b.segs) == 2
 
 
 # ---------------------------------------------------------------------------

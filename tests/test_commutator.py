@@ -60,6 +60,17 @@ class TestTraceLimit:
         assert st == "converged" and v == so.trace(T_b)
         assert v == 1j - math.log(4.0)
 
+    def test_bounded_part_trace_is_exact(self):
+        # tau(T) = 2 - 2 = 0, so T lies in [L_1, M] = L_1 n ker tau; read
+        # from left-endpoint steps, T_b had tau 2.0439 and a_b disagreed
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),)),
+                        df.Seg(1.0, df.INF, (df.Term(1.0, 1.5),), -1.0)])
+        dec = cm.member_IIinf(T, md.Lp(1.0), md.M())
+        assert dec.answer == "member" and dec.certificate.a == 2
+        dec = cm.member_F_plus(T, md.Lp(1.0))
+        assert dec.answer == "member"
+        assert complex(dec.notes.split("a_b=")[1]) == 2
+
     def test_nonzero_head_trace_rejects_against_L1(self):
         # [M, L_1] = L_1 n ker tau and tau(t^-3/4 on (0,1)) = 4
         T = power_op(1.0, 0.75, 1.0)
@@ -126,26 +137,46 @@ def test_head_limit_against_closed_form_and_long_grid(c, g, h, length, frac,
 @given(c=st.floats(0.1, 10.0), d=st.floats(0.3, 3.0),
        lift=st.floats(1.0, 4.0), end=st.one_of(st.just(df.INF),
                                                 st.floats(2.0, 100.0)),
-       p=PHASES, q=PHASES)
-def test_tail_limit_against_closed_form_and_long_grid(c, d, lift, end, p, q):
-    # a flat block of height lift * c on (0, 1), then c t^-d on (1, end)
-    T_b = so.make_op([df.Seg(0.0, 1.0, (df.Term(lift * c),), p),
-                      df.Seg(1.0, end, (df.Term(c, d),), q)])
+       p=PHASES, q=PHASES, head=st.sampled_from(["flat", "power"]))
+def test_tail_limit_against_closed_form_and_long_grid(c, d, lift, end, p, q,
+                                                      head):
+    # lift * c on (0, 1), flat or times t^-1/2, then c t^-d on (1, end);
+    # the flat operator is its own bounded part, the unbounded power head
+    # is cut off at 1 and T_b is T read past it
+    T = so.make_op([df.Seg(0.0, 1.0, (df.Term(lift * c),), p),
+                    df.Seg(1.0, end, (df.Term(c, d),), q)]) \
+        if head == "flat" else \
+        so.make_op([df.Seg(0.0, 1.0, (df.Term(lift * c, 0.5),), p),
+                    df.Seg(1.0, end, (df.Term(c, d),), q)])
+    T_b = so.BoundedPart(T, 0.0) if head == "flat" else so.split_fs_b(T)[1]
     status, lim = cm.trace_limit(T_b, "tail")
-    near, far = (so.band_trace(T_b, "tail", s=2.0 ** k) for k in (30, 60))
+    tails = dict(cm.tail_values(T_b))
+    near, far = tails[2.0 ** 30], tails[2.0 ** 60]
     if end == df.INF and d <= 1.0:
         assert (status, lim) == ("diverges", None)
         assert abs(far - near) > 1.0
         return
-    if d == 1.0:
-        body = math.log(end)
-    else:
-        body = ((0.0 if end == df.INF else end ** (1.0 - d)) - 1.0) \
-            / (1.0 - d)
-    scale = lift * c + c * body
+
+    def body(x):
+        """The integral of t^-d over (1, x)."""
+        if d == 1.0:
+            return math.log(x)
+        return ((0.0 if x == df.INF else x ** (1.0 - d)) - 1.0) / (1.0 - d)
+
     assert status == "converged"
-    assert abs(lim - (p * lift * c + q * c * body)) \
-        <= 2.0 * cm.TRACE_TOL * scale
+    if head == "flat":
+        scale = lift * c + c * body(end)
+        assert abs(lim - (p * lift * c + q * c * body(end))) \
+            <= 2.0 * cm.TRACE_TOL * scale
+    else:
+        # the integral of T over (cut, cut + s); cut = 1 but where lift = 1
+        # and d = 1/2 make both segments one, found by a level crossing
+        assert abs(T_b.cut - 1.0) <= 1e-12
+        scale = c * body(end)
+        assert abs(lim - q * scale) <= 1e-12 * scale
+        for s, v in tails.items():
+            want = c * body(min(1.0 + s, end))
+            assert abs(v - q * want) <= 1e-12 * want
     # the band at s leaves out (s, oo), where the tail carries this much
     rest = 0.0 if end < df.INF else c * 2.0 ** (60 * (1.0 - d)) / (d - 1.0)
     assert abs(far - lim) <= rest * (1.0 + 1e-9) + 2.0 * cm.TRACE_TOL * scale

@@ -147,8 +147,7 @@ def test_tail_grid_against_Ls_and_Llog(p, q, module):
 
 
 def _classes(T, side, a):
-    classes, _ = cm.side_classes(T, side, a)
-    return classes
+    return cm.side_classes(cm.side_facts(T, side), a)
 
 
 class TestHeadCases:
@@ -270,13 +269,15 @@ def test_witness_majorizes_the_samples_and_carries_the_class():
 
 
 def test_bounded_part_keeps_its_tail_term():
-    # the power segment on (1, oo) starts at the cut: T_b used to end in a
-    # constant step, so its tail trace "diverged"
+    # the power segment on (1, oo) starts at the cut: T_b is T read past
+    # it, so its end term at oo is T's own and its reach starts at the cut
     T = so.make_op([Seg(0.0, 1.0, (Term(1.0, 0.5),)),
                     Seg(1.0, INF, (Term(1.0, 2.0),))])
     _, T_b = so.split_fs_b(T)
-    assert df.dominant_at_inf(so.mu(T_b)) == (2.0, 0.0, 1.0)
-    assert cm.trace_limit(T_b, "tail")[0] == "converged"
+    b = cm.side_facts(T_b, "tail")
+    assert b.end == df.dominant_at_inf(so.mu(T)) == (2.0, 0.0, 1.0)
+    assert b.reach == 0.0
+    assert (b.status, b.limit) == ("converged", 1.0)
     assert cm.member_F_plus(T, md.Lp(1.0)).answer == "member"
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,10 +178,14 @@ class TestOplus:
 
 class TestSplit:
     def test_bounded(self):
+        # flat up to 1: cut at 0, and T_b is T itself
         T = so.from_atoms([(2.0, 3.0)])
         fs, b = so.split_fs_b(T)
         assert fs.is_zero()
-        assert so.mu(b)(1.0) == 2.0
+        assert b.T is T and b.cut == 0.0
+        for s in (0.5, 1.0, 4.0):
+            assert b.tail(s) == so.band_trace(T, "tail", s=s)
+        assert b.tail(4.0) == 6.0
 
     def test_unbounded_head(self):
         T = so.make_op([df.Seg(0.0, 4.0, (df.Term(1.0, 0.5),))])
@@ -188,17 +193,31 @@ class TestSplit:
         # mu_1(T) = 1, cut where t^-1/2 = 1
         assert close(so.mu(fs)(0.25), 2.0)
         assert so.mu(fs)(1.5) == 0.0
-        assert so.mu(b)(1e-6) <= 1.0 + 1e-9
+        assert close(b.cut, 1.0, tol=1e-12)
+        assert b.segs == (replace(T.segs[0], lo=b.cut),)
+        # mu_t(T_b) = (t + cut)^-1/2 <= 1: its tail traces in closed form
+        for s in (0.5, 1.0, 2.0, 8.0):
+            want = 2.0 * (math.sqrt(min(b.cut + s, 4.0)) - math.sqrt(b.cut))
+            assert close(b.tail(s), want, tol=1e-12)
 
     def test_reassembly_steps(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             T = random_step_op(rng)
             fs, b = so.split_fs_b(T)
-            R = so.oplus(fs, b)
-            mT, mR = so.mu(T), so.mu(R)
+            # the parts tile T on its own axis, split at the cut
+            segs = fs.segs + b.segs
+            assert segs[0].lo == 0.0
+            assert all(p.hi == q.lo for p, q in zip(segs, segs[1:]))
+            mT, mR = so.mu(T), so.mu(so.make_op(segs))
             for t in np.geomspace(0.01, 10.0, 40):
-                assert close(mT(t), mR(t), tol=1e-12)
+                assert mT(t) == mR(t)
+            # T_b has the tail traces of T's steps past the cut, moved to 0
+            shifted = so.from_atoms([(p.phase * p.terms[0].coeff, p.hi - p.lo)
+                                     for p in b.segs])
+            for s in np.geomspace(0.01, 10.0, 40):
+                assert close(b.tail(s), so.band_trace(shifted, "tail", s=s),
+                             tol=1e-12)
 
 
 class TestReIm:
