@@ -85,15 +85,15 @@ def dyadic_grid(lo_oct, hi_oct, ppo=GRID_PPO):
     return [2.0 ** (j / ppo) for j in range(lo_oct * ppo, hi_oct * ppo + 1)]
 
 
-def head_values(T, K=GRID_K, ppo=GRID_PPO):
-    """(r, tau(T E[0, mu_r])) over the dyadic grid in (0, 1]."""
+def head_values(T):
+    """(r, tau(T E[0, mu_r])) over the decision grid in [2^-GRID_K, 1]."""
     return [(r, so.band_trace(T, "head", r=r))
-            for r in dyadic_grid(-K, 0, ppo)]
+            for r in dyadic_grid(-GRID_K, 0)]
 
 
-def tail_values(T_b, K=GRID_K, ppo=GRID_PPO):
-    """(s, tau(T_b E(mu_s, oo))) over the dyadic grid in [1, oo)."""
-    return [(s, T_b.tail(s)) for s in dyadic_grid(0, K, ppo)]
+def tail_values(T_b):
+    """(s, tau(T_b E(mu_s, oo))) over the decision grid in [1, 2^GRID_K]."""
+    return [(s, T_b.tail(s)) for s in dyadic_grid(0, GRID_K)]
 
 
 @dataclass(frozen=True)
@@ -220,26 +220,26 @@ def _decide_side(side, samples, module, domain_hi, a, hold):
     return SideResult("inconclusive", h, worst, verdict.reason)
 
 
-def _split_criterion(side, I, a, K=GRID_K, ppo=GRID_PPO):
+def _split_criterion(side, I, a):
     """decide_fs (side "head") or decide_b (side "tail") on a Side."""
     if side.name == "head":
-        pairs, module = head_values(side.part, K, ppo), md.FsPart(I)
+        pairs, module = head_values(side.part), md.FsPart(I)
     else:
-        pairs = [(s, -v) for s, v in tail_values(side.part, K, ppo)]
+        pairs = [(s, -v) for s, v in tail_values(side.part)]
         module = md.BPart(I)
     return _decide_side(side, _clean_samples(pairs, a), module, INF, a,
                         side.name == "tail")
 
 
-def decide_fs(T_fs, I, a=0.0, K=GRID_K, ppo=GRID_PPO):
+def decide_fs(T_fs, I, a=0.0):
     """Existence of h in mu(FsPart(I)) with |a - head(r)| <= r h(r), r < 1."""
-    return _split_criterion(side_facts(T_fs, "head"), I, a, K, ppo)
+    return _split_criterion(side_facts(T_fs, "head"), I, a)
 
 
-def decide_b(T_b, I, a=0.0, K=GRID_K, ppo=GRID_PPO):
+def decide_b(T_b, I, a=0.0):
     """Existence of h in mu(BPart(I)) with |a + tail(s)| <= s h(s), s >= 1,
     for a bounded part T_b or a bounded operator."""
-    return _split_criterion(side_facts(T_b, "tail"), I, a, K, ppo)
+    return _split_criterion(side_facts(T_b, "tail"), I, a)
 
 
 def member_side(Tside, I, side, a=0.0):
@@ -289,7 +289,7 @@ def _side_constant(side, absorbed):
     return "forced", side.limit if side.name == "head" else -side.limit
 
 
-def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
+def member_with_a(T_fs, T_b, I, shared_a=True):
     """Decide via the split criteria with a trace constant a.
 
     shared_a=True is the commutator-space criterion (one a for both
@@ -324,7 +324,7 @@ def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
         a_fs = a_b = (a_fs if fs_status == "forced" else a_b) + 0.0
     sides = []
     for name, side, a in (("fs", fs, a_fs), ("b", b, a_b)):
-        res = _split_criterion(side, I, a, K, ppo)
+        res = _split_criterion(side, I, a)
         if res.answer == "no":
             return not_member({"side": name, "a": a, "r": res.worst[0],
                                "required": res.worst[1],
@@ -344,7 +344,7 @@ def member_with_a(T_fs, T_b, I, shared_a=True, K=GRID_K, ppo=GRID_PPO):
 # top-level membership
 
 
-def member_IIinf(T, I, J, K=GRID_K, ppo=GRID_PPO, _depth=0):
+def member_IIinf(T, I, J):
     """T in [I, J] for the semifinite model (T normal by construction)."""
     if T.factor_type != II_INF:
         raise DomainError("member_IIinf needs the semifinite model")
@@ -369,7 +369,7 @@ def member_IIinf(T, I, J, K=GRID_K, ppo=GRID_PPO, _depth=0):
                       " carpet, so the full-algebra identity applies")
     d = df.limit_at_inf(m)
     if d > 0.0:
-        if not ones_ok or _depth > 0:
+        if not ones_ok:
             return inconclusive("nonvanishing tail but constants undecided")
         cut = so.dist_fun(m, d * (1.0 + 1e-6))
         if cut == 0.0:
@@ -377,18 +377,18 @@ def member_IIinf(T, I, J, K=GRID_K, ppo=GRID_PPO, _depth=0):
                                       h_b=df.const(2.0 * df.value_at_0(m)))
             return member(cert, "flat profile handled by the full-algebra"
                           " identity")
-        dec = member_IIinf(so.truncate(T, cut), I, J, K, ppo, _depth + 1)
+        dec = member_IIinf(so.truncate(T, cut), I, J)  # a finite support
         note = "tail at level %g handled by the full-algebra identity" % d
         return Decision(dec.answer, dec.certificate, dec.obstruction,
                         (dec.notes + "; " + note).strip("; "))
     T_fs, T_b = so.split_fs_b(T)
-    dec = member_with_a(T_fs, T_b, IJ, shared_a=True, K=K, ppo=ppo)
+    dec = member_with_a(T_fs, T_b, IJ, shared_a=True)
     if dec.answer == "member":
-        dec = _attach_block_data(T, dec, K=min(K, 40), ppo=ppo)
+        dec = _attach_block_data(T, dec)
     return dec
 
 
-def member_II1(T, I, J, K=GRID_K, ppo=GRID_PPO):
+def member_II1(T, I, J):
     if T.factor_type != II_1:
         raise DomainError("member_II1 needs the finite model")
     IJ = md.product_module(I, J)
@@ -403,7 +403,7 @@ def member_II1(T, I, J, K=GRID_K, ppo=GRID_PPO):
                            + nec.reason})
     if nec.answer == "inconclusive":
         return inconclusive("mu(T) membership in the product undecided")
-    heads = head_values(T, K, ppo)
+    heads = head_values(T)
     samples = _clean_samples([(r, v) for r, v in heads if r < 1.0], 0.0)
     dec = _side_to_decision(_decide_side(side_facts(T, "head"), samples,
                                          IJ, 1.0, 0.0, True), 0.0, "fs")
@@ -412,7 +412,7 @@ def member_II1(T, I, J, K=GRID_K, ppo=GRID_PPO):
     return replace(dec, certificate=replace(dec.certificate, total_count=12))
 
 
-def member_F_plus(T, I, K=GRID_K, ppo=GRID_PPO):
+def member_F_plus(T, I):
     """T in F + [I, M]: the split criteria with independent constants."""
     m = so.mu(T)
     nec = md.contains(I, m)
@@ -425,8 +425,11 @@ def member_F_plus(T, I, K=GRID_K, ppo=GRID_PPO):
     if md.is_bounded(m) and md.contains(I, df.const(1.0)).answer == "yes":
         return member(WitnessCertificate(h_b=df.const(2.0 * df.value_at_0(m))),
                       "bounded operator against a bounded-carpet module")
+    if md.contains(md.F(), m).answer == "yes":
+        return member(WitnessCertificate(h_fs=df.zero(), h_b=df.zero()),
+                      "T lies in F (bounded with finite support): T = T + 0")
     T_fs, T_b = so.split_fs_b(T)
-    return member_with_a(T_fs, T_b, I, shared_a=False, K=K, ppo=ppo)
+    return member_with_a(T_fs, T_b, I, shared_a=False)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +515,7 @@ def _certificate_table(T, K):
     m = so.mu(T)
     if df.limit_at_inf(m) > 0.0:
         raise DomainError("certificate requires vanishing singular values")
-    edges = [so.dist_fun(m, m(2.0 ** i)) for i in range(-K, K + 1)]
+    edges = [so.edge(m, 2.0 ** i) for i in range(-K, K + 1)]
     cumul = [0.0 + 0.0j]
     for u, w in zip(edges, edges[1:]):
         cumul.append(cumul[-1] + so.integrate_v(T, u, w))
@@ -557,7 +560,7 @@ def _certificate_for(table, h):
         block_bounds=tuple(blocks), total_count=14)
 
 
-def _attach_block_data(T, dec, K=40, ppo=GRID_PPO):
+def _attach_block_data(T, dec, K=40):
     """Certificate data for the first witness scaling 2^j, j < 13, that
     passes; the h-free table of T is built once for all of them."""
     cert = dec.certificate
@@ -576,10 +579,7 @@ def _attach_block_data(T, dec, K=40, ppo=GRID_PPO):
             full = _certificate_for(table, df.scale_fun(h, 2.0 ** j))
         except DomainError:
             continue
-        cert2 = WitnessCertificate(
-            a=cert.a, h_fs=cert.h_fs, h_b=cert.h_b, alpha=full.alpha,
-            beta=full.beta, beta0_interval=full.beta0_interval,
-            phi=full.phi, block_bounds=full.block_bounds, total_count=14)
+        cert2 = replace(full, a=cert.a, h_fs=cert.h_fs, h_b=cert.h_b)
         note = "" if j == 0 else " (witness scaled by 2^%d)" % j
         return Decision("member", cert2, None, dec.notes + note)
     return dec

@@ -541,6 +541,11 @@ def _term_integral(tm, lo, hi, p):
         if g == 1.0:
             return cc * (math.log(hi) - math.log(lo))
         e = 1.0 - g
+        if abs(e) < 2.0 ** -7 and lo > 0.0:
+            # hi^e - lo^e cancels for g near 1; lo^e (e^(e L) - 1) does not
+            r = hi / lo
+            L = math.log(r) if r < INF else math.log(hi) - math.log(lo)
+            return cc * lo ** e * math.expm1(e * L) / e
         hi_part = 0.0 if (hi == INF and e < 0.0) else hi ** e
         return cc * (hi_part - lo ** e) / e
     if g == 1.0:

@@ -7,12 +7,13 @@ give the modulus and the phase field the unimodular factor on the segment.
 
 NormalOp.segs is sorted by lo and its segments do not overlap; make_op,
 scale_op and adjoint keep this, and building the profile rejects overlaps
-before any band query runs.  Band queries rely on it: dist_fun bisects
-the level table of the profile (decfun.Levels) and integrate_v the
-segment-integral table of the operator (SegIntegrals).  Both tables are
-filled lazily, only as far as the queries reach, so every answer is the
-float a scan over all segments from the left gives, and a segment whose
-integral diverges or raises fails exactly where that scan would.
+before any band query runs.  Band queries rely on it: edge reads a band
+edge at a scale exactly off the segment there, dist_fun bisects the
+level table of the profile (decfun.Levels) for a level, and integrate_v
+the segment-integral table of the operator (SegIntegrals).  Both tables
+are filled lazily, only as far as the queries reach, so every answer is
+the float a scan over all segments from the left gives, and a segment
+whose integral diverges or raises fails exactly where that scan would.
 
 split_fs_b cuts T at D(mu_1(T)) into T truncated there and T read past
 the cut (BoundedPart), whose band queries are exact band queries on T:
@@ -195,6 +196,24 @@ def dist_fun(f, x, closed=False):
     return D
 
 
+def edge(f, t):
+    """D(f(t)), the band edge at scale t > 0: t inside a non-constant (so
+    strictly decreasing) segment, the lo of a constant one that the level
+    table puts first at its value, the support end past the domain; else
+    (a segment start, a junction rising within rtol) dist_fun(f, f(t))."""
+    if not 0.0 < t < f.domain_hi:
+        return dist_fun(f, 0.0) if t >= f.domain_hi else f(t)  # t <= 0 raises
+    i = bisect.bisect_right(f.breaks, t) - 1
+    seg = f.segs[i]
+    if seg.is_const():
+        k, D = f.levels.first_below(seg.const_value(), False)
+        if k == i:
+            return D
+    elif seg.lo < t:
+        return t
+    return dist_fun(f, f(t))
+
+
 def _level_cross(seg, hi, x):
     """First t in [lo, hi) with seg value <= x (segment is nonincreasing)."""
     from scipy import optimize
@@ -277,17 +296,13 @@ def band_trace(T, mode, r=None, s=None, a=None, b=None):
     if mode == "by_scale":
         if not (0 < r < s):
             raise DomainError("need 0 < r < s")
-        u = dist_fun(m, m(min(r, T.domain_hi * (1 - 1e-15))))
-        wv = m(s) if s < T.domain_hi else 0.0
-        w = dist_fun(m, wv)
-        return integrate_v(T, u, w)
+        return integrate_v(T, edge(m, r), edge(m, s))
     if mode == "by_modulus":
         if not (0 <= a < b):
             raise DomainError("need 0 <= a < b")
         return integrate_v(T, dist_fun(m, b), dist_fun(m, a))
     if mode == "head":
-        u = dist_fun(m, m(min(r, T.domain_hi * (1 - 1e-15))))
-        return integrate_v(T, u, T.domain_hi)
+        return integrate_v(T, edge(m, r), T.domain_hi)
     if mode == "tail":
         return BoundedPart(T, 0.0).tail(s)
     raise ValueError("unknown mode %r" % mode)
@@ -373,9 +388,7 @@ class BoundedPart:
     def tail(self, s):
         """tau(T_b E(mu_s(T_b), oo)): v over (cut, D(mu_{cut + s}(T)))."""
         T, cut = self.T, self.cut
-        m = mu(T)
-        wv = m(cut + s) if cut + s < T.domain_hi else 0.0
-        return integrate_v(T, cut, max(cut, dist_fun(m, wv)))
+        return integrate_v(T, cut, max(cut, edge(mu(T), cut + s)))
 
 
 def truncate(T, cut):
@@ -392,8 +405,7 @@ def split_fs_b(T):
     read past the cut (BoundedPart)."""
     if T.factor_type != II_INF:
         raise DomainError("split_fs_b needs the semifinite model")
-    m = mu(T)
-    cut = dist_fun(m, m(1.0))
+    cut = edge(mu(T), 1.0)
     return truncate(T, cut), BoundedPart(T, cut)
 
 

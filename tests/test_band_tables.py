@@ -2,7 +2,8 @@
 
 specop.dist_fun and specop.integrate_v bisect over tables kept on the
 profile and on the operator.  The linear scans below are the definitions
-they replace; every answer must equal the scan's bit for bit.
+they replace; every answer must equal the scan's bit for bit.  A band edge
+at a scale, specop.edge, is the level query at the profile's own value.
 """
 
 import cmath
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from commcalc import cli
 from commcalc import commutator as cm
 from commcalc import decfun as df
 from commcalc import specop as so
@@ -225,6 +227,73 @@ def test_divergent_head_fails_where_the_scan_fails():
         assert outcome(so.integrate_v, T, u, w) == outcome(scan_integrate_v,
                                                            T, u, w)
     assert outcome(so.integrate_v, T, -1.0, 2.0) is ValueError
+
+
+# ---------------------------------------------------------------------------
+# band edges at a scale, read off the segment
+
+
+def scale_points(m, data):
+    """Each segment's start, a point drawn inside it, and points at and
+    past the end of the domain."""
+    points = {m.domain_hi, 4.0 * m.domain_hi}
+    for seg in m.segs:
+        top = seg.hi if seg.hi < m.domain_hi else seg.lo + 100.0
+        if seg.lo > 0.0:
+            points.add(seg.lo)
+        frac = data.draw(st.floats(1e-6, 1.0 - 1e-6))
+        points.add(seg.lo + frac * (top - seg.lo))
+    return sorted(points)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), factor_type=st.sampled_from([so.II_INF, so.II_1]))
+def test_edge_is_the_level_query_at_its_own_level(data, factor_type):
+    """edge(m, t) is dist_fun(m, m(t)) bit for bit on constant and zero
+    segments and past the domain, and t itself inside a non-constant
+    segment, where dist_fun finds t to its brentq tolerance."""
+    domain_hi = 1.0 if factor_type == so.II_1 else INF
+    try:
+        T = so.make_op(data.draw(profile_segs(domain_hi)), factor_type)
+    except DomainError:
+        assume(False)
+    m = so.mu(T)
+    for t in scale_points(m, data):
+        if t >= domain_hi:
+            assert outcome(so.edge, m, t) == outcome(so.dist_fun, m, 0.0)
+            continue
+        seg = m.seg_at(t)
+        if seg.is_const() or seg.lo == t:
+            assert outcome(so.edge, m, t) == outcome(
+                lambda: so.dist_fun(m, m(t)))
+        else:
+            assert so.edge(m, t) == t
+            assert abs(so.dist_fun(m, m(t)) - t) <= 1e-12 * t
+
+
+def test_edge_refuses_a_scale_outside_the_domain():
+    m = so.mu(so.make_op(ROADMAP_OP))
+    for t in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            so.edge(m, t)
+
+
+def test_golden_table_solves_no_level_crossing(monkeypatch):
+    # every band of the decisions and certificates is at a scale, so no
+    # edge goes through _level_cross's brentq (989 calls when it did)
+    from scipy import optimize
+
+    calls = []
+    brentq = optimize.brentq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "brentq", counted)
+    rows = cli.run_table("all")
+    assert all(r["ok"] for r in rows) and len(rows) == 19
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

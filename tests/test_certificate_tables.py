@@ -85,7 +85,9 @@ def ref_fdh_certificate(T, h, K=40):
         raise DomainError("certificate requires vanishing singular values")
     phi = df.combine(h, m, "sum")
     levels = list(range(-K, K + 1))
-    edges = {i: so.dist_fun(m, m(2.0 ** i)) for i in levels}
+    # the same exact edges as the table: this reference checks the pair
+    # loop, not the edges
+    edges = {i: so.edge(m, 2.0 ** i) for i in levels}
     cumul = {-K: 0.0 + 0.0j}
     for i in levels[:-1]:
         cumul[i + 1] = cumul[i] + so.integrate_v(T, edges[i], edges[i + 1])

@@ -97,6 +97,14 @@ class TestTraceLimit:
             assert (dec.answer, dec.notes) \
                 == ("inconclusive", "trace overflows a float")
 
+    def test_operator_in_F_is_in_F_plus_before_any_trace(self):
+        # F + [I, M] contains F, so the overflowing trace is never asked
+        T = so.from_atoms([(1e308, 1.0), (1e308, 1.0)])
+        dec = cm.member_F_plus(T, md.Lp(1.0))
+        assert (dec.answer, dec.notes) \
+            == ("member",
+                "T lies in F (bounded with finite support): T = T + 0")
+
     def test_cancelling_huge_pair_stays_member(self):
         # int |v| overflows, but tau = 1e308 - 1e308 is exactly 0
         T = so.from_atoms([(1e308, 1.0), (-1e308, 1.0)])

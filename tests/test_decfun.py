@@ -165,6 +165,23 @@ class TestIntegral:
             v = df.integral(f, lo, hi, p=p, log1p=log1p)
         assert abs(v - ref) <= 1e-12 * ref
 
+    NEAR_ONE = [1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-6]
+
+    @pytest.mark.parametrize("g, lo, hi", [
+        (g, lo, hi) for g in NEAR_ONE
+        for lo, hi in [(1.0, 2.0), (1e-3, 0.5), (3.0, 1e5), (2.0, df.INF)]
+        if hi < df.INF or g > 1.0])
+    def test_power_near_one_keeps_full_precision(self, g, lo, hi):
+        # (hi^e - lo^e) / e cancels for e = 1 - g near 0: 2.1e-5 relative
+        # error on (1, 2) at g = 1 + 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            e = 1 - mpmath.mpf(g)
+            top = 0 if hi == df.INF else mpmath.mpf(hi) ** e
+            ref = float((top - mpmath.mpf(lo) ** e) / e)
+        v = df._term_integral(df.Term(1.0, g), lo, hi, 1.0)
+        assert abs(v - ref) <= 1e-15 * ref
+
 
 class TestDominatedBy:
     def test_sqrt_vs_inv(self):
