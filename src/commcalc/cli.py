@@ -298,15 +298,21 @@ def _decision_exit(dec):
     return EXIT_INCONCLUSIVE if dec.answer == "inconclusive" else EXIT_OK
 
 
-def _decide_and_write(args, query, name):
-    """Run the membership query and write its report as name.<ext>."""
+def _decide(run, *args):
+    """run(*args), a decision; its domain and float-range errors are
+    input errors."""
     try:
-        dec = _run_member(query)
+        return run(*args)
     except DomainError as exc:
         raise CliError("query: %s" % exc)
     except OverflowError as exc:
         # a float limit, not a property of the operator
         raise CliError("query.operator: %s" % exc) from None
+
+
+def _decide_and_write(args, query, name):
+    """Run the membership query and write its report as name.<ext>."""
+    dec = _decide(_run_member, query)
     _write(args, name + "." + _EXT[args.format], emit_report(dec, args.format))
     return dec
 
@@ -346,7 +352,7 @@ def cmd_brown(args, query):
     I = _query_field(query, "module_I", sz.module_from_json)
     if I is None:
         return EXIT_OK
-    dec = br.member_F(T, I)
+    dec = _decide(br.member_F, T, I)
     _write(args, "member_F." + ext, emit_report(dec, args.format))
     return _decision_exit(dec)
 
@@ -566,9 +572,12 @@ def build_parser():
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves them all
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.grid < 1 or args.K < 1:
         print("commcalc: --grid and --K must be positive", file=sys.stderr)
         return EXIT_INPUT

@@ -41,6 +41,8 @@ GRID_PPO = 2
 TRACE_TOL = 1e-9
 # c t^-1 log L (L = |log t|) lies below c t^-1 L^EPS / (e EPS) for L > 1
 LOGLOG_EPS = 0.125
+# the constant 1: a module holds it exactly when it holds the bounded carpet
+ONE = df.const(1.0)
 
 
 @dataclass(frozen=True)
@@ -85,15 +87,21 @@ def dyadic_grid(lo_oct, hi_oct, ppo=GRID_PPO):
     return [2.0 ** (j / ppo) for j in range(lo_oct * ppo, hi_oct * ppo + 1)]
 
 
+# the decision grid, built once
+HEAD_GRID = tuple(dyadic_grid(-GRID_K, 0))
+TAIL_GRID = tuple(dyadic_grid(0, GRID_K))
+
+
 def head_values(T):
-    """(r, tau(T E[0, mu_r])) over the decision grid in [2^-GRID_K, 1]."""
+    """(r, tau(T E[0, mu_r])) over the decision grid in [2^-GRID_K, 1],
+    at the points inside T's domain (a II_1 operator stops before 1)."""
     return [(r, so.band_trace(T, "head", r=r))
-            for r in dyadic_grid(-GRID_K, 0)]
+            for r in HEAD_GRID if r < T.domain_hi]
 
 
 def tail_values(T_b):
     """(s, tau(T_b E(mu_s, oo))) over the decision grid in [1, 2^GRID_K]."""
-    return [(s, T_b.tail(s)) for s in dyadic_grid(0, GRID_K)]
+    return [(s, T_b.tail(s)) for s in TAIL_GRID]
 
 
 @dataclass(frozen=True)
@@ -361,7 +369,7 @@ def member_IIinf(T, I, J):
     if nec.answer == "inconclusive":
         return inconclusive("mu(T) membership in the product undecided: "
                             + nec.reason)
-    ones_ok = md.contains(IJ, df.const(1.0)).answer == "yes"
+    ones_ok = md.contains(IJ, ONE).answer == "yes"
     if md.is_bounded(m) and ones_ok:
         cert = WitnessCertificate(h_fs=df.zero(),
                                   h_b=df.const(2.0 * df.value_at_0(m)))
@@ -403,8 +411,7 @@ def member_II1(T, I, J):
                            + nec.reason})
     if nec.answer == "inconclusive":
         return inconclusive("mu(T) membership in the product undecided")
-    heads = head_values(T)
-    samples = _clean_samples([(r, v) for r, v in heads if r < 1.0], 0.0)
+    samples = _clean_samples(head_values(T), 0.0)
     dec = _side_to_decision(_decide_side(side_facts(T, "head"), samples,
                                          IJ, 1.0, 0.0, True), 0.0, "fs")
     if dec.certificate is None:
@@ -422,7 +429,7 @@ def member_F_plus(T, I):
                            + nec.reason})
     if nec.answer == "inconclusive":
         return inconclusive("mu(T) membership undecided")
-    if md.is_bounded(m) and md.contains(I, df.const(1.0)).answer == "yes":
+    if md.is_bounded(m) and md.contains(I, ONE).answer == "yes":
         return member(WitnessCertificate(h_b=df.const(2.0 * df.value_at_0(m))),
                       "bounded operator against a bounded-carpet module")
     if md.contains(md.F(), m).answer == "yes":

@@ -352,17 +352,21 @@ def product_module(I, J):
 # omega tests and structure predicates
 
 
+# the omega functions do not depend on the query: built once, shared
+_OMEGA_FS = {II_INF: df.power_fun(1.0, 1.0, hi=1.0),
+             II_1: df.power_fun(1.0, 1.0, domain_hi=1.0)}
+_OMEGA_B = df.make([Seg(0.0, 1.0, (Term(1.0),)),
+                    Seg(1.0, INF, (Term(1.0, 1.0),))])
+
+
 def omega_fs(factor_type=II_INF):
     """1/t on (0,1), zero after."""
-    if factor_type == II_1:
-        return df.power_fun(1.0, 1.0, domain_hi=1.0)
-    return df.power_fun(1.0, 1.0, hi=1.0)
+    return _OMEGA_FS[factor_type]
 
 
 def omega_b_proxy():
     """min(1, 1/t): within a factor 2 of 1/(1+t), membership-equivalent."""
-    return df.make([Seg(0.0, 1.0, (Term(1.0),)),
-                    Seg(1.0, INF, (Term(1.0, 1.0),))])
+    return _OMEGA_B
 
 
 def omega_tests(I):

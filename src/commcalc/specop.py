@@ -21,6 +21,7 @@ no shifted or discretized copy is built.
 """
 
 import bisect
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -231,13 +232,16 @@ def _level_cross(seg, hi, x):
     b = hi
     if b == INF:
         b = max(a, 1.0) * 2.0
-        while d(b) > 0.0 and b < 2.0 ** 400:
+        while d(b) > 0.0 and b < 2.0 ** 1023:
             b *= 2.0
     else:
         b *= 1 - 1e-14
     if d(a) <= 0.0:
         return a
     if d(b) > 0.0:
+        if hi == INF:
+            raise OverflowError("the level %r is crossed past the float "
+                                "range" % x)
         return b
     return optimize.brentq(d, a, b, xtol=1e-300, rtol=1e-13, maxiter=1000)
 
@@ -309,7 +313,10 @@ def band_trace(T, mode, r=None, s=None, a=None, b=None):
 
 
 def trace(T):
-    return integrate_v(T, 0.0, T.domain_hi)
+    total = integrate_v(T, 0.0, T.domain_hi)
+    if not cmath.isfinite(total):
+        raise OverflowError("the trace overflows a float")
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -231,6 +233,17 @@ class TestFloatOverflow:
         assert err.startswith("commcalc: query.operator: |T| overflows a"
                               " float at t=")
 
+    def test_brown_member_F(self, capsys, tmp_path):
+        # the Brown measure is finite; the L_2 test of mu overflows in
+        # (1e200)^2, so member_F fails after brown.json is written
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1e200),)),
+                        df.Seg(1.0, df.INF, (df.Term(1e200, 1.01),))])
+        path = write_query(tmp_path, operator=sz.op_to_json(T),
+                           module_I=sz.module_to_json(md.Lp(2.0)))
+        code, out, err = run(capsys, ["brown", "--input", path])
+        assert code == 1 and json.loads(out)["type"] == "brown"
+        assert err.startswith("commcalc: query.operator: ")
+
 
 class TestWitness:
     def test_witness_report(self, capsys, tmp_path):
@@ -385,3 +398,36 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_repeated_main_matches_fresh_processes(self, capsysbinary,
+                                                   tmp_path):
+        # one process runs main again and again with mixed flags; each
+        # call writes what the same command writes in a fresh process
+        T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),)),
+                        df.Seg(1.0, df.INF, (df.Term(1.0, 0.6),))])
+        I = md.Sum(md.FsPart(md.Lp(0.5)), md.BPart(md.Lp(2.0)))
+        path = write_query(tmp_path, operator=sz.op_to_json(T),
+                           module_I=sz.module_to_json(I))
+
+        def calls(out):
+            return [["member", "--input", path, "--format", "text",
+                     "--out", str(out)],
+                    ["member", "--input", path],
+                    ["member", "--input", path, "--grid", "0"],
+                    ["member", "--input", path]]
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = []
+        for argv in calls(tmp_path / "fresh")[:3]:
+            proc = subprocess.run([sys.executable, "-m", "commcalc.cli"]
+                                  + argv, capture_output=True, env=env)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [f[0] for f in fresh] == [0, 0, 1]
+        for argv, want in zip(calls(tmp_path / "same"), fresh + fresh[1:2]):
+            code = cli.main(argv)
+            got = capsysbinary.readouterr()
+            assert (code, got.out, got.err) == want
+        assert ((tmp_path / "same" / "member.txt").read_bytes()
+                == (tmp_path / "fresh" / "member.txt").read_bytes())

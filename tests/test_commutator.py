@@ -321,6 +321,26 @@ class TestII1:
         dec2 = cm.member_II1(T, md.Lp(1.0, so.II_1), md.M(so.II_1))
         assert dec2.answer == "not_member"
 
+    def test_bands_stay_inside_the_domain(self, monkeypatch):
+        # the head grid ends at r = 1, the II_1 domain end, which the
+        # criterion never reads: no band is computed there
+        rs = []
+        band_trace = so.band_trace
+
+        def record(T, mode, r=None, **kw):
+            rs.append(r)
+            return band_trace(T, mode, r=r, **kw)
+
+        monkeypatch.setattr(so, "band_trace", record)
+        for T, I in [
+                (so.from_atoms([(1.0, 0.5), (-1.0, 0.5)], so.II_1),
+                 md.M(so.II_1)),
+                (so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),))],
+                            so.II_1), md.Lp(0.5, so.II_1))]:
+            assert cm.member_II1(T, I, md.M(so.II_1)).answer == "member"
+        assert len(rs) == 2 * (len(cm.HEAD_GRID) - 1)
+        assert all(r < 1.0 for r in rs)
+
 
 class TestBetaSequence:
     def phi(self):

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from commcalc import decfun as df
 from commcalc import modules as md
+from commcalc.specop import II_1
 
 
 def fs_sqrt():
@@ -22,6 +23,18 @@ class TestContainsBasics:
         assert md.contains(md.Lp(2.0), w).answer == "yes"
         assert md.contains(md.Lp(1.0), w).answer == "no"
         assert md.contains(md.Lp(0.5), w).answer == "no"
+
+    def test_omega_functions_are_shared_constants(self):
+        assert md.omega_fs() is md.omega_fs()
+        assert md.omega_fs(II_1) is md.omega_fs(II_1)
+        assert md.omega_b_proxy() is md.omega_b_proxy()
+        assert md.omega_fs().segs == df.power_fun(1.0, 1.0, hi=1.0).segs
+        assert md.omega_fs(II_1).segs == df.power_fun(
+            1.0, 1.0, domain_hi=1.0).segs
+        assert md.omega_fs(II_1).domain_hi == 1.0
+        assert md.omega_b_proxy().segs == df.make(
+            [df.Seg(0.0, 1.0, (df.Term(1.0),)),
+             df.Seg(1.0, df.INF, (df.Term(1.0, 1.0),))]).segs
 
     def test_zero_everywhere(self):
         z = df.zero()

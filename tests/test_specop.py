@@ -82,6 +82,14 @@ class TestDistribution:
         T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1.0, 0.5),))])
         assert close(so.distribution(T, 2.0), 0.25)
 
+    def test_level_far_out_in_the_tail(self):
+        # t^-1/4 on (0, oo) crosses the level m(1e300) at t = 1e300, near
+        # the float range; a level below m(2^1023) has no float crossing
+        T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0, 0.25),))])
+        assert close(so.distribution(T, so.mu(T)(1e300)), 1e300, tol=1e-12)
+        with pytest.raises(OverflowError):
+            so.distribution(T, 1e-300)
+
     def test_duality(self):
         # measure{mu > mu_t} <= t and mu at the distribution level <= x
         rng = np.random.default_rng(1)
@@ -98,6 +106,12 @@ class TestDistribution:
 
 
 class TestBandTrace:
+    def test_trace_overflow_raises(self):
+        # 1e308 + 1e308 passes the float range: no (inf+0j) trace
+        T = so.from_atoms([(1e308, 1.0), (1e308, 1.0)])
+        with pytest.raises(OverflowError):
+            so.trace(T)
+
     def test_atom_band(self):
         T = so.from_atoms([(3.0, 1.0), (2j, 2.0)])
         v = so.band_trace(T, "by_modulus", a=1.0, b=3.0)
