@@ -97,18 +97,16 @@ def phi_of(T):
 # spectral measure of the normal model
 
 
-def brown_of_normal(T, ppo=BROWN_PPO):
+def brown_of_normal(T):
     """Pushforward of the scale measure under the profile.
 
     Constant segments give exact atoms; other segments are chopped into
-    log-spaced chunks (ppo per octave, DEPTH_OCTAVES deep) with the value
-    taken at the geometric midpoint; chunk masses are exact.  Mass sitting
-    at 0 is omitted.
+    log-spaced chunks (BROWN_PPO per octave, DEPTH_OCTAVES deep) with the
+    value taken at the geometric midpoint; chunk masses are exact.  Mass
+    sitting at 0 is omitted.
     """
     atoms = []
     for seg in T.segs:
-        if seg.is_zero():
-            continue
         if seg.is_const():
             if seg.hi == INF:
                 raise DomainError(
@@ -123,7 +121,7 @@ def brown_of_normal(T, ppo=BROWN_PPO):
         cuts = [hi]
         t = hi
         while t > lo_floor * (1.0 + 1e-12):
-            t *= 2.0 ** (-1.0 / ppo)
+            t *= 2.0 ** (-1.0 / BROWN_PPO)
             cuts.append(max(t, lo_floor))
         cuts.reverse()
         if seg.lo < lo_floor:
@@ -204,8 +202,6 @@ def fk_det(T, mode="I+T", k=1, w=1.0):
             raise DomainError("log-determinant integral diverges at infinity")
     total = 0.0
     for seg in T.segs:
-        if seg.is_zero():
-            continue
         if seg.hi == INF:
             hi = max(seg.lo * 2.0, 1.0) * 2.0 ** DEPTH_OCTAVES
         else:

@@ -18,6 +18,7 @@ INF = math.inf
 
 # segments carrying a log factor must keep |log(t/scale)| >= LOG_GUARD
 LOG_GUARD = 1.0
+MONOTONE_RTOL = 1e-9  # a rise _check_monotone forgives as float noise
 
 
 class DomainError(ValueError):
@@ -49,7 +50,7 @@ class Seg:
     """Segment [lo, hi) carrying the sum of its terms.
 
     phase is the unimodular factor of an operator segment (see specop);
-    profiles never read it, and make() rebuilds every segment with phase 1.
+    profiles never read it, and tile() gives every profile segment phase 1.
     """
 
     lo: float
@@ -136,10 +137,9 @@ class Levels:
     end (clipped to the domain) and the running minimum of the right
     limits, negated so that it ascends.  The first segment not above x is
     the first index at which the running minimum fails the same test, even
-    where right limits rise within the rtol of _check_monotone.  The table
-    grows only as far as the queries reach, so no segment is evaluated
-    that a scan from the left would not evaluate, and it stops at a NaN
-    limit.
+    where right limits rise within MONOTONE_RTOL.  The table grows only as
+    far as the queries reach, so no segment is evaluated that a scan from
+    the left would not evaluate, and it stops at a NaN limit.
     """
 
     def __init__(self, segs, domain_hi):
@@ -183,30 +183,35 @@ class Levels:
 
 def make(segs, domain_hi=INF, validate=True):
     """Normalize a segment list into a PLFun covering (0, domain_hi)."""
-    cleaned = []
-    for seg in sorted(segs, key=lambda s: s.lo):
-        if seg.hi <= seg.lo:
-            continue
-        terms = _merge_terms(seg.terms)
-        cleaned.append(Seg(seg.lo, seg.hi, terms))
-    if not cleaned or cleaned[0].lo > 0.0:
-        cleaned.insert(0, Seg(0.0, cleaned[0].lo if cleaned else domain_hi, ()))
-    # fill gaps with zero, check overlap
+    return tile(normalize(segs), domain_hi, validate)
+
+
+def normalize(segs):
+    """Sorted by lo, empty intervals dropped, each segment's terms merged
+    and its phase kept: the pass that specop.make_op shares."""
+    return [Seg(seg.lo, seg.hi, _merge_terms(seg.terms), seg.phase)
+            for seg in sorted(segs, key=lambda s: s.lo)
+            if not seg.hi <= seg.lo]
+
+
+def tile(segs, domain_hi=INF, validate=True):
+    """PLFun of normalized segments: gaps zero-filled, adjacent identical
+    segments merged, phases set to 1 (a float phase 1.0 is kept as is)."""
     out = []
     cursor = 0.0
-    for seg in cleaned:
+    for seg in segs:
         if seg.lo > cursor:
             out.append(Seg(cursor, seg.lo, ()))
         elif seg.lo < cursor:
             raise DomainError("overlapping segments at %g" % seg.lo)
-        out.append(seg)
+        out.append(seg if type(seg.phase) is float and seg.phase == 1.0
+                   else Seg(seg.lo, seg.hi, seg.terms))
         cursor = seg.hi
     if cursor < domain_hi:
         out.append(Seg(cursor, domain_hi, ()))
     elif cursor > domain_hi:
         raise DomainError("segments exceed domain end %g" % domain_hi)
-    # merge adjacent identical
-    merged = [out[0]]
+    merged = out[:1]
     for seg in out[1:]:
         prev = merged[-1]
         if seg.terms == prev.terms:
@@ -244,7 +249,7 @@ def _value_or_inf(seg, t):
         return INF
 
 
-def _check_monotone(f, rtol=1e-9):
+def _check_monotone(f):
     prev = INF
     for seg in f.segs:
         hi = min(seg.hi, f.domain_hi)
@@ -255,14 +260,14 @@ def _check_monotone(f, rtol=1e-9):
                 # prev, the others with v itself (fails when v < 0)
                 v = seg.value(ends[0])
                 for i, ref in enumerate((prev, v)):
-                    if v > ref * (1 + rtol) + 1e-300:
+                    if v > ref * (1 + MONOTONE_RTOL) + 1e-300:
                         raise DomainError("not nonincreasing near t=%g"
                                           % _probe_points(seg.lo, hi)[i])
                 prev = v
         else:
             for t in _probe_points(seg.lo, hi):
                 v = _value_or_inf(seg, t)
-                if v > prev * (1 + rtol) + 1e-300:
+                if v > prev * (1 + MONOTONE_RTOL) + 1e-300:
                     raise DomainError("not nonincreasing near t=%g" % t)
                 prev = v
         # junction: compare right limit of next seg against left value here
@@ -638,7 +643,8 @@ def diverges(f, a, b, p=1.0, log1p=False):
 
 
 def integral(f, a, b, p=1.0, log1p=False):
-    """Integral of f^p (or log(1+f)) over (a, b); +inf detected symbolically."""
+    """Integral of f^p (or log(1+f)) over (a, b); +inf where it diverges
+    (detected symbolically) or passes the float range."""
     if not (0.0 <= a < b <= INF):
         raise DomainError("bad interval")
     b = min(b, f.domain_hi)
@@ -649,7 +655,10 @@ def integral(f, a, b, p=1.0, log1p=False):
         lo, hi = max(seg.lo, a), min(seg.hi, b)
         if hi <= lo or seg.is_zero():
             continue
-        total += _seg_integral(seg.terms, lo, hi, p, log1p)
+        try:
+            total += _seg_integral(seg.terms, lo, hi, p, log1p)
+        except OverflowError:
+            return INF
     return total
 
 
@@ -657,7 +666,7 @@ def integral(f, a, b, p=1.0, log1p=False):
 # domination
 
 
-def dominated_by(f, g, probe=33):
+def dominated_by(f, g):
     """Least C with f <= C*g pointwise, or None when no finite C exists."""
     if f.domain_hi != g.domain_hi:
         raise DomainError("mixed domains")
@@ -689,7 +698,7 @@ def dominated_by(f, g, probe=33):
             den = sum(tm.value(t) for tm in tg)
             return num / den
 
-        pts = _probe_points(lo, hi, n=probe)
+        pts = _probe_points(lo, hi, n=33)
         vals = [ratio(t) for t in pts]
         imax = int(np.argmax(vals))
         best = max(best, vals[imax])

@@ -86,19 +86,19 @@ def _group_records(data, path, fields):
 
 
 def _term_of(rec, p):
-    return df.Term(_num(rec["coeff"], p + ".coeff"),
-                   _num(rec.get("pow", 0.0), p + ".pow"),
-                   _num(rec.get("logpow", 0.0), p + ".logpow"),
-                   _num(rec.get("logscale", 1.0), p + ".logscale"))
+    tm = df.Term(_num(rec["coeff"], p + ".coeff"),
+                 _num(rec.get("pow", 0.0), p + ".pow"),
+                 _num(rec.get("logpow", 0.0), p + ".logpow"),
+                 _num(rec.get("logscale", 1.0), p + ".logscale"))
+    if tm.scale <= 0.0:
+        raise SchemaError(p + ".logscale", "expected a positive number")
+    return tm
 
 
 def plfun_from_json(data, domain_hi=INF, path="plfun"):
     groups = _group_records(data, path, ((), ("pow", "logpow", "logscale")))
-    segs = []
-    for (lo, hi), recs in groups:
-        terms = tuple(_term_of(rec, p) for p, rec in recs
-                      if rec["coeff"] != 0.0)
-        segs.append(df.Seg(lo, hi, terms))
+    segs = [df.Seg(lo, hi, tuple(_term_of(rec, p) for p, rec in recs))
+            for (lo, hi), recs in groups]
     try:
         return df.make(segs, domain_hi)
     except df.DomainError as exc:
@@ -145,10 +145,7 @@ def op_from_json(obj, path="operator"):
             if other != phase:
                 raise SchemaError(p + ".phase_re",
                                   "phase differs within one segment")
-        terms = tuple(_term_of(rec, p) for p, rec in recs
-                      if rec["coeff"] != 0.0)
-        if not terms:
-            continue
+        terms = tuple(_term_of(rec, p) for p, rec in recs)
         segs.append(df.Seg(lo, hi, terms, phase))
     try:
         return so.make_op(segs, ft)

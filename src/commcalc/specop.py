@@ -5,15 +5,16 @@ with the modulus globally nonincreasing so that the singular-number
 function is the modulus itself.  Its segments are decfun.Seg: the terms
 give the modulus and the phase field the unimodular factor on the segment.
 
-NormalOp.segs is sorted by lo and its segments do not overlap; make_op,
-scale_op and adjoint keep this, and building the profile rejects overlaps
-before any band query runs.  Band queries rely on it: edge reads a band
-edge at a scale exactly off the segment there, dist_fun bisects the
-level table of the profile (decfun.Levels) for a level, and integrate_v
-the segment-integral table of the operator (SegIntegrals).  Both tables
-are filled lazily, only as far as the queries reach, so every answer is
-the float a scan over all segments from the left gives, and a segment
-whose integral diverges or raises fails exactly where that scan would.
+NormalOp.segs are sorted by lo, nonempty, with merged terms (NormalOp
+names the constructors that keep this); the profile tiles them as they
+are and rejects overlaps before any band query runs.  Band queries rely
+on this: edge reads a band edge at a scale exactly off the segment there,
+dist_fun bisects the level table of the profile (decfun.Levels) for a
+level, and integrate_v the segment-integral table of the operator
+(SegIntegrals).  Both tables are filled lazily, only as far as the
+queries reach, so every answer is the float a scan over all segments
+from the left gives, and a segment whose integral diverges or raises
+fails exactly where that scan would.
 
 split_fs_b cuts T at D(mu_1(T)) into T truncated there and T read past
 the cut (BoundedPart), whose band queries are exact band queries on T:
@@ -37,6 +38,9 @@ II_1 = "II_1"
 
 @dataclass(frozen=True)
 class NormalOp:
+    """Multiplication by v on (0, domain_hi).  segs come out of
+    decfun.normalize less the segments without terms (make_op, scale_op),
+    or are T's own with only the phase changed (adjoint)."""
     factor_type: str
     segs: tuple
 
@@ -47,7 +51,7 @@ class NormalOp:
     @functools.cached_property
     def profile(self):
         """Singular-number function as a PLFun, built on first use."""
-        return df.make(self.segs, self.domain_hi)
+        return df.tile(self.segs, self.domain_hi)
 
     @functools.cached_property
     def integrals(self):
@@ -79,7 +83,7 @@ class NormalOp:
         return 0.0
 
     def is_zero(self):
-        return all(s.is_zero() for s in self.segs)
+        return not self.segs
 
 
 class SegIntegrals:
@@ -87,7 +91,7 @@ class SegIntegrals:
 
     whole(k) is the integral over segment k, computed on first use.
     prefix[k] is the sum of whole(0..k-1) added left to right, as a scan
-    adds them; empty segments add nothing.
+    adds them.
     """
 
     def __init__(self, segs):
@@ -110,25 +114,19 @@ class SegIntegrals:
         p = self.prefix
         while len(p) <= k:
             i = len(p) - 1
-            seg = self.segs[i]
-            p.append(p[i] + self.whole(i) if seg.lo < seg.hi else p[i])
+            p.append(p[i] + self.whole(i))
         return p[k]
 
 
 def make_op(segs, factor_type=II_INF, validate=True):
-    domain_hi = 1.0 if factor_type == II_1 else INF
     cleaned = []
-    for seg in sorted(segs, key=lambda s: s.lo):
-        if seg.hi <= seg.lo:
+    for seg in df.normalize(segs):
+        if not seg.terms:
             continue
-        terms = df._merge_terms(seg.terms)
-        if not terms:
-            continue
-        phase = seg.phase
-        if validate and abs(abs(phase) - 1.0) > 1e-12:
-            raise DomainError("phase %r is not unimodular" % (phase,))
-        phase = phase / abs(phase)
-        cleaned.append(Seg(seg.lo, seg.hi, terms, phase))
+        if validate and abs(abs(seg.phase) - 1.0) > 1e-12:
+            raise DomainError("phase %r is not unimodular" % (seg.phase,))
+        cleaned.append(Seg(seg.lo, seg.hi, seg.terms,
+                           seg.phase / abs(seg.phase)))
     op = NormalOp(factor_type, tuple(cleaned))
     if validate:
         mu(op)  # builds and keeps the profile; checks tiling and monotonicity
@@ -323,8 +321,8 @@ def trace(T):
 # structural operations
 
 
-def _discretize_seg(seg, ppo=16):
-    """Replace a non-constant segment by left-endpoint steps (a majorant)."""
+def _discretize_seg(seg):
+    """Left-endpoint steps, 16 per octave, majorizing a segment."""
     if seg.is_const():
         return [seg]
     lo = seg.lo
@@ -333,7 +331,7 @@ def _discretize_seg(seg, ppo=16):
         lo = min(hi, 1.0) * 2.0 ** -60
     if hi == INF:
         hi = max(lo, 1.0) * 2.0 ** 60
-    n = max(2, int(math.ceil(math.log2(hi / lo) * ppo)) + 1)
+    n = max(2, int(math.ceil(math.log2(hi / lo) * 16)) + 1)
     cuts = list(np.geomspace(lo, hi, n))
     cuts[0], cuts[-1] = seg.lo, seg.hi
     out = []
@@ -344,13 +342,13 @@ def _discretize_seg(seg, ppo=16):
     return out
 
 
-def oplus(S, T, ppo=16):
+def oplus(S, T):
     """Direct sum: decreasing rearrangement of the disjoint union."""
     if S.factor_type != T.factor_type:
         raise DomainError("mixed factor types")
     atoms = [(p.phase * sum(tm.coeff for tm in p.terms), p.hi - p.lo)
              for op in (S, T) for seg in op.segs
-             for p in _discretize_seg(seg, ppo)]
+             for p in _discretize_seg(seg)]
     # the ambient semifinite model hosts both summands
     return from_atoms(atoms, II_INF) if atoms else zero_op(II_INF)
 
@@ -360,12 +358,12 @@ def scale_op(T, alpha):
         return zero_op(T.factor_type)
     m = abs(alpha)
     ph = alpha / m
-    segs = [
-        replace(s, phase=s.phase * ph,
-                terms=tuple(replace(tm, coeff=tm.coeff * m) for tm in s.terms))
-        for s in T.segs
-    ]
-    return NormalOp(T.factor_type, tuple(segs))
+    segs = [Seg(s.lo, s.hi, tuple(replace(tm, coeff=tm.coeff * m)
+                                  for tm in s.terms), s.phase * ph)
+            for s in T.segs]
+    # a coefficient that underflows to 0.0 is dropped, as in the profile
+    return NormalOp(T.factor_type,
+                    tuple(s for s in df.normalize(segs) if s.terms))
 
 
 def adjoint(T):
@@ -416,7 +414,7 @@ def split_fs_b(T):
     return truncate(T, cut), BoundedPart(T, cut)
 
 
-def re_im(T, ppo=16):
+def re_im(T):
     """Profiles of the real and imaginary parts (phases +-1)."""
     parts = []
     for pick in (lambda z: z.real, lambda z: z.imag):
@@ -425,7 +423,7 @@ def re_im(T, ppo=16):
             coef = pick(seg.phase)
             if coef == 0.0:
                 continue
-            for p in _discretize_seg(seg, ppo):
+            for p in _discretize_seg(seg):
                 v = abs(coef) * sum(tm.coeff for tm in p.terms)
                 if v:
                     atoms.append((math.copysign(1.0, coef) * v, p.hi - p.lo))

@@ -63,6 +63,38 @@ class TestInputErrors:
         assert code == 1
         assert "query.operator.segments[0].coeff" in err
 
+    @pytest.mark.parametrize("logscale", [0, -1])
+    def test_nonpositive_operator_logscale(self, capsys, tmp_path, logscale):
+        op = sz.op_to_json(pair_op())
+        op["segments"][0].update(pow=0.5, logpow=1.0, logscale=logscale)
+        path = write_query(tmp_path, operator=op,
+                           module_I=sz.module_to_json(md.F()))
+        code, out, err = run(capsys, ["member", "--input", path])
+        assert code == 1 and out == ""
+        assert err.startswith(
+            "commcalc: query.operator.segments[0].logscale:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_nonpositive_generator_logscale(self, capsys, tmp_path):
+        gen = [{"lo": 0.0, "hi": 0.5, "coeff": 1.0, "pow": 1.0,
+                "logpow": 2.0, "logscale": -2.0}]
+        path = write_query(tmp_path, operator=sz.op_to_json(pair_op()),
+                           module_I={"kind": "Principal", "gen": gen})
+        code, out, err = run(capsys, ["member", "--input", path])
+        assert code == 1 and out == ""
+        assert err.startswith("commcalc: query.module_I.gen[0].logscale:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_zero_coefficient_record_is_validated(self, capsys, tmp_path):
+        op = sz.op_to_json(pair_op())
+        op["segments"].append({"lo": 5.0, "hi": 6.0, "phase_re": 1.0,
+                               "phase_im": 0.0, "coeff": 0, "pow": "x"})
+        path = write_query(tmp_path, operator=op,
+                           module_I=sz.module_to_json(md.F()))
+        code, out, err = run(capsys, ["member", "--input", path])
+        assert code == 1 and out == ""
+        assert "query.operator.segments[2].pow" in err
+
     def test_bad_tol_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COMMCALC_TOL", "zero")
         path = write_query(tmp_path, suite="snumb", dims=[2], trials=1)
@@ -233,16 +265,28 @@ class TestFloatOverflow:
         assert err.startswith("commcalc: query.operator: |T| overflows a"
                               " float at t=")
 
-    def test_brown_member_F(self, capsys, tmp_path):
-        # the Brown measure is finite; the L_2 test of mu overflows in
-        # (1e200)^2, so member_F fails after brown.json is written
+    def big_L2_query(self, tmp_path):
+        # the L_2 integral of mu overflows in (1e200)^2 but is finite
         T = so.make_op([df.Seg(0.0, 1.0, (df.Term(1e200),)),
                         df.Seg(1.0, df.INF, (df.Term(1e200, 1.01),))])
-        path = write_query(tmp_path, operator=sz.op_to_json(T),
+        return write_query(tmp_path, operator=sz.op_to_json(T),
                            module_I=sz.module_to_json(md.Lp(2.0)))
-        code, out, err = run(capsys, ["brown", "--input", path])
-        assert code == 1 and json.loads(out)["type"] == "brown"
-        assert err.startswith("commcalc: query.operator: ")
+
+    def test_brown_member_F(self, capsys, tmp_path):
+        outdir = tmp_path / "b"
+        code, _, err = run(capsys, ["brown", "--input",
+                                    self.big_L2_query(tmp_path),
+                                    "--out", str(outdir)])
+        assert code == 0 and err == ""
+        assert json.loads((outdir / "brown.json").read_text())["brown"]
+        dec = json.loads((outdir / "member_F.json").read_text())["decision"]
+        assert dec["answer"] == "member"
+
+    def test_member_of_an_overflowing_L2_integral(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["member", "--input",
+                                      self.big_L2_query(tmp_path)])
+        assert code == 0 and err == ""
+        assert json.loads(out)["decision"]["answer"] == "member"
 
 
 class TestWitness:

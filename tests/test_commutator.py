@@ -169,7 +169,10 @@ def test_tail_limit_against_closed_form_and_long_grid(c, d, lift, end, p, q,
         """The integral of t^-d over (1, x)."""
         if d == 1.0:
             return math.log(x)
-        return ((0.0 if x == df.INF else x ** (1.0 - d)) - 1.0) / (1.0 - d)
+        if x == df.INF:
+            return 1.0 / (d - 1.0)
+        # expm1: x^(1 - d) - 1 cancels for d near 1
+        return math.expm1((1.0 - d) * math.log(x)) / (1.0 - d)
 
     assert status == "converged"
     if head == "flat":

@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+from commcalc import brown as br
 from commcalc import cli
 from commcalc import commutator as cm
 from commcalc import decfun as df
@@ -309,6 +310,18 @@ def test_overflowing_L1_integral_is_finite():
     assert "forced constants disagree" in dec.obstruction["reason"]
     # bounded with finite support, so T lies in F
     assert cm.member_F_plus(T, md.Lp(1.0)).answer == "member"
+
+
+def test_overflowing_L2_integral_is_finite():
+    # 1e200 on (0, 1), then 1e200 t^-1.01: (1e200)^2 passes the float range
+    T = so.make_op([Seg(0.0, 1.0, (Term(1e200),)),
+                    Seg(1.0, INF, (Term(1e200, 1.01),))])
+    v = md.contains(md.Lp(2.0), so.mu(T))
+    assert v.answer == "yes" and v.reason == "L_2 integral overflows a float"
+    assert df.integral(so.mu(T), 0.0, INF, 2.0) == INF
+    assert not df.diverges(so.mu(T), 0.0, INF, 2.0)
+    assert cm.member_IIinf(T, md.Lp(2.0), md.M()).answer == "member"
+    assert br.member_F(T, md.Lp(2.0)).answer == "member"
 
 
 def test_member_report_of_an_overflowing_integral(tmp_path, capsys):

@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from commcalc import decfun as df
 from commcalc import specop as so
+from commcalc.decfun import INF, DomainError, Seg, Term
 
 
 def close(a, b, tol=1e-9):
@@ -298,3 +301,162 @@ class TestSubadditivity:
             for s, t in [(0.1, 0.2), (0.5, 1.0), (1.0, 2.5)]:
                 assert msum(s + t) <= mS(s) + mT(t) + 1e-9
                 assert mprod(s + t) <= mS(s) * mT(t) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one normalizing pass per operator
+
+
+def reference_make(segs, domain_hi=INF):
+    """decfun.make before its split into normalize and tile, unvalidated."""
+    cleaned = []
+    for seg in sorted(segs, key=lambda s: s.lo):
+        if seg.hi <= seg.lo:
+            continue
+        cleaned.append(Seg(seg.lo, seg.hi, df._merge_terms(seg.terms)))
+    if not cleaned or cleaned[0].lo > 0.0:
+        cleaned.insert(0, Seg(0.0, cleaned[0].lo if cleaned else domain_hi,
+                              ()))
+    out = []
+    cursor = 0.0
+    for seg in cleaned:
+        if seg.lo > cursor:
+            out.append(Seg(cursor, seg.lo, ()))
+        elif seg.lo < cursor:
+            raise DomainError("overlapping segments at %g" % seg.lo)
+        out.append(seg)
+        cursor = seg.hi
+    if cursor < domain_hi:
+        out.append(Seg(cursor, domain_hi, ()))
+    elif cursor > domain_hi:
+        raise DomainError("segments exceed domain end %g" % domain_hi)
+    merged = [out[0]]
+    for seg in out[1:]:
+        prev = merged[-1]
+        if seg.terms == prev.terms:
+            merged[-1] = Seg(prev.lo, seg.hi, prev.terms)
+        else:
+            merged.append(seg)
+    return df.PLFun(domain_hi, tuple(merged))
+
+
+def reference_make_op_segs(segs):
+    """The segments specop.make_op built with its own sort and merge."""
+    cleaned = []
+    for seg in sorted(segs, key=lambda s: s.lo):
+        if seg.hi <= seg.lo:
+            continue
+        terms = df._merge_terms(seg.terms)
+        if terms:
+            phase = seg.phase
+            cleaned.append(Seg(seg.lo, seg.hi, terms, phase / abs(phase)))
+    return tuple(cleaned)
+
+
+def outcome(fn, *args):
+    """repr of the result (every bit of every float), or the error type."""
+    try:
+        return repr(fn(*args))
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def messy_segs(draw, domain_hi):
+    """A nonincreasing operator written the long way round, unsorted: terms
+    split in two and repeated, cancelling pairs, zero and tiny coefficients,
+    empty and reversed intervals, segments whose terms cancel, random
+    phases."""
+    n = draw(st.integers(1, 5))
+    span = (0.01, 0.99) if domain_hi == 1.0 else (0.01, 50.0)
+    cuts = sorted(set(draw(st.lists(st.floats(*span), min_size=n - 1,
+                                    max_size=n - 1))))
+    level = draw(st.floats(0.5, 8.0))
+    segs = []
+    for lo, hi in zip([0.0] + cuts, cuts + [domain_hi]):
+        phase = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        p = draw(st.sampled_from([0.0, 0.0, 0.5, 1.2]))
+        if p and lo == 0.0:
+            term = Term(level, p)
+        elif p and hi < INF:
+            term = Term(level * lo ** p, p)
+        else:
+            term = Term(level)
+            p = 0.0
+        level = term.value(hi) if hi < INF else 0.0
+        level *= draw(st.floats(0.2, 1.0))
+        share = draw(st.floats(0.0, 1.0))
+        noise = draw(st.floats(-3.0, 3.0))
+        # a tiny term: scale_op(T, 1e-300) underflows its coefficient
+        tiny = Term(draw(st.sampled_from([1e-30, 1e-20])), 0.3)
+        terms = [replace(term, coeff=share * term.coeff),
+                 replace(term, coeff=term.coeff - share * term.coeff),
+                 Term(noise, 0.7), Term(-noise, 0.7), Term(0.0, 2.0), tiny]
+        segs.append(Seg(lo, hi, tuple(draw(st.permutations(terms))), phase))
+        if level <= 0.0:
+            break
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.floats(0.0, span[1]))
+        hi = lo - draw(st.sampled_from([0.0, 0.5]))
+        segs.append(Seg(lo, hi, (Term(draw(st.floats(0.1, 9.0)), 0.5),),
+                        cmath.exp(1j * draw(st.floats(0.0, 6.0)))))
+    if draw(st.booleans()):
+        lo, hi = segs[-1].hi, segs[-1].hi + 1.0
+        if hi <= domain_hi:
+            segs.append(Seg(lo, hi, (Term(1.0), Term(-1.0)), 1j))
+    return draw(st.permutations(segs))
+
+
+def normalized(X):
+    """X.segs are their own normalizing pass, each segment with terms."""
+    return (df.normalize(X.segs) == list(X.segs)
+            and all(seg.terms for seg in X.segs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), factor_type=st.sampled_from([so.II_INF, so.II_1]))
+def test_profile_tiles_the_operator_segments(data, factor_type):
+    """T.profile, tiled from T.segs as they are, equals df.make(T.segs)
+    bit for bit for every constructor, and make and make_op build what
+    their own sort-and-merge passes built."""
+    domain_hi = 1.0 if factor_type == so.II_1 else INF
+    segs = data.draw(messy_segs(domain_hi))
+    assert outcome(df.make, segs, domain_hi, False) == outcome(
+        reference_make, segs, domain_hi)
+    assert repr(so.make_op(segs, factor_type, validate=False).segs) == repr(
+        reference_make_op_segs(segs))
+    try:
+        T = so.make_op(segs, factor_type)
+    except DomainError:
+        assume(False)
+    # moduli from 1e-3: a subnormal atom's z / |z| is not unimodular
+    z = st.one_of(st.just(0j), st.complex_numbers(min_magnitude=1e-3,
+                                                  max_magnitude=5.0))
+    atoms = data.draw(st.lists(st.tuples(z, st.floats(0.01, 0.3)),
+                               max_size=4))
+    alpha = data.draw(st.sampled_from([2.0, -1.0, 0.6 + 0.8j, 1e-300,
+                                       1e-310j]))
+    ops = [T, so.from_atoms(atoms, factor_type), so.scale_op(T, alpha),
+           so.adjoint(T)]
+    if factor_type == so.II_INF:
+        ops.append(so.split_fs_b(T)[0])
+    for X in ops:
+        assert normalized(X)
+        assert repr(X.profile) == repr(df.make(X.segs, X.domain_hi))
+
+
+class TestScaleUnderflow:
+    def test_underflowing_term_is_dropped(self):
+        # 1e-30 * 1e-300 is 0.0: a zero t^-1.5 term kept in the profile
+        # would be the dominant term at 0 and hide that 1e-300/t diverges
+        T = so.make_op([Seg(0.0, 1.0, (Term(1.0, 1.0), Term(1e-30, 1.5)))])
+        S = so.scale_op(T, 1e-300)
+        assert S.segs == (Seg(0.0, 1.0, (Term(1e-300, 1.0),)),)
+        assert df.dominant_at_0(S.profile) == (1.0, 0.0, 1e-300)
+        assert not S.integrable_at_0
+
+    def test_underflowing_segment_is_dropped(self):
+        T = so.from_atoms([(2.0, 1.0), (1e-30, 1.0)])
+        S = so.scale_op(T, -1e-300)
+        assert S.segs == (Seg(0.0, 1.0, (Term(2e-300),), -1.0),)
+        assert so.scale_op(so.from_atoms([(1e-30, 1.0)]), 1e-300).is_zero()
