@@ -7,7 +7,9 @@ function transfers real-part estimates between the classes.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import count, repeat
 
 import numpy as np
 from scipy import integrate
@@ -24,24 +26,22 @@ DEPTH_OCTAVES = 60
 
 
 def _norm_atoms(atoms):
-    merged = {}
-    order = []
-    for z, m in atoms:
-        if m < 0.0:
-            raise DomainError("negative mass")
-        if m == 0.0:
-            continue
-        z = complex(z)
-        if z not in merged:
-            merged[z] = 0.0
-            order.append(z)
-        merged[z] += m
-    out = [(z, merged[z]) for z in order]
+    """Atoms with positive mass, those at one point merged in first-seen
+    order, sorted by decreasing modulus, then by angle in [0, 2 pi), then
+    first seen first."""
+    if any(m < 0.0 for _, m in atoms):
+        raise DomainError("negative mass")
+    atoms = [(complex(z), 0.0 + m) for z, m in atoms if m != 0.0]
+    if len({z for z, _ in atoms}) < len(atoms):
+        merged = {}
+        for z, m in atoms:
+            merged[z] = merged.get(z, 0.0) + m
+        atoms = list(merged.items())
+    zs = [z for z, _ in atoms]
     # math.atan2, not cmath.phase: that raises when the angle underflows
-    out.sort(key=lambda zm: (-abs(zm[0]),
-                             math.atan2(zm[0].imag, zm[0].real)
-                             % (2.0 * math.pi)))
-    return tuple(out)
+    angles = [math.atan2(z.imag, z.real) % (2.0 * math.pi) for z in zs]
+    keys = sorted(zip(map(operator.neg, map(abs, zs)), angles, count()))
+    return tuple(atoms[i] for _, _, i in keys)
 
 
 @dataclass(frozen=True)
@@ -118,24 +118,35 @@ def brown_of_normal(T):
         if hi == INF:
             hi = max(seg.lo, 1.0) * 2.0 ** DEPTH_OCTAVES
         lo_floor = seg.lo if seg.lo > 0.0 else hi * 2.0 ** -DEPTH_OCTAVES
+        step = 2.0 ** (-1.0 / BROWN_PPO)
+        stop = lo_floor * (1.0 + 1e-12)
         cuts = [hi]
         t = hi
-        while t > lo_floor * (1.0 + 1e-12):
-            t *= 2.0 ** (-1.0 / BROWN_PPO)
-            cuts.append(max(t, lo_floor))
+        while t > stop:
+            t *= step
+            cuts.append(t)
+        # every cut before the last is above stop, so only the last can
+        # fall below lo_floor
+        cuts[-1] = max(t, lo_floor)
         cuts.reverse()
         if seg.lo < lo_floor:
             # deepest chunk keeps the exact remaining mass
             cuts.insert(0, seg.lo)
-        for a, b in zip(cuts, cuts[1:]):
-            mid = math.sqrt(max(a, b * 1e-30) * b)
-            try:
-                v = seg.value(mid)
-            except OverflowError:
-                # a float limit, not divergence of the measure
-                raise DomainError("|T| overflows a float at t=%g"
-                                  % mid) from None
-            atoms.append((seg.phase * v, b - a))
+        mids = [math.sqrt(max(a, b * 1e-30) * b)
+                for a, b in zip(cuts, cuts[1:])]
+        try:
+            vs = seg.values(mids)
+        except OverflowError:
+            # a float limit, not divergence of the measure; named at the
+            # first midpoint whose value overflows
+            for t in mids:
+                try:
+                    seg.value(t)
+                except OverflowError:
+                    raise DomainError("|T| overflows a float at t=%g"
+                                      % t) from None
+        atoms += zip(map(operator.mul, repeat(seg.phase), vs),
+                     map(operator.sub, cuts[1:], cuts))
     return BrownMeasure(tuple(atoms))
 
 
@@ -356,13 +367,13 @@ def member_F(T, I):
         V = build_V(T, h)
     except DomainError as exc:
         return cm.inconclusive("certificate construction failed: %s" % exc)
-    F = phi_of(T)
-    repF = verify_certificate(F, V, "F")
-    repG = verify_certificate(F, so.scale_op(V, math.e), "G")
-    if not (repF["ok"] and repG["ok"]):
+    # build_V returns V only once class F holds on this grid, so only
+    # class G is left to check
+    repG = verify_certificate(phi_of(T), so.scale_op(V, math.e), "G")
+    if not repG["ok"]:
         return cm.inconclusive(
             "band-functional certificate disagrees with the membership"
-            " verdict: F ok=%s G ok=%s" % (repF["ok"], repG["ok"]))
+            " verdict: F ok=True G ok=False")
     return cm.Decision("member", cert, None,
                        (dec.notes + "; band-functional certificate verified"
                         ).strip("; "))

@@ -13,6 +13,8 @@ import json
 import math
 import os
 import sys
+from itertools import chain, repeat
+from operator import itemgetter
 
 from . import brown as br
 from . import commutator as cm
@@ -99,54 +101,108 @@ def _fmt_complex(z):
 
 
 # the report layout: json.dumps(..., sort_keys=True, indent=2,
-# allow_nan=False), which before Python 3.13 runs the pure-Python encoder
+# allow_nan=False); before Python 3.13 its indent runs the pure-Python
+# encoder, so _layout writes the layout and hands the leaves to C
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
-# a list of flat records one level down, compact, so the C encoder runs:
-# the item separator already puts each field on its own indented line
-_RECORDS = json.JSONEncoder(sort_keys=True, allow_nan=False,
-                            separators=(",\n      ", ": "))
-_SCALARS = (str, int, float, type(None))
+_C_INDENT = sys.version_info >= (3, 13)
+_STR = json.encoder.encode_basestring_ascii
+_FLOAT = float.__repr__
 
 
-def _is_records(value):
-    """A non-empty list of non-empty dicts with string keys and scalar
-    values, such as the Brown atom list."""
-    return isinstance(value, (list, tuple)) and bool(value) and all(
-        isinstance(rec, dict) and rec
-        and all(type(k) is str and isinstance(v, _SCALARS)
-                for k, v in rec.items())
-        for rec in value)
+def _float_text(x):
+    text = _FLOAT(x)
+    if "n" in text:  # inf, -inf or nan: no finite repr has an n
+        raise ValueError("Out of range float values are not JSON "
+                         "compliant: " + repr(x))
+    return text
+
+
+_LEAF = {str: _STR, int: int.__repr__, float: _float_text,
+         bool: {True: "true", False: "false"}.get,
+         type(None): lambda _: "null"}
+
+
+def _records_text(recs, nl):
+    """The items of a list of dicts that share one non-empty set of string
+    keys and hold only floats, each record formatted by one %-template;
+    None for any other list of dicts."""
+    keys = recs[0]
+    if not (keys and all(type(k) is str for k in keys)
+            and set(map(len, recs)) == {len(keys)}):
+        return None
+    keys = sorted(keys)
+    try:
+        columns = [list(map(itemgetter(k), recs)) for k in keys]
+    except KeyError:
+        return None
+    if set(map(type, chain.from_iterable(columns))) != {float}:
+        return None
+    rows = list(zip(*columns))
+    if not all(map(math.isfinite, chain.from_iterable(columns))):
+        for row in rows:  # json's message, at json's first bad value
+            for x in row:
+                _float_text(x)
+    inner = nl + "  "
+    template = "{%s%s%s}" % (inner, ("," + inner).join(
+        _STR(k).replace("%", "%%") + ": %r" for k in keys), nl)
+    return ("," + nl).join(map(template.__mod__, rows))
+
+
+def _layout(value, nl):
+    """The text of value in the report layout, where nl is a newline and
+    the indent of the line value starts on.
+
+    Each leaf goes to a C-level call: float.__repr__, int.__repr__ and
+    encode_basestring_ascii, mapped over a list whose items share one
+    type; a list of float records formats each record with one
+    %-template.  Whatever else json accepts (subclasses other than of
+    float, non-string keys) and every other error are the stdlib
+    encoder's, indented by replacing newlines, which json never writes
+    inside a string.
+    """
+    leaf = _LEAF.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = nl + "  "
+    if type(value) is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            "%s: %s" % (_STR(k), _layout(v, inner))
+            for k, v in sorted(value.items())), nl)
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        body = None
+        if len(types) == 1:
+            (kind,) = types
+            if kind is float:
+                body = ("," + inner).join(map(_FLOAT, value))
+                if "n" in body:
+                    body = None  # _float_text names the bad value
+            elif kind in _LEAF:
+                body = ("," + inner).join(map(_LEAF[kind], value))
+            elif kind is dict:
+                body = _records_text(value, inner)
+        if body is None:
+            body = ("," + inner).join(map(_layout, value, repeat(inner)))
+        return "[%s%s%s]" % (inner, body, nl)
+    if isinstance(value, float):  # a subclass, such as numpy's float64
+        return _float_text(value)
+    return _ENCODER.encode(value).replace("\n", nl)
 
 
 def _json_bytes(obj):
     """The bytes of json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False) plus a newline.
+    allow_nan=False) plus a newline: the JSON report contract.
 
-    The top-level keys of a document are laid out here; each value is
-    encoded by the stdlib and indented by one level with str.replace,
-    which is exact because json never writes a raw newline inside a
-    string.  A list of flat records goes through the C encoder in compact
-    form, and one replace of its record boundaries gives the indented
-    layout (the boundary needs a raw newline, so it too never matches
-    inside a string).  Floats, strings and errors (ValueError for NaN and
-    infinities, TypeError for other types) stay the stdlib's.
+    From Python 3.13 on json's C encoder indents by itself and writes
+    them; before, _layout does.  A cyclic document raises RecursionError
+    in _layout, where json raises ValueError.
     """
-    if not (isinstance(obj, dict) and obj
-            and all(type(k) is str for k in obj)):
-        return (_ENCODER.encode(obj) + "\n").encode("utf-8")
-    fields = []
-    for key in sorted(obj):
-        value = obj[key]
-        if _is_records(value):
-            text = _RECORDS.encode(value)
-            text = ("[\n    {\n      "
-                    + text[2:-2].replace("},\n      {",
-                                         "\n    },\n    {\n      ")
-                    + "\n    }\n  ]")
-        else:
-            text = _ENCODER.encode(value).replace("\n", "\n  ")
-        fields.append("  %s: %s" % (_ENCODER.encode(key), text))
-    return ("{\n" + ",\n".join(fields) + "\n}\n").encode("utf-8")
+    text = _ENCODER.encode(obj) if _C_INDENT else _layout(obj, "\n")
+    return (text + "\n").encode("utf-8")
 
 
 def _csv_bytes(header, rows):

@@ -526,9 +526,15 @@ def _certificate_table(T, K):
     cumul = [0.0 + 0.0j]
     for u, w in zip(edges, edges[1:]):
         cumul.append(cumul[-1] + so.integrate_v(T, u, w))
-    lhs = np.full((len(cumul), len(cumul)), -INF)
-    for i, ci in enumerate(cumul):
-        lhs[i, i + 1:] = [abs(cj - ci) for cj in cumul[i + 1:]]
+    # abs(cj - ci) for every pair: the libm hypot that abs() calls (numpy's
+    # complex abs rounds differently), and abs()'s error where it overflows
+    c = np.array(cumul)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = c[None, :] - c[:, None]
+        lhs = np.hypot(diff.real, diff.imag)
+    if np.isinf(lhs[np.isfinite(diff)]).any():
+        raise OverflowError("absolute value too large")
+    lhs[np.tril_indices(len(cumul))] = -INF
     alpha = {n: 2.0 ** -n * so.integrate_v(T, 2.0 ** n, 2.0 ** (n + 1))
              for n in range(-K, K)}
     return K, m, lhs, alpha
@@ -550,10 +556,12 @@ def _certificate_for(table, h):
         raise DomainError(
             "criterion bound fails at (r, s)=(%g, %g)" % (pts[i], pts[j]))
     phi = df.combine(h, m, "sum")
+    # both beta sequences read phi at the same dyadic points
+    phi_at = dict(zip(pts, map(phi, pts))).__getitem__
     iv_re, beta_re = beta_sequence(
-        {n: v.real for n, v in alpha.items()}, phi, K)
+        {n: v.real for n, v in alpha.items()}, phi_at, K)
     iv_im, beta_im = beta_sequence(
-        {n: v.imag for n, v in alpha.items()}, phi, K)
+        {n: v.imag for n, v in alpha.items()}, phi_at, K)
     blocks = []
     for n in range(-K, K):
         s_bound = 2.0 * m(2.0 ** n)

@@ -9,7 +9,9 @@ divergence tests from the exponents.
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 from scipy import integrate, optimize
@@ -44,6 +46,20 @@ class Term:
             raise OverflowError("term value overflows a float at t=%g" % t)
         return v
 
+    def values(self, ts):
+        """value(t) for each t in ts without the overflow check: the same
+        float operations, each mapped over ts at once."""
+        if self.coeff == 0.0:
+            return [0.0] * len(ts)
+        us = list(map(operator.truediv, ts, repeat(self.scale)))
+        vs = map(operator.mul, repeat(self.coeff),
+                 map(pow, us, repeat(-self.pow)))
+        if self.logpow:
+            vs = map(operator.mul, vs,
+                     map(pow, map(abs, map(math.log, us)),
+                         repeat(-self.logpow)))
+        return list(vs)
+
 
 @dataclass(frozen=True)
 class Seg:
@@ -60,6 +76,18 @@ class Seg:
 
     def value(self, t):
         return sum(term.value(t) for term in self.terms)
+
+    def values(self, ts):
+        """[self.value(t) for t in ts], each term evaluated on all of ts at
+        once (Term.values); where a term fails or overflows, the list
+        above raises Term.value's error at the first such t."""
+        try:
+            cols = [term.values(ts) for term in self.terms]
+        except (ArithmeticError, ValueError):
+            cols = None
+        if cols is None or any(INF in map(abs, col) for col in cols):
+            return [self.value(t) for t in ts]
+        return list(map(sum, zip(*cols))) if cols else [0] * len(ts)
 
     def is_zero(self):
         return not self.terms

@@ -25,6 +25,7 @@ import bisect
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,6 +138,16 @@ def zero_op(factor_type=II_INF):
     return NormalOp(factor_type, ())
 
 
+def _phase(z):
+    """z / |z| for z != 0.  A subnormal |z| is first brought into the
+    normal range by an exact power of two, where z / |z| is unimodular;
+    other phases keep their bits."""
+    if abs(z) < sys.float_info.min:
+        z = (complex(z.real * 2.0 ** 600, z.imag * 2.0 ** 600)
+             if isinstance(z, complex) else z * 2.0 ** 600)
+    return z / abs(z)
+
+
 def from_atoms(atoms, factor_type=II_INF):
     """atoms: list of (z, length); profile is the decreasing arrangement."""
     items = []
@@ -151,7 +162,7 @@ def from_atoms(atoms, factor_type=II_INF):
     segs = []
     lo = 0.0
     for _, _, _, z, ln in items:
-        segs.append(Seg(lo, lo + ln, (Term(abs(z)),), z / abs(z)))
+        segs.append(Seg(lo, lo + ln, (Term(abs(z)),), _phase(z)))
         lo += ln
     return make_op(segs, factor_type)
 
@@ -357,7 +368,7 @@ def scale_op(T, alpha):
     if alpha == 0:
         return zero_op(T.factor_type)
     m = abs(alpha)
-    ph = alpha / m
+    ph = _phase(alpha)
     segs = [Seg(s.lo, s.hi, tuple(replace(tm, coeff=tm.coeff * m)
                                   for tm in s.terms), s.phase * ph)
             for s in T.segs]

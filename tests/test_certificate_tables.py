@@ -479,6 +479,38 @@ def brown_digests(tmp_dir):
             for name, atoms in DOCS.items()}
 
 
+def test_member_F_checks_class_F_once(monkeypatch):
+    # build_V returns V once class F holds on member_F's own grid, so
+    # member_F is left with class G: one passing class-F check per query
+    checks = []
+    verify = br.verify_certificate
+
+    def recorded(F, V, cls, *args):
+        rep = verify(F, V, cls, *args)
+        checks.append((cls, rep["ok"]))
+        return rep
+
+    monkeypatch.setattr(br, "verify_certificate", recorded)
+    verified = 0
+    for atoms in DOCS.values():
+        checks.clear()
+        dec = br.member_F(so.from_atoms(atoms), md.Lp(1.0))
+        if "certificate verified" in dec.notes:
+            verified += 1
+            assert checks[-2:] == [("F", True), ("G", True)]
+            assert checks.count(("F", True)) == 1
+    assert verified >= 3
+
+
+def test_pair_table_raises_where_abs_overflows():
+    # the running band integrals 1.31e308 and 1.31e308 + 1.29e308j are
+    # finite and their distance is not: abs() raises there, and so does
+    # the table
+    T = so.from_atoms([(6.4e304, 2.0 ** 11), (6.3e304j, 2.0 ** 11)])
+    with pytest.raises(OverflowError, match="absolute value too large"):
+        cm._certificate_table(T, 12)
+
+
 def test_member_F_report_bytes(tmp_path):
     with open(DIGESTS) as fh:
         expected = json.load(fh)

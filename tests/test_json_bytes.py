@@ -1,9 +1,12 @@
 """JSON report bytes.
 
-cli._json_bytes lays out the top-level keys itself and writes a list of
-flat records (the Brown atom list) with the C encoder; the reference is
-json.dumps with the report settings.  The pins below hash whole reports,
-so the bytes are checked on every Python version the tests run on.
+The report contract is json.dumps(doc, sort_keys=True, indent=2,
+allow_nan=False) plus a newline.  cli._layout writes that layout itself,
+with every leaf formatted by a C-level call and a list of same-key float
+records (the Brown atom list) by one %-template per record; from Python
+3.13 on cli._json_bytes calls json's C encoder, which indents by itself.
+Both are checked against json.dumps on every Python version the tests
+run on, and the pins below hash whole reports.
 """
 
 import contextlib
@@ -12,7 +15,9 @@ import io
 import json
 import math
 import os
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,57 +38,134 @@ def reference(doc):
 # ---------------------------------------------------------------------------
 # random documents
 
-# the record boundary of the compact atom list, inside a string value
+
+def layout(doc):
+    return (cli._layout(doc, "\n") + "\n").encode("utf-8")
+
+
+def writers(doc):
+    """What the report writer and the layout writer make of doc: bytes,
+    or the type of the error."""
+    out = []
+    for write in (cli._json_bytes, layout):
+        try:
+            out.append(write(doc))
+        except (ValueError, TypeError) as exc:
+            out.append(type(exc))
+    return out
+
+
+def expected(doc):
+    try:
+        return reference(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+# a record boundary of the atom list, inside a string value
 BOUNDARY = "},\n      {"
 
+finite = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]))
 scalars = (st.none() | st.booleans()
-           | st.integers(-2 ** 80, 2 ** 80)
-           | st.floats(allow_nan=False, allow_infinity=False)
-           | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308])
+           | st.integers(-2 ** 80, 2 ** 80) | finite
            | st.text(max_size=8)
-           | st.sampled_from([BOUNDARY, "\x00\x1f é\U0001f600", "}"]))
-keys = st.text(max_size=6) | st.sampled_from(["re", "im", "mass"])
+           | st.sampled_from([BOUNDARY, "\x00\x1f é\U0001f600", "}", "%r",
+                              "%%s"]))
+keys = (st.text(max_size=6)
+        | st.sampled_from(["re", "im", "mass", "%", "n", "nan", "inf"]))
 records = st.dictionaries(keys, scalars, min_size=1, max_size=4)
-record_lists = st.lists(records, min_size=1, max_size=5)
+
+
+@st.composite
+def float_records(draw, bad=False):
+    """Records sharing one key set and holding only floats; one of them
+    may have another key set or hold an int, a bool, None or a string;
+    with bad, one float is a nan or an infinity."""
+    names = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    recs = [{k: draw(finite) for k in names}
+            for _ in range(draw(st.integers(1, 5)))]
+    i = draw(st.integers(0, len(recs) - 1))
+    k = draw(st.sampled_from(names))
+    change = draw(st.sampled_from(["none", "none", "key", "rename", "drop",
+                                   "value"]))
+    if bad:
+        recs[i][k] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif change in ("key", "rename"):
+        # one more key, or as many keys but one of them another
+        recs[i]["other" + k] = draw(finite)
+        if change == "rename":
+            del recs[i][k]
+    elif change == "drop" and len(names) > 1:
+        del recs[i][k]
+    elif change == "value":
+        recs[i][k] = draw(st.none() | st.booleans() | st.integers(-5, 5)
+                          | st.text(max_size=3))
+    return recs
+
+
+record_lists = st.lists(records, min_size=1, max_size=5) | float_records()
+float_lists = st.lists(finite, min_size=1, max_size=6)
 mixed_lists = st.lists(records | scalars | st.just({}) | st.just([]),
                        max_size=5)
 values = st.recursive(
-    scalars | records | record_lists | mixed_lists,
+    scalars | records | record_lists | float_lists | mixed_lists,
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(keys, inner, max_size=3)),
     max_leaves=12)
 documents = st.dictionaries(keys, values, max_size=5)
+# float records and float lists two and three levels down, as in the
+# certificate of a decision
+deep = st.recursive(float_records() | float_lists,
+                    lambda inner: st.dictionaries(keys, inner, min_size=1,
+                                                  max_size=2),
+                    max_leaves=4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(doc=documents)
 def test_documents_equal_json_dumps(doc):
-    assert cli._json_bytes(doc) == reference(doc)
+    assert writers(doc) == [reference(doc)] * 2
 
 
 @settings(max_examples=100, deadline=None)
 @given(doc=values)
 def test_any_value_equals_json_dumps(doc):
-    assert cli._json_bytes(doc) == reference(doc)
+    assert writers(doc) == [reference(doc)] * 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.dictionaries(keys, deep, min_size=1, max_size=3))
+def test_nested_records_equal_json_dumps(doc):
+    assert writers(doc) == [reference(doc)] * 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(recs=float_records(bad=True), depth=st.integers(0, 2))
+def test_out_of_range_float_in_records_is_refused(recs, depth):
+    doc = recs
+    for _ in range(depth):
+        doc = {"brown": doc}
+    assert expected(doc) is ValueError
+    assert writers(doc) == [ValueError] * 2
 
 
 def test_boundary_inside_a_string_is_kept():
     doc = {"brown": [{"re": BOUNDARY, "im": 0.0},
                      {"re": -0.0, "im": 5e-324}, {"mass": 1e308}],
            "kind": "x"}
-    assert cli._json_bytes(doc) == reference(doc)
+    assert writers(doc) == [reference(doc)] * 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["records", "nested", "top"])
+@pytest.mark.parametrize("where", ["records", "nested", "top", "floats"])
 def test_out_of_range_floats_are_refused(bad, where):
     doc = {"records": {"brown": [{"re": 1.0}, {"re": bad}]},
            "nested": {"a": [{"b": {"c": bad}}]},
-           "top": {"x": bad}}[where]
-    with pytest.raises(ValueError):
-        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    with pytest.raises(ValueError):
-        cli._json_bytes(doc)
+           "top": {"x": bad},
+           "floats": {"a": [[1.0, bad]]}}[where]
+    assert expected(doc) is ValueError
+    assert writers(doc) == [ValueError] * 2
 
 
 @pytest.mark.parametrize("doc", [
@@ -93,10 +175,37 @@ def test_out_of_range_floats_are_refused(bad, where):
     object(),
 ])
 def test_unsupported_types_are_refused(doc):
-    with pytest.raises(TypeError):
-        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    with pytest.raises(TypeError):
-        cli._json_bytes(doc)
+    assert expected(doc) is TypeError
+    assert writers(doc) == [TypeError] * 2
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("doc", [
+    # numpy's float64 is a float subclass (oracle reports carry it)
+    {"a": np.float64(0.1), "b": [np.float64(-0.0), 2.0, np.float64(1e308)]},
+    {"a": [np.float64(1.0), np.float64("nan")]},
+    {"a": Text("x"), "b": [Count(3), Count(-4)], "c": (1.0, Text("y"))},
+    {"a": OrderedDict(b=1.0, a=[{"re": 0.5}])},
+])
+def test_subclasses_follow_json(doc):
+    assert writers(doc) == [expected(doc)] * 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": {1: 2.0, 2: [0.5]}},
+    {"a": [{0.5: 1.0, 2.5: 2.0}, {True: 1.0, None: 0.0}]},
+    {"a": {"x": 1.0, 2: 3.0}},
+    [1.0, {"x": 1}, 2],
+])
+def test_non_string_keys_follow_json(doc):
+    assert writers(doc) == [expected(doc)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -460,3 +460,33 @@ class TestScaleUnderflow:
         S = so.scale_op(T, -1e-300)
         assert S.segs == (Seg(0.0, 1.0, (Term(2e-300),), -1.0),)
         assert so.scale_op(so.from_atoms([(1e-30, 1.0)]), 1e-300).is_zero()
+
+
+class TestSubnormalPhase:
+    # z / |z| is 1 + 1j for z = 5e-324 + 5e-324j, as |z| rounds to 5e-324
+
+    def test_subnormal_atom(self):
+        T = so.from_atoms([(5e-324 + 5e-324j, 0.25)])
+        (seg,) = T.segs
+        assert abs(abs(seg.phase) - 1.0) <= 1e-15
+        assert seg.phase.real == seg.phase.imag > 0.0
+        assert seg.terms == (Term(5e-324),)
+        assert so.from_atoms([(-5e-324, 0.25)]).segs[0].phase == -1.0
+
+    def test_scaling_by_a_subnormal(self):
+        T = so.from_atoms([(1.0, 0.5), (-0.5j, 0.5)])
+        S = so.scale_op(T, 5e-324 + 5e-324j)
+        # the second coefficient underflows and its segment is dropped
+        (seg,) = S.segs
+        assert abs(abs(seg.phase) - 1.0) <= 1e-15
+        assert seg.phase.real == seg.phase.imag > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.complex_numbers(min_magnitude=2.3e-308, max_magnitude=1e300,
+                                allow_nan=False, allow_infinity=False)
+           | st.floats(2.3e-308, 1e300) | st.floats(-1e300, -2.3e-308))
+    def test_normal_range_phases_keep_their_bits(self, z):
+        assume(abs(z) >= 2.2250738585072014e-308)
+        got, ref = so._phase(z), z / abs(z)
+        assert type(got) is type(ref)
+        assert repr(got) == repr(ref)
