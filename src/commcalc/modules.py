@@ -2,11 +2,14 @@
 
 A descriptor is a tree over the base spaces (Lp, Llog, finite rank,
 compact, bounded, principal) with sum, product, finite-support part,
-bounded part, and vanishing-tail nodes.  Membership verdicts quantify over
-the piecewise power-log class: "yes" answers are sound outright, "no"
-answers are sound within the class (noted in the reason).
+bounded part, and vanishing-tail nodes.  Every nonzero module contains F,
+which leaves the middle scales free, so within the power-log class
+membership depends only on the end terms at 0 and at oo: contains compares
+them with the descriptor's two thresholds (ModuleExpr.ends).  "yes"
+answers are sound outright, "no" answers are sound within the class.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +18,52 @@ from .decfun import INF, DomainError, PLFun, Seg, Term
 from .specop import II_1, II_INF
 
 CLASS_NOTE = "verdict quantifies over the power-log class"
+
+# The end term c t^-p L^-q (L = |log t|) is the key (p, -q) at 0 and
+# (-p, -q) at oo, in lexicographic order: the larger the key, the larger
+# the function at that end; _BOTTOM where it vanishes (at oo: also on the
+# (0, 1) domain).  A threshold (a, b, attained, s) admits (x, y) when
+# (s x, s y, 0) < (a, b, attained): s is 1.0 except at an L_p leaf, where
+# s = p keeps the float products of df._diverges_at_0 and _at_inf.
+_BOTTOM = (-INF, -INF)
+_EVERYTHING = (INF, INF, 1, 1.0)
+
+# (end, threshold, why a function fails it): the bounds on a kind's ends
+_AT_0 = 0, (0.0, 0.0, 1, 1.0), "unbounded at 0"
+_FS = 1, _BOTTOM + (1, 1.0), "infinite support"
+_VANISH = 1, (0.0, 0.0, 0, 1.0), "does not vanish at infinity"
+_BOUNDS = {"M": (_AT_0, (1, _AT_0[1], "unbounded at infinity")),
+           "F": (_AT_0, _FS), "K": (_AT_0, _VANISH),
+           "FsPart": (_FS,), "BPart": (_AT_0,), "Vanish": (_VANISH,)}
+
+
+def _level(t):
+    """A threshold on the unscaled key line, for comparing thresholds."""
+    a, b, attained, s = t
+    return a / s, b / s, attained
+
+
+def _admits(t, key):
+    a, b, attained, s = t
+    return (key[0] * s, key[1] * s, 0) < (a, b, attained)
+
+
+def _times(t, u):
+    """Threshold of a product at one end: the keys add.  _BOTTOM absorbs
+    the other operand, and so does the key above every key."""
+    lo, hi = sorted(map(_level, (t, u)))
+    if lo[0] == -INF:
+        return lo + (1.0,)
+    if hi[0] == INF:
+        return hi + (1.0,)
+    return lo[0] + hi[0], lo[1] + hi[1], lo[2] & hi[2], 1.0
+
+
+def _end_keys(f):
+    """The keys of f's end terms at 0 and at oo."""
+    d0, dinf = df.dominant_at_0(f), df.dominant_at_inf(f)
+    return ((d0[0], -d0[1]) if d0 and d0[2] else _BOTTOM,
+            (-dinf[0], -dinf[1]) if dinf and dinf[2] else _BOTTOM)
 
 
 @dataclass(frozen=True)
@@ -29,10 +78,36 @@ class ModuleExpr:
     def domain_hi(self):
         return 1.0 if self.factor_type == II_1 else INF
 
+    @functools.cached_property
+    def ends(self):
+        """The thresholds (at 0, at oo) of the characteristic set."""
+        k = self.kind
+        if k == "Lp":
+            return (1.0, -1.0, 0, self.p), (-1.0, -1.0, 0, self.p)
+        if k == "Llog":
+            return _EVERYTHING, (-1.0, -1.0, 0, 1.0)
+        if k == "Principal":  # g's own end keys; none for g = 0
+            att = 0 if self.gen.is_zero() else 1
+            return tuple(key + (att, 1.0) for key in _end_keys(self.gen))
+        if k in _BOUNDS:
+            ends = list(self.children[0].ends if self.children
+                        else (_EVERYTHING, _EVERYTHING))
+            for end, bound, _ in _BOUNDS[k]:
+                ends[end] = min(ends[end], bound, key=_level)
+            return tuple(ends)
+        a, b = (c.ends for c in self.children)
+        if k == "Sum":
+            return tuple(max(t, u, key=_level) for t, u in zip(a, b))
+        if k == "Product":
+            norm = product_module(*self.children)
+            return norm.ends if norm.kind != "Product" \
+                else tuple(map(_times, a, b))
+        raise ValueError("unknown module kind %r" % k)
+
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    answer: str  # yes | no | inconclusive
+    answer: str  # yes | no
     witness: PLFun = None
     reason: str = ""
 
@@ -46,10 +121,6 @@ def yes(witness, reason):
 
 def no(reason):
     return MembershipVerdict("no", None, reason + "; " + CLASS_NOTE)
-
-
-def maybe(reason):
-    return MembershipVerdict("inconclusive", None, reason + "; " + CLASS_NOTE)
 
 
 def Lp(p, factor_type=II_INF):
@@ -106,128 +177,54 @@ def Vanish(a):
 
 
 # ---------------------------------------------------------------------------
-# function-side predicates
+# membership
 
 
 def is_bounded(f):
     return df.value_at_0(f) < INF
 
 
-def has_finite_support(f):
-    return df.support_hi(f) < INF
-
-
-def vanishes_at_inf(f):
-    if f.domain_hi < INF:
-        return True
-    return df.limit_at_inf(f) == 0.0
-
-
-def fs_cut(f):
-    """f restricted to (0,1), zero after (the finite-support shadow)."""
-    return df.clip(f, 0.0, 1.0)
-
-
-def b_cut(f):
-    """min(f, f(1)): constant head, f beyond 1 (the bounded shadow)."""
-    if f.domain_hi <= 1.0:
-        raise DomainError("b_cut needs the (0, oo) domain")
-    v1 = f(1.0)
-    segs = [Seg(0.0, 1.0, (Term(v1),) if v1 else ())]
-    for s in f.segs:
-        lo, hi = max(s.lo, 1.0), s.hi
-        if hi > lo:
-            segs.append(Seg(lo, hi, s.terms))
-    return df.make(segs, f.domain_hi, validate=False)
-
-
-def termwise_pow(f, lam):
-    """Term-wise power: dominates f^lam and (termwise a)(termwise 1-a) >= f."""
-    segs = []
-    for s in f.segs:
-        terms = tuple(
-            Term(tm.coeff ** lam, tm.pow * lam, tm.logpow * lam, tm.scale)
-            for tm in s.terms
-        )
-        segs.append(Seg(s.lo, s.hi, terms))
-    return df.make(segs, f.domain_hi, validate=False)
-
-
-# ---------------------------------------------------------------------------
-# membership
-
-
 def contains(I, f):
+    """Whether f lies in I: f's end keys against I's thresholds.  For a
+    principal <g>, f <= C g(./2^k) for some C and k: the one k whose
+    dilate stays positive on the support of f is computed, and the probe
+    in dominated_by only sizes C."""
     if f.domain_hi != I.domain_hi:
         raise DomainError("domain mismatch between module and function")
     if f.is_zero():
         return yes(f, "zero function")
+    keys = _end_keys(f)
+    if not all(map(_admits, I.ends, keys)):
+        return no(_refusal(I, keys))
+    if I.kind != "Principal":
+        return yes(f, "end terms within the module's thresholds")
+    k = _covering_dilation(f, I.gen)
+    gk = df.dilate2(I.gen, k)
+    C = df.dominated_by(f, gk)
+    return yes(df.scale_fun(gk, C),
+               "dominated by %g * dilate2(gen, %d)" % (C, k))
+
+
+def _refusal(I, keys):
+    """Why I refuses a function with these end keys."""
     k = I.kind
-    if k in ("Lp", "Llog"):
-        # an inf sum is divergence only where the end exponents say so
-        name = "L_%g integral" % I.p if k == "Lp" else "log-integral"
-        p, log1p = (I.p, False) if k == "Lp" else (1.0, True)
-        v = df.integral(f, 0.0, I.domain_hi, p, log1p)
-        if v < INF:
-            return yes(f, "%s %.6g" % (name, v))
-        if df.diverges(f, 0.0, I.domain_hi, p, log1p):
-            return no(name + " diverges")
-        return yes(f, name + " overflows a float")
-    if k == "M":
-        if is_bounded(f):
-            return yes(f, "bounded by %.6g" % df.value_at_0(f))
-        return no("unbounded at 0")
-    if k == "F":
-        if not is_bounded(f):
-            return no("unbounded at 0")
-        if not has_finite_support(f):
-            return no("infinite support")
-        return yes(f, "bounded with finite support")
-    if k == "K":
-        if not is_bounded(f):
-            return no("unbounded at 0")
-        if not vanishes_at_inf(f):
-            return no("does not vanish at infinity")
-        return yes(f, "bounded, vanishing at infinity")
-    if k == "Principal":
-        return _contains_principal(I, f)
-    if k == "FsPart":
-        if not has_finite_support(f):
-            return no("infinite support")
-        return contains(I.children[0], f)
-    if k == "BPart":
-        if not is_bounded(f):
-            return no("unbounded at 0")
-        return contains(I.children[0], f)
-    if k == "Vanish":
-        if not vanishes_at_inf(f):
-            return no("does not vanish at infinity")
-        return contains(I.children[0], f)
-    if k == "Sum":
-        return _contains_sum(I, f)
+    for end, bound, why in _BOUNDS.get(k, ()):
+        if not _admits(bound, keys[end]):
+            return why
+    if k in _BOUNDS:
+        return _refusal(I.children[0], keys)
     if k == "Product":
-        return _contains_product(I, f)
-    raise ValueError("unknown module kind %r" % k)
-
-
-def _exponents_fit(f, g):
-    """Necessary test: can some dilate of g dominate f at both ends?"""
-    dz_f, dz_g = df.dominant_at_0(f), df.dominant_at_0(g)
-    if dz_f is not None:
-        if dz_g is None:
-            return False
-        if (dz_f[0], -dz_f[1]) > (dz_g[0], -dz_g[1]):
-            return False
-    if f.domain_hi == INF:
-        if df.support_hi(f) == INF and df.support_hi(g) < INF:
-            return False
-        di_f, di_g = df.dominant_at_inf(f), df.dominant_at_inf(g)
-        if di_f is not None and di_f[2] > 0:
-            if di_g is None or di_g[2] == 0:
-                return False
-            if (-di_f[0], -di_f[1]) > (-di_g[0], -di_g[1]):
-                return False
-    return True
+        norm = product_module(*I.children)
+        if norm.kind != "Product":
+            return _refusal(norm, keys)
+    if k in ("Sum", "Product"):
+        end = "tail" if _admits(I.ends[0], keys[0]) else "head"
+        return end + (" part fails both summands" if k == "Sum"
+                      else " part fails the product")
+    if k == "Lp":
+        return "L_%g integral diverges" % I.p
+    return "log-integral diverges" if k == "Llog" \
+        else "asymptotic exponents exceed the generator's"
 
 
 def _end_limit(g, end):
@@ -252,63 +249,6 @@ def _covering_dilation(f, g):
     if ms == mg and not _end_limit(g, end) > 0.0:
         k += 1  # s == end * 2^k, where g(./2^k) tends to 0
     return k
-
-
-def _contains_principal(I, f):
-    """f in <g> means f <= C g(./2^k) for some C and k.  Dilation keeps the
-    end exponents, so _exponents_fit decides membership; the one k whose
-    dilate stays positive on the support of f is computed, and the probe
-    in dominated_by only sizes C."""
-    g = I.gen
-    if not _exponents_fit(f, g):
-        return no("asymptotic exponents exceed the generator's")
-    k = _covering_dilation(f, g)
-    gk = df.dilate2(g, k)
-    C = df.dominated_by(f, gk)
-    return yes(df.scale_fun(gk, C),
-               "dominated by %g * dilate2(gen, %d)" % (C, k))
-
-
-def _contains_sum(I, f):
-    A, B = I.children
-    va, vb = contains(A, f), contains(B, f)
-    if va.answer == "yes":
-        return va
-    if vb.answer == "yes":
-        return vb
-    if I.domain_hi < INF:
-        if va.answer == "no" and vb.answer == "no":
-            return no("fails both summands")
-        return maybe("sum decomposition undecided on (0,1)")
-    ffs, fb = fs_cut(f), b_cut(f)
-    for X, Y in ((A, B), (B, A)):
-        v1, v2 = contains(X, ffs), contains(Y, fb)
-        if v1.answer == "yes" and v2.answer == "yes":
-            w = df.combine(v1.witness, v2.witness, "sum")
-            return yes(w, "head in one summand, tail in the other")
-    heads = [contains(X, ffs).answer for X in (A, B)]
-    tails = [contains(X, fb).answer for X in (A, B)]
-    if all(a == "no" for a in heads):
-        return no("head part fails both summands")
-    if all(a == "no" for a in tails):
-        return no("tail part fails both summands")
-    return maybe("sum decomposition undecided")
-
-
-def _contains_product(I, f):
-    A, B = I.children
-    norm = product_module(A, B)
-    if norm.kind != "Product":
-        return contains(norm, f)
-    for lam in (0.5, 0.25, 0.75):
-        u1 = termwise_pow(f, lam)
-        u2 = termwise_pow(f, 1.0 - lam)
-        for X, Y in ((A, B), (B, A)):
-            v1, v2 = contains(X, u1), contains(Y, u2)
-            if v1.answer == "yes" and v2.answer == "yes":
-                return yes(df.combine(u1, u2, "product"),
-                           "split as a product of fractional powers")
-    return maybe("no product factorization found")
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ II_1 = "II_1"
 class NormalOp:
     """Multiplication by v on (0, domain_hi).  segs come out of
     decfun.normalize less the segments without terms (make_op, scale_op),
-    or are T's own with only the phase changed (adjoint)."""
+    or are T's own with only the phase changed (adjoint) or the last one
+    clipped (truncate)."""
     factor_type: str
     segs: tuple
 
@@ -408,11 +409,15 @@ class BoundedPart:
 
 
 def truncate(T, cut):
-    """T on (0, cut); T itself when it ends by cut."""
-    head = make_op([replace(s, hi=min(s.hi, cut)) for s in T.segs
-                    if s.lo < cut], T.factor_type, validate=False)
-    # T keeps the profile and tables built on it
-    return T if head == T else head
+    """T on (0, cut): T's own segments, the last one clipped, so phases
+    and terms keep their bits; T itself, with the profile and tables built
+    on it, when it ends by cut."""
+    if not T.segs or T.segs[-1].hi <= cut:
+        return T
+    segs = [s for s in T.segs if s.lo < cut]
+    if segs and segs[-1].hi > cut:
+        segs[-1] = replace(segs[-1], hi=cut)
+    return NormalOp(T.factor_type, tuple(segs))
 
 
 def split_fs_b(T):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from commcalc import decfun as df
 from commcalc import modules as md
-from commcalc.specop import II_1
+from commcalc.specop import II_1, II_INF
 
 
 def fs_sqrt():
@@ -272,8 +274,9 @@ class TestSumNode:
         I = md.Sum(md.FsPart(md.Lp(0.5)), md.BPart(md.Lp(2.0)))
         # head like t^-1|log t|^-2-free: use t^-1.5 head (in L_1/2 fs),
         # tail like t^-0.6 bounded (in L_2 b)
-        f = df.combine(df.power_fun(1.0, 1.5, hi=1.0),
-                       md.b_cut(df.power_fun(1.0, 0.6)), "max")
+        tail = df.make([df.Seg(0.0, 1.0, (df.Term(1.0),)),
+                        df.Seg(1.0, df.INF, (df.Term(1.0, 0.6),))])
+        f = df.combine(df.power_fun(1.0, 1.5, hi=1.0), tail, "max")
         v = md.contains(I, f)
         assert v.answer == "yes"
 
@@ -281,3 +284,120 @@ class TestSumNode:
         I = md.Sum(md.FsPart(md.Lp(0.5)), md.BPart(md.Lp(2.0)))
         f = df.const(1.0)  # constant tail is in neither part
         assert md.contains(I, f).answer == "no"
+
+
+# ---------------------------------------------------------------------------
+# end thresholds against their references
+
+
+@st.composite
+def heads(draw):
+    """(p, q) of a head t^-p L^-q that is nonincreasing on (0, e^-2)."""
+    p = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 2.5])
+             | st.floats(0.05, 3.0))
+    q = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))
+    assume(q <= 2.0 * p)  # L >= 2 there
+    return p, q
+
+
+@st.composite
+def tails(draw):
+    kind = draw(st.sampled_from(["zero", "const", "power"]))
+    if kind != "power":
+        return kind
+    p = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]) | st.floats(0.05, 3.0))
+    q = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    assume(p > 0.0 or q > 0.0)
+    return p, q
+
+
+def modules():
+    base = st.one_of(
+        st.sampled_from([0.4, 0.5, 1.0, 2.0, 3.0]).map(md.Lp),
+        st.sampled_from([md.Llog(), md.F(), md.K(), md.M()]),
+        st.tuples(heads(), tails()).map(
+            lambda ht: md.Principal(grid_generator(*ht[0], ht[1]))))
+    return st.recursive(base, lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: md.Sum(*ab)),
+        st.tuples(inner, inner).map(lambda ab: md.Product(*ab)),
+        st.sampled_from([md.FsPart, md.BPart, md.Vanish]).flatmap(
+            inner.map)), max_leaves=3)
+
+
+def on_unit_interval(f):
+    return df.make([df.Seg(s.lo, min(s.hi, 1.0), s.terms)
+                    for s in f.segs if s.lo < 1.0], 1.0)
+
+
+def bounded_tail(f):
+    """min(f, f(1)): f's tail under a constant head."""
+    segs = [df.Seg(0.0, 1.0, (df.Term(f(1.0)),))]
+    segs += [df.Seg(max(s.lo, 1.0), s.hi, s.terms)
+             for s in f.segs if s.hi > 1.0]
+    return df.make(segs)
+
+
+class TestEndThresholds:
+    @settings(max_examples=300, deadline=None)
+    @given(heads(), tails(), st.sampled_from(["free", "head", "tail"]),
+           st.floats(0.2, 5.0), st.booleans())
+    @example((2.5, 0.0), "zero", "free", 0.4, False)
+    @example((2.5, 0.0), "zero", "free", 0.4, True)
+    @example((0.5, 1.0), (2.5, 2.0), "tail", 1.0, False)
+    def test_lp_follows_the_divergence_test(self, head, tail, at, p, ii1):
+        # at the head's or the tail's boundary p g = 1 (up to rounding)
+        # the log exponent decides
+        if at == "head" and head[0] > 0.0:
+            p = 1.0 / head[0]
+        elif at == "tail" and tail not in ("zero", "const") and tail[0] > 0.0:
+            p = 1.0 / tail[0]
+        f = grid_generator(*head, tail)
+        if ii1:
+            f = on_unit_interval(f)
+        v = md.contains(md.Lp(p, II_1 if ii1 else II_INF), f)
+        assert (v.answer == "yes") \
+            == (not df.diverges(f, 0.0, f.domain_hi, p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(modules(), modules(), heads(), tails(), heads(), tails())
+    def test_products_of_members_lie_in_the_product(self, A, B, h1, t1, h2,
+                                                    t2):
+        g, h = grid_generator(*h1, t1), grid_generator(*h2, t2)
+        if md.contains(A, g) and md.contains(B, h):
+            prod = df.combine(g, h, "product")
+            assert md.contains(md.Product(A, B), prod).answer == "yes"
+
+    @settings(max_examples=150, deadline=None)
+    @given(modules(), modules(), heads(), tails())
+    def test_sum_takes_each_end_from_either_summand(self, A, B, head, tail):
+        f = grid_generator(*head, tail)
+        ends = (df.clip(f, 0.0, 1.0), bounded_tail(f))
+        expected = all(md.contains(A, e) or md.contains(B, e) for e in ends)
+        assert (md.contains(md.Sum(A, B), f).answer == "yes") == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(heads(), tails())
+    def test_zero_generator_holds_only_zero(self, head, tail):
+        f = grid_generator(*head, tail)
+        I = md.Principal(df.zero())
+        # a bounded f with finite support too, and one vanishing near 0
+        for g in (f, df.clip(f, 0.0, 1.0), bounded_tail(f),
+                  df.step_fun([(2.0, 1.0)]), df.clip(f, 1.0, 2.0)):
+            assert md.contains(I, g).answer == "no"
+        assert md.contains(I, df.zero()).answer == "yes"
+        I1 = md.Principal(df.zero(1.0))
+        assert md.contains(I1, on_unit_interval(f)).answer == "no"
+
+    def test_product_threshold_is_strict_where_a_factor_is(self):
+        # <t^-1/2> L_2 at 0: t^-1 L^-q for q > 1/2 only, since h >= t^-1/2
+        # L^-1/2 is not square integrable (L = |log t|)
+        I = md.Product(md.Principal(df.power_fun(1.0, 0.5, hi=1.0)),
+                       md.Lp(2.0))
+        for q, answer in ((0.5, "no"), (0.6, "yes"), (0.4, "no")):
+            f = df.power_fun(1.0, 1.0, q, hi=math.exp(-2.0))
+            assert md.contains(I, f).answer == answer
+        # attained times attained is attained: BPart(<t^-1/2>) is bounded
+        # at 0, so the product holds t^-1/2 itself
+        J = md.Product(md.Principal(df.power_fun(1.0, 0.5, hi=1.0)),
+                       md.BPart(md.Principal(df.power_fun(1.0, 0.5))))
+        assert md.contains(J, df.power_fun(1.0, 0.5, hi=1.0)).answer == "yes"

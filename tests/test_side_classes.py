@@ -302,8 +302,7 @@ BIG_STEPS = [(1e308, 1.0), (9e307, 1.0)]
 
 def test_overflowing_L1_integral_is_finite():
     T = so.from_atoms(BIG_STEPS)
-    v = md.contains(md.Lp(1.0), so.mu(T))
-    assert v.answer == "yes" and "overflows a float" in v.reason
+    assert md.contains(md.Lp(1.0), so.mu(T)).answer == "yes"
     dec = cm.member_IIinf(T, md.Lp(1.0), md.M())
     assert dec.answer == "not_member"
     assert dec.obstruction["side"] == "both"
@@ -316,8 +315,7 @@ def test_overflowing_L2_integral_is_finite():
     # 1e200 on (0, 1), then 1e200 t^-1.01: (1e200)^2 passes the float range
     T = so.make_op([Seg(0.0, 1.0, (Term(1e200),)),
                     Seg(1.0, INF, (Term(1e200, 1.01),))])
-    v = md.contains(md.Lp(2.0), so.mu(T))
-    assert v.answer == "yes" and v.reason == "L_2 integral overflows a float"
+    assert md.contains(md.Lp(2.0), so.mu(T)).answer == "yes"
     assert df.integral(so.mu(T), 0.0, INF, 2.0) == INF
     assert not df.diverges(so.mu(T), 0.0, INF, 2.0)
     assert cm.member_IIinf(T, md.Lp(2.0), md.M()).answer == "member"

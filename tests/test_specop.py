@@ -237,6 +237,34 @@ class TestSplit:
                              tol=1e-12)
 
 
+    def test_head_is_T_itself_when_T_ends_by_the_cut(self):
+        # z / |z| is not idempotent: renormalizing the second phase moved
+        # its last bit, and split_fs_b returned a copy of T
+        T = so.from_atoms([
+            (-1.1142497526943569 - 4.633919383234185j, 0.08365647232914918),
+            (1.3341686845342937 - 0.75547530537092j, 0.0874325014335771),
+            (-2.650833770396478 + 1.5917082214543004j, 0.09029497330491977)])
+        fs, b = so.split_fs_b(T)
+        assert T.segs[-1].hi <= b.cut
+        assert fs is T
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.complex_numbers(min_magnitude=1e-3,
+                                                 max_magnitude=5.0),
+                              st.floats(0.05, 0.6)), min_size=1, max_size=3))
+    def test_head_is_T_clipped_at_the_cut(self, atoms):
+        T = so.from_atoms(atoms)
+        fs, b = so.split_fs_b(T)
+        if T.segs[-1].hi <= b.cut:
+            assert fs is T
+            return
+        kept = [p for p in T.segs if p.lo < b.cut]
+        if kept:
+            kept[-1] = replace(kept[-1], hi=min(kept[-1].hi, b.cut))
+        # phases and terms bit for bit
+        assert repr(fs.segs) == repr(tuple(kept))
+
+
 class TestReIm:
     def test_self_adjoint(self):
         T = so.from_atoms([(1.0, 1.0), (-2.0, 1.0)])
