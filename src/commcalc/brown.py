@@ -326,9 +326,11 @@ def _abs_op(T):
 def build_V(T, h=None, grid_n=40):
     """Positive certificate operator for the band functional of T.
 
-    Starts from four copies of |T| (and of the witness profile h when
-    given) and doubles the masses until the class-F bound holds on the
-    probe grid; mass amplification keeps mu(V) in the same module class.
+    Four copies of |T| (and of the witness profile h when given), their
+    masses amplified once, by the least 2^k at or above the worst class-F
+    ratio on the probe grid: the 2^k scales each ratio down exactly.  This
+    keeps mu(V) in the same module class.  An infinite ratio cannot be
+    mended; it raises DomainError naming the probe pair.
     """
     atoms = [(z, 4.0 * mass)
              for z, mass in brown_of_normal(_abs_op(T)).atoms]
@@ -338,14 +340,18 @@ def build_V(T, h=None, grid_n=40):
                   for z, mass in brown_of_normal(hop).atoms]
     V = normal_model(BrownMeasure(tuple(atoms)))
     F = phi_of(T)
-    for _ in range(60):
-        rep = verify_certificate(F, V, "F", grid_n)
-        if rep["ok"]:
-            return V
-        factor = 2.0 ** math.ceil(math.log2(max(rep["worst_ratio"], 2.0)))
-        atoms = [(z, factor * mass) for z, mass in atoms]
-        V = normal_model(BrownMeasure(tuple(atoms)))
-    raise DomainError("certificate amplification did not converge")
+    rep = verify_certificate(F, V, "F", grid_n)
+    if rep["ok"]:
+        return V
+    if rep["worst_ratio"] == INF:
+        raise DomainError("class-F bound of V vanishes at (r, s)=(%g, %g)"
+                          % rep["worst_rs"])
+    factor = 2.0 ** math.ceil(math.log2(rep["worst_ratio"]))
+    V = normal_model(BrownMeasure(tuple((z, factor * mass)
+                                        for z, mass in atoms)))
+    if not verify_certificate(F, V, "F", grid_n)["ok"]:
+        raise DomainError("certificate amplification did not converge")
+    return V
 
 
 def member_F(T, I):
@@ -358,13 +364,8 @@ def member_F(T, I):
     dec = cm.member_IIinf(T, I, md.M())
     if dec.answer != "member" or md.geometrically_stable(I) != "yes":
         return dec
-    cert = dec.certificate
-    h = None
-    hs = [x for x in (cert.h_fs, cert.h_b) if x is not None]
-    if hs:
-        h = hs[0] if len(hs) == 1 else df.combine(hs[0], hs[1], "sum")
     try:
-        V = build_V(T, h)
+        V = build_V(T, dec.certificate.h)
     except DomainError as exc:
         return cm.inconclusive("certificate construction failed: %s" % exc)
     # build_V returns V only once class F holds on this grid, so only
@@ -374,9 +375,8 @@ def member_F(T, I):
         return cm.inconclusive(
             "band-functional certificate disagrees with the membership"
             " verdict: F ok=True G ok=False")
-    return cm.Decision("member", cert, None,
-                       (dec.notes + "; band-functional certificate verified"
-                        ).strip("; "))
+    return replace(dec, notes=(dec.notes + "; band-functional certificate"
+                               " verified").strip("; "))
 
 
 def approx_nilpotent(tag, I):

@@ -338,16 +338,19 @@ def _run_member(query):
         if T.factor_type != so.II_INF:
             raise CliError("query.relation: F_plus requires a II_inf "
                            "operator")
-        return cm.member_F_plus(T, I)
+        return _member(T, I, f_plus=True)
     if relation != "commutator":
         raise CliError("query.relation: expected 'commutator' or 'F_plus', "
                        "got %r" % relation)
-    J = _query_field(query, "module_J", sz.module_from_json)
-    if J is None:
-        J = md.M(T.factor_type)
-    if T.factor_type == so.II_1:
-        return cm.member_II1(T, I, J)
-    return cm.member_IIinf(T, I, J)
+    return _member(T, I, _query_field(query, "module_J", sz.module_from_json))
+
+
+def _member(T, I, J=None, f_plus=False):
+    """T in F + [I, M] (f_plus), else T in [I, J], J = M by default."""
+    if f_plus:
+        return cm.member_F_plus(T, I)
+    run = cm.member_II1 if T.factor_type == so.II_1 else cm.member_IIinf
+    return run(T, I, md.M(T.factor_type) if J is None else J)
 
 
 def _decision_exit(dec):
@@ -561,10 +564,7 @@ def run_table(name="all"):
     """Evaluate the golden decision table; returns a list of row dicts."""
     rows = []
     for rid, relation, query, T, I, J, expected in _table_rows(name):
-        if query == "F_plus":
-            dec = cm.member_F_plus(T, I)
-        else:
-            dec = cm.member_IIinf(T, I, J if J is not None else md.M())
+        dec = _member(T, I, J, query == "F_plus")
         rows.append({"id": rid, "relation": relation, "query": query,
                      "expected": expected, "answer": dec.answer,
                      "ok": dec.answer == expected})

@@ -57,6 +57,13 @@ class WitnessCertificate:
     block_bounds: tuple = ()
     total_count: int = 14
 
+    @property
+    def h(self):
+        """The witness h_fs + h_b, or whichever of the two is set."""
+        if self.h_fs is None or self.h_b is None:
+            return self.h_b if self.h_fs is None else self.h_fs
+        return df.combine(self.h_fs, self.h_b, "sum")
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -138,7 +145,7 @@ def side_facts(X, name):
         end, reach = df.dominant_at_inf(m), max(0.0, m.segs[-1].lo - lo)
     else:
         raise ValueError("side must be head or tail")
-    if df.diverges(m, *((0.0, 1.0) if name == "head" else (1.0, INF))):
+    if not (T.integrable_at_0 if name == "head" else T.integrable_at_inf):
         return Side(name, X, "diverges", None, None, end, reach)
     v = so.integrate_v(T, lo, T.domain_hi)
     noise = TRACE_TOL * max(1.0, df.integral(m, lo, m.domain_hi))
@@ -206,14 +213,21 @@ def side_classes(side, a):
             near + (Term(c, 1.0),)]
 
 
-def _decide_side(side, samples, module, domain_hi, a, hold):
-    """Whether module holds a majorant of the sampled side function: the
-    step majorant with the exact end class attached (envelope_majorant).
-    Of two brackets, "yes" comes from the upper and "no" from the lower."""
+def decide_side(side, module, a=0.0):
+    """Whether module holds a majorant of the sampled side function
+    |a - head(r)| / r or |a + tail(s)| / s: the step majorant with the
+    exact end class attached (envelope_majorant), held past the samples on
+    the tail side or a finite domain.  Of two brackets, "yes" comes from
+    the upper and "no" from the lower."""
+    samples = _clean_samples(
+        head_values(side.part) if side.name == "head"
+        else [(s, -v) for s, v in tail_values(side.part)], a)
+    domain_hi = module.domain_hi
     classes = side_classes(side, a)
     if classes == [()] and all(v == 0.0 for _, v in samples):
         return SideResult("yes", df.zero(domain_hi), None, "zero bound")
     worst = max(samples, key=lambda tv: tv[1])
+    hold = side.name == "tail" or domain_hi < INF
     for i, ends in enumerate(classes):
         h = df.envelope_majorant(samples, domain_hi, reach=side.reach,
                                  hold=hold, **{side.name: ends})
@@ -226,26 +240,15 @@ def _decide_side(side, samples, module, domain_hi, a, hold):
                       "the brackets of t^-1 log|log t| disagree")
 
 
-def _split_criterion(side, I, a):
-    """decide_fs (side "head") or decide_b (side "tail") on a Side."""
-    if side.name == "head":
-        pairs, module = head_values(side.part), md.FsPart(I)
-    else:
-        pairs = [(s, -v) for s, v in tail_values(side.part)]
-        module = md.BPart(I)
-    return _decide_side(side, _clean_samples(pairs, a), module, INF, a,
-                        side.name == "tail")
-
-
 def decide_fs(T_fs, I, a=0.0):
     """Existence of h in mu(FsPart(I)) with |a - head(r)| <= r h(r), r < 1."""
-    return _split_criterion(side_facts(T_fs, "head"), I, a)
+    return decide_side(side_facts(T_fs, "head"), md.FsPart(I), a)
 
 
 def decide_b(T_b, I, a=0.0):
     """Existence of h in mu(BPart(I)) with |a + tail(s)| <= s h(s), s >= 1,
     for a bounded part T_b or a bounded operator."""
-    return _split_criterion(side_facts(T_b, "tail"), I, a)
+    return decide_side(side_facts(T_b, "tail"), md.BPart(I), a)
 
 
 def member_side(Tside, I, side, a=0.0):
@@ -265,17 +268,12 @@ def member_side(Tside, I, side, a=0.0):
 
 def _side_to_decision(res, a, side):
     if res.answer == "yes":
-        cert = WitnessCertificate(
-            a=a,
-            h_fs=res.h if side == "fs" else None,
-            h_b=res.h if side == "b" else None,
-        )
+        cert = WitnessCertificate(a=a, h_fs=res.h if side == "fs" else None,
+                                  h_b=res.h if side == "b" else None)
         return member(cert, res.reason)
     if res.answer == "no":
-        return not_member(
-            {"side": side, "r": res.worst[0], "required": res.worst[1],
-             "reason": res.reason},
-        )
+        return not_member({"side": side, "r": res.worst[0],
+                           "required": res.worst[1], "reason": res.reason})
     return inconclusive(res.reason)
 
 
@@ -326,8 +324,9 @@ def member_with_a(T_fs, T_b, I, shared_a=True):
         # + 0.0 turns the -0.0 of a vanishing tail limit into 0.0
         a_fs = a_b = (a_fs if fs_status == "forced" else a_b) + 0.0
     sides = []
-    for name, side, a in (("fs", fs, a_fs), ("b", b, a_b)):
-        res = _split_criterion(side, I, a)
+    for name, side, module, a in (("fs", fs, md.FsPart(I), a_fs),
+                                  ("b", b, md.BPart(I), a_b)):
+        res = decide_side(side, module, a)
         if res.answer == "no":
             return not_member({"side": name, "a": a, "r": res.worst[0],
                                "required": res.worst[1],
@@ -361,22 +360,15 @@ def member_IIinf(T, I, J):
         return not_member({"side": "module",
                            "reason": "mu(T) outside the product module: "
                            + nec.reason})
-    ones_ok = md.contains(IJ, ONE).answer == "yes"
-    if md.is_bounded(m) and ones_ok:
+    if md.is_bounded(m) and md.contains(IJ, ONE).answer == "yes":
         cert = WitnessCertificate(h_fs=df.zero(),
                                   h_b=df.const(2.0 * df.value_at_0(m)))
         return member(cert, "bounded operator; module contains the bounded"
                       " carpet, so the full-algebra identity applies")
     d = df.limit_at_inf(m)
     if d > 0.0:
-        if not ones_ok:
-            return inconclusive("nonvanishing tail but constants undecided")
+        # IJ holds mu(T) >= d, so 1 too: mu(T) is unbounded, the cut > 0
         cut = so.dist_fun(m, d * (1.0 + 1e-6))
-        if cut == 0.0:
-            cert = WitnessCertificate(h_fs=df.zero(),
-                                      h_b=df.const(2.0 * df.value_at_0(m)))
-            return member(cert, "flat profile handled by the full-algebra"
-                          " identity")
         dec = member_IIinf(so.truncate(T, cut), I, J)  # a finite support
         note = "tail at level %g handled by the full-algebra identity" % d
         return Decision(dec.answer, dec.certificate, dec.obstruction,
@@ -401,9 +393,8 @@ def member_II1(T, I, J):
         return not_member({"side": "module",
                            "reason": "mu(T) outside the product module: "
                            + nec.reason})
-    samples = _clean_samples(head_values(T), 0.0)
-    dec = _side_to_decision(_decide_side(side_facts(T, "head"), samples,
-                                         IJ, 1.0, 0.0, True), 0.0, "fs")
+    dec = _side_to_decision(decide_side(side_facts(T, "head"), IJ), 0.0,
+                            "fs")
     if dec.certificate is None:
         return dec
     return replace(dec, certificate=replace(dec.certificate, total_count=12))
@@ -502,15 +493,16 @@ def fdh_certificate(T, h, K=40):
 def _certificate_table(T, K):
     """The h-free half of fdh_certificate.
 
-    The band edges of the 2K + 1 dyadic levels, the running band integrals
-    between them, |tau(T E(mu_s, mu_r])| for each pair of levels r < s
+    The dyadic levels 2^-K..2^K, their band edges, the running band
+    integrals between them, |tau(T E(mu_s, mu_r])| for each pair r < s
     (at [i + K, j + K] for r = 2^i, s = 2^j; -inf on and below the
     diagonal, where no bound fails), and the block averages alpha.
     """
     m = so.mu(T)
     if df.limit_at_inf(m) > 0.0:
         raise DomainError("certificate requires vanishing singular values")
-    edges = [so.edge(m, 2.0 ** i) for i in range(-K, K + 1)]
+    pts = dyadic_grid(-K, K, 1)
+    edges = [so.edge(m, t) for t in pts]
     cumul = [0.0 + 0.0j]
     for u, w in zip(edges, edges[1:]):
         cumul.append(cumul[-1] + so.integrate_v(T, u, w))
@@ -523,9 +515,9 @@ def _certificate_table(T, K):
     if np.isinf(lhs[np.isfinite(diff)]).any():
         raise OverflowError("absolute value too large")
     lhs[np.tril_indices(len(cumul))] = -INF
-    alpha = {n: 2.0 ** -n * so.integrate_v(T, 2.0 ** n, 2.0 ** (n + 1))
-             for n in range(-K, K)}
-    return K, m, lhs, alpha
+    alpha = {n: 2.0 ** -n * so.integrate_v(T, r, s)
+             for n, r, s in zip(range(-K, K), pts, pts[1:])}
+    return K, pts, m, lhs, alpha
 
 
 def _certificate_for(table, h):
@@ -533,8 +525,7 @@ def _certificate_for(table, h):
     two-variable bound on every pair as one float64 array comparison, then
     the beta sequences and the block bounds.  phi = h + mu(T) is built
     only once the pair test has passed, as most scalings fail it."""
-    K, m, lhs, alpha = table
-    pts = [2.0 ** i for i in range(-K, K + 1)]
+    K, pts, m, lhs, alpha = table
     rh = np.array([t * h(t) for t in pts])
     # overflow to inf and inf - inf are silent in float arithmetic too
     with np.errstate(over="ignore", invalid="ignore"):
@@ -551,8 +542,8 @@ def _certificate_for(table, h):
     iv_im, beta_im = beta_sequence(
         {n: v.imag for n, v in alpha.items()}, phi_at, K)
     blocks = []
-    for n in range(-K, K):
-        s_bound = 2.0 * m(2.0 ** n)
+    for n, t in zip(range(-K, K), pts):
+        s_bound = 2.0 * m(t)
         blocks.append({"n": n, "S_norm_bound": s_bound,
                        "X_norm_bound": 12.0 * s_bound,
                        "Y_norm_bound": 2.0, "commutators": 10})
@@ -565,22 +556,22 @@ def _certificate_for(table, h):
 
 def _attach_block_data(T, dec, K=40):
     """Certificate data for the first witness scaling 2^j, j < 13, that
-    passes; the h-free table of T is built once for all of them."""
+    passes; the h-free table of T is built once for all of them.  Past the
+    float range a scaling fails: the verdict stays, without block data."""
     cert = dec.certificate
-    hs = [h for h in (cert.h_fs, cert.h_b) if h is not None]
-    if not hs:
+    h = cert.h
+    if h is None:
         return dec
-    h = hs[0] if len(hs) == 1 else df.combine(hs[0], hs[1], "sum")
     if abs(cert.a) > 0:
         h = df.combine(h, df.scale_fun(md.omega_fs(), abs(cert.a)), "sum")
     try:
         table = _certificate_table(T, K)
-    except DomainError:
+    except (DomainError, OverflowError):
         return dec
     for j in range(13):
         try:
             full = _certificate_for(table, df.scale_fun(h, 2.0 ** j))
-        except DomainError:
+        except (DomainError, OverflowError):
             continue
         cert2 = replace(full, a=cert.a, h_fs=cert.h_fs, h_b=cert.h_b)
         note = "" if j == 0 else " (witness scaled by 2^%d)" % j

@@ -48,23 +48,30 @@ def _record(obj, path, required, optional=()):
 # PLFun
 
 
-def plfun_to_json(f):
-    """Array of {lo, hi, coeff, pow, logpow[, logscale]}; hi null = INF;
-    multi-term segments repeat (lo, hi)."""
+def _seg_records(segs, phases):
+    """One record {lo, hi, coeff, pow, logpow[, logscale]} per term, a zero
+    segment as one zero term; hi null = INF, multi-term segments repeat
+    (lo, hi).  With phases, each record also carries its segment's
+    phase_re and phase_im."""
     out = []
-    for seg in f.segs:
+    for seg in segs:
         hi = None if seg.hi == INF else seg.hi
-        if seg.is_zero():
-            out.append({"lo": seg.lo, "hi": hi, "coeff": 0.0,
-                        "pow": 0.0, "logpow": 0.0})
-            continue
-        for term in seg.terms:
+        if phases:
+            phase = complex(seg.phase)
+        for term in seg.terms or (df.Term(0.0),):
             rec = {"lo": seg.lo, "hi": hi, "coeff": term.coeff,
                    "pow": term.pow, "logpow": term.logpow}
             if term.scale != 1.0:
                 rec["logscale"] = term.scale
+            if phases:
+                rec["phase_re"], rec["phase_im"] = phase.real, phase.imag
             out.append(rec)
     return out
+
+
+def plfun_to_json(f):
+    """Array of {lo, hi, coeff, pow, logpow[, logscale]} segment records."""
+    return _seg_records(f.segs, False)
 
 
 def _group_records(data, path, fields):
@@ -110,19 +117,8 @@ def plfun_from_json(data, domain_hi=INF, path="plfun"):
 
 
 def op_to_json(T):
-    segs = []
-    for seg in T.segs:
-        hi = None if seg.hi == INF else seg.hi
-        phase = complex(seg.phase)
-        for term in seg.terms:
-            rec = {"lo": seg.lo, "hi": hi,
-                   "phase_re": phase.real, "phase_im": phase.imag,
-                   "coeff": term.coeff, "pow": term.pow,
-                   "logpow": term.logpow}
-            if term.scale != 1.0:
-                rec["logscale"] = term.scale
-            segs.append(rec)
-    return {"factor_type": T.factor_type, "segments": segs}
+    return {"factor_type": T.factor_type,
+            "segments": _seg_records(T.segs, True)}
 
 
 def op_from_json(obj, path="operator"):

@@ -182,29 +182,18 @@ def dist_fun(f, x, closed=False):
     """For nonincreasing f: measure of {f > x} resp. {f >= x}."""
     if x < 0:
         raise DomainError("negative level")
-    # segments before k lie above x; scan on from the first that does not
+    # segments before k lie above x; segment k's right limit is not (the
+    # table's running minimum fails there first), so the crossing is in it
     k, D = f.levels.first_below(x, closed)
-    for i in range(k, len(f.segs)):
-        seg = f.segs[i]
-        hi = min(seg.hi, f.domain_hi)
-        if seg.is_zero():
-            if closed and x == 0.0:
-                D = hi
-                continue
-            break
-        vR = df.right_limit(seg, hi)
-        inside = (vR >= x) if closed else (vR > x)
-        if inside:
-            D = hi
-            continue
-        vL = seg.value(seg.lo) if seg.lo > 0 else df.value_at_0(
-            df.PLFun(f.domain_hi, (Seg(0.0, hi, seg.terms),)))
-        outside_all = (vL < x) if closed else (vL <= x)
-        if outside_all:
-            break
-        D = _level_cross(seg, hi, x)
-        break
-    return D
+    if k == len(f.segs) or f.segs[k].is_zero():
+        return D
+    seg = f.segs[k]
+    hi = min(seg.hi, f.domain_hi)
+    vL = seg.value(seg.lo) if seg.lo > 0 else df.value_at_0(
+        df.PLFun(f.domain_hi, (Seg(0.0, hi, seg.terms),)))
+    # vL == vR on a constant segment: it never reaches _level_cross
+    return D if ((vL < x) if closed else (vL <= x)) \
+        else _level_cross(seg, hi, x)
 
 
 def edge(f, t):
@@ -226,12 +215,9 @@ def edge(f, t):
 
 
 def _level_cross(seg, hi, x):
-    """First t in [lo, hi) with seg value <= x (segment is nonincreasing)."""
+    """First t in [lo, hi) with seg value <= x, for a nonincreasing,
+    non-constant segment."""
     from scipy import optimize
-
-    if seg.is_const():
-        # value == x handled by callers through the strict/loose tests
-        return seg.lo
 
     def d(t):
         return seg.value(t) - x

@@ -73,6 +73,34 @@ def scan_dist_fun(f, x, closed=False):
     return D
 
 
+def loop_dist_fun(f, x, closed=False):
+    """The level table, then a scan on from the first segment it finds."""
+    if x < 0:
+        raise DomainError("negative level")
+    k, D = f.levels.first_below(x, closed)
+    for i in range(k, len(f.segs)):
+        seg = f.segs[i]
+        hi = min(seg.hi, f.domain_hi)
+        if seg.is_zero():
+            if closed and x == 0.0:
+                D = hi
+                continue
+            break
+        vR = df.right_limit(seg, hi)
+        inside = (vR >= x) if closed else (vR > x)
+        if inside:
+            D = hi
+            continue
+        vL = seg.value(seg.lo) if seg.lo > 0 else df.value_at_0(
+            df.PLFun(f.domain_hi, (Seg(0.0, hi, seg.terms),)))
+        outside_all = (vL < x) if closed else (vL <= x)
+        if outside_all:
+            break
+        D = so._level_cross(seg, hi, x)
+        break
+    return D
+
+
 def scan_integrate_v(T, u, w):
     w = min(w, T.domain_hi)
     so._check_band_integrable(T, u, w)
@@ -216,6 +244,58 @@ def test_dist_fun_equals_the_scan_on_any_steps(data, values):
     for x, closed in data.draw(st.permutations(queries)):
         assert (outcome(so.dist_fun, f, x, closed)
                 == outcome(scan_dist_fun, f, x, closed))
+
+
+@st.composite
+def levels_of(draw, m):
+    """Levels at, just off, and between the profile's segment limits."""
+    marks = [0.0]
+    for seg in m.segs:
+        marks.append(scan_right_limit(seg, min(seg.hi, m.domain_hi)))
+        if seg.lo > 0.0:
+            marks.append(seg.value(seg.lo))
+    x = draw(st.sampled_from(marks))
+    how = draw(st.sampled_from(["at", "up", "down", "free"]))
+    if how == "up":
+        x = math.nextafter(x, INF)
+    elif how == "down" and x > 0.0:
+        x = math.nextafter(x, 0.0)
+    elif how == "free":
+        x = draw(st.floats(0.0, 10.0))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), factor_type=st.sampled_from([so.II_INF, so.II_1]),
+       closed=st.booleans())
+def test_dist_fun_reads_one_segment_past_the_table(data, factor_type,
+                                                   closed):
+    # the loop past the level table never takes a second step: the table
+    # stops at the first segment not above x, which is zero or holds the
+    # crossing
+    domain_hi = 1.0 if factor_type == so.II_1 else INF
+    try:
+        T = so.make_op(data.draw(profile_segs(domain_hi)), factor_type)
+    except DomainError:
+        assume(False)
+    m = so.mu(T)
+    for _ in range(4):
+        x = data.draw(levels_of(m))
+        got = outcome(so.dist_fun, m, x, closed)
+        assert got == outcome(loop_dist_fun, m, x, closed)
+        assert got == outcome(scan_dist_fun, m, x, closed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-10, 2.0]),
+                       min_size=1, max_size=8),
+       x=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 + 1e-10, 2.0, 3.0]),
+       closed=st.booleans())
+def test_dist_fun_equals_the_table_loop_on_any_steps(values, x, closed):
+    f = df.make([Seg(float(k), k + 1.0, (Term(v),) if v else ())
+                 for k, v in enumerate(values)], validate=False)
+    assert (outcome(so.dist_fun, f, x, closed)
+            == outcome(loop_dist_fun, f, x, closed))
 
 
 def test_divergent_head_fails_where_the_scan_fails():

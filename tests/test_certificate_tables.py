@@ -132,7 +132,7 @@ def ref_attach_block_data(T, dec, K=40):
     for j in range(13):
         try:
             full = ref_fdh_certificate(T, df.scale_fun(h, 2.0 ** j), K)
-        except DomainError:
+        except (DomainError, OverflowError):
             continue
         cert2 = cm.WitnessCertificate(
             a=cert.a, h_fs=cert.h_fs, h_b=cert.h_b, alpha=full.alpha,
@@ -141,6 +141,25 @@ def ref_attach_block_data(T, dec, K=40):
         note = "" if j == 0 else " (witness scaled by 2^%d)" % j
         return cm.Decision("member", cert2, None, dec.notes + note)
     return dec
+
+
+def ref_build_V(T, h=None, grid_n=40):
+    atoms = [(z, 4.0 * mass)
+             for z, mass in br.brown_of_normal(br._abs_op(T)).atoms]
+    if h is not None and not h.is_zero():
+        hop = so.make_op(h.segs, so.II_INF, validate=False)
+        atoms += [(z, 4.0 * mass)
+                  for z, mass in br.brown_of_normal(hop).atoms]
+    V = br.normal_model(br.BrownMeasure(tuple(atoms)))
+    F = br.phi_of(T)
+    for _ in range(60):
+        rep = br.verify_certificate(F, V, "F", grid_n)
+        if rep["ok"]:
+            return V
+        factor = 2.0 ** math.ceil(math.log2(max(rep["worst_ratio"], 2.0)))
+        atoms = [(z, factor * mass) for z, mass in atoms]
+        V = br.normal_model(br.BrownMeasure(tuple(atoms)))
+    raise DomainError("certificate amplification did not converge")
 
 
 def ref_phi_of(T):
@@ -515,6 +534,124 @@ def test_member_F_report_bytes(tmp_path):
     with open(DIGESTS) as fh:
         expected = json.load(fh)
     assert brown_digests(str(tmp_path)) == expected
+
+
+# ---------------------------------------------------------------------------
+# float overflow in the block data, and the amplification of V
+
+
+# 1e308 on (0, 1/2), -1e308 on (1/2, 1), then -t^-2: a member of [K, M]
+# whose witness plus mu(T) passes the float range at every scaling
+OVERFLOWING = [Seg(0.0, 0.5, (Term(1e308),)),
+               Seg(0.5, 1.0, (Term(1e308),), -1.0),
+               Seg(1.0, INF, (Term(1.0, 2.0),), -1.0)]
+
+
+def test_block_data_keep_the_verdict_past_a_float_overflow():
+    T = so.make_op(OVERFLOWING)
+    dec = cm.member_with_a(*so.split_fs_b(T), md.K())
+    assert dec.answer == "member"
+    with pytest.raises(OverflowError):
+        cm.fdh_certificate(T, dec.certificate.h)
+    expected = ("member", "split criteria hold with a=0.0", "no block data")
+    assert decision_bits(cm._attach_block_data(T, dec)) == expected
+    assert decision_bits(ref_attach_block_data(T, dec)) == expected
+    # the pair table itself overflows here
+    T = so.from_atoms([(6.4e304, 2.0 ** 11), (6.3e304j, 2.0 ** 11)])
+    dec = cm.member(cm.WitnessCertificate(h_fs=df.const(1.0)), "criteria")
+    assert decision_bits(cm._attach_block_data(T, dec, 12)) == (
+        "member", "criteria", "no block data")
+    assert decision_bits(ref_attach_block_data(T, dec, 12)) == (
+        "member", "criteria", "no block data")
+
+
+def v_bits(V):
+    return V.segs
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=operators(), h=st.none() | witnesses(),
+       grid_n=st.sampled_from([6, 40]))
+def test_build_V_equals_the_amplification_loop(T, h, grid_n):
+    # one amplification where the loop converges; an infinite ratio, on
+    # which the loop raised OverflowError, is a DomainError naming the pair
+    got = outcome(br.build_V, v_bits, T, h, grid_n)
+    want = outcome(ref_build_V, v_bits, T, h, grid_n)
+    if want[0] is OverflowError:
+        assert got[0] is DomainError
+        assert got[1].startswith("class-F bound of V vanishes at (r, s)=")
+    else:
+        assert got == want
+
+
+def test_build_V_checks_class_F_at_most_twice(monkeypatch):
+    checks = []
+    verify = br.verify_certificate
+
+    def recorded(F, V, cls, *args):
+        rep = verify(F, V, cls, *args)
+        checks.append(rep["ok"])
+        return rep
+
+    monkeypatch.setattr(br, "verify_certificate", recorded)
+    amplified = 0
+    for atoms in DOCS.values():
+        checks.clear()
+        br.build_V(so.from_atoms(atoms))
+        assert checks in ([True], [False, True])
+        amplified += checks == [False, True]
+    assert amplified >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=operators(), atoms=atom_lists, k=st.integers(-40, 60),
+       grid_n=st.sampled_from([5, 40]))
+def test_class_F_ratios_scale_exactly_with_the_masses(T, atoms, k, grid_n):
+    # every atom mass times 2^k: each class-F bound times 2^k, each ratio
+    # divided by 2^k, bit for bit
+    atoms = [(z, m) for z, m in atoms if z != 0.0]
+    assume(atoms)
+    V = so.from_atoms(atoms)
+    Vk = so.from_atoms([(z, m * 2.0 ** k) for z, m in atoms])
+    pts = np.geomspace(2.0 ** -20, 2.0 ** 20, grid_n)
+    i, j = np.triu_indices(grid_n, 1)
+    b = br._class_bound(V, "F", pts)(i, j)
+    bk = br._class_bound(Vk, "F", pts)(i, j)
+    assert (bk == b * 2.0 ** k).all()
+    F = br.phi_of(T)
+    xs = pts.tolist()
+    lhs = np.array([abs(F(xs[a], xs[c])) for a, c in zip(i, j)])
+    pos = b > 0.0
+    assert (lhs[pos] / bk[pos] == lhs[pos] / b[pos] / 2.0 ** k).all()
+    rep, repk = (br.verify_certificate(F, W, "F", grid_n) for W in (V, Vk))
+    assert repk["worst_ratio"] == rep["worst_ratio"] / 2.0 ** k
+    assert repk["worst_rs"] == rep["worst_rs"]
+
+
+# t^-0.1 on (0, 1), then -1 on (1, 1 + 1/0.9), so that tau = 0; the probe
+# grid reaches above the largest modulus of V while T has band mass there
+INFINITE_RATIO = [Seg(0.0, 1.0, (Term(1.0, 0.1),)),
+                  Seg(1.0, 1.0 + 1.0 / 0.9, (Term(1.0),), -1.0)]
+
+
+def test_an_infinite_class_F_ratio_is_inconclusive(tmp_path):
+    T = so.make_op(INFINITE_RATIO)
+    assert cm.member_IIinf(T, md.Lp(1.0), md.M()).answer == "member"
+    with pytest.raises(DomainError, match="class-F bound of V vanishes"):
+        br.build_V(T, cm.member_IIinf(T, md.Lp(1.0), md.M()).certificate.h)
+    dec = br.member_F(T, md.Lp(1.0))
+    assert dec.answer == "inconclusive"
+    assert dec.notes.startswith("certificate construction failed: class-F"
+                                " bound of V vanishes at (r, s)=")
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({
+        "schema_version": sz.SCHEMA_VERSION, "operator": sz.op_to_json(T),
+        "module_I": sz.module_to_json(md.Lp(1.0))}))
+    out = tmp_path / "out"
+    assert cli.main(["brown", "--input", str(path), "--out", str(out)]) \
+        == cli.EXIT_INCONCLUSIVE
+    doc = json.loads((out / "member_F.json").read_text())
+    assert doc["decision"]["answer"] == "inconclusive"
 
 
 if __name__ == "__main__":

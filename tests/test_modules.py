@@ -401,3 +401,33 @@ class TestEndThresholds:
         J = md.Product(md.Principal(df.power_fun(1.0, 0.5, hi=1.0)),
                        md.BPart(md.Principal(df.power_fun(1.0, 0.5))))
         assert md.contains(J, df.power_fun(1.0, 0.5, hi=1.0)).answer == "yes"
+
+
+@st.composite
+def nonvanishing_profiles(draw):
+    """grid_generator's head and middle, then a constant tail level plus,
+    optionally, a vanishing t^-p L^-q on top of it."""
+    p, q = draw(heads())
+    f = grid_generator(p, q, "const")
+    tail = draw(tails())
+    if tail in ("zero", "const"):
+        return f
+    last = f.segs[-1]
+    c = last.terms[0].coeff
+    shape = df.Term(1.0, *tail)
+    # at most c at the start of the tail, where the level before is 2c
+    extra = df.Term(c * draw(st.floats(0.01, 1.0)) / shape.value(last.lo),
+                    *tail)
+    return df.make(f.segs[:-1] + (df.Seg(last.lo, df.INF,
+                                         (df.Term(c), extra)),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(modules(), nonvanishing_profiles())
+def test_a_module_holding_a_nonvanishing_profile_holds_one(I, f):
+    # 1 has the bottom key at 0 and f's key at oo, and admission is
+    # monotone in the key: member_IIinf relies on this past its bounded
+    # shortcut
+    assert df.limit_at_inf(f) > 0.0
+    if md.contains(I, f).answer == "yes":
+        assert md.contains(I, df.const(1.0)).answer == "yes"

@@ -208,6 +208,36 @@ class TestHeadCases:
         assert "brackets" in res.reason
 
 
+def test_log_log_head_is_undecided_end_to_end(tmp_path, capsys):
+    # the brackets of t^-1 L^-1 disagree against <1/t>: the membership
+    # entry points answer inconclusive, and so does the CLI (exit 2), with
+    # the same report on every run
+    T = head_op(1.0, 1.0)
+    I = md.Principal(md.omega_fs())
+    for dec in (cm.member_IIinf(T, I, md.M()), cm.member_F_plus(T, I)):
+        assert (dec.answer, dec.notes) == ("inconclusive",
+                                           "side tests undecided")
+    T1 = so.make_op([Seg(0.0, 1.0 / E3, (Term(1.0, 1.0, 1.0),))], so.II_1)
+    I1 = md.Principal(md.omega_fs(so.II_1))
+    dec = cm.member_II1(T1, I1, md.M(so.II_1))
+    assert (dec.answer, dec.notes) == (
+        "inconclusive", "the brackets of t^-1 log|log t| disagree")
+    for op, module, relation in ((T, I, "commutator"), (T, I, "F_plus"),
+                                 (T1, I1, "commutator")):
+        path = tmp_path / "query.json"
+        path.write_text(json.dumps({
+            "schema_version": sz.SCHEMA_VERSION,
+            "operator": sz.op_to_json(op),
+            "module_I": sz.module_to_json(module), "relation": relation}))
+        reports = []
+        for _ in range(2):
+            assert cli.main(["member", "--input", str(path)]) \
+                == cli.EXIT_INCONCLUSIVE
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["decision"]["answer"] == "inconclusive"
+
+
 class TestTailCases:
     # the mirror cases at infinity; decide_b judges against BPart(I)
 
@@ -332,6 +362,31 @@ def test_member_report_of_an_overflowing_integral(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["decision"]["answer"] == "not_member"
     assert doc["decision"]["obstruction"]["side"] == "both"
+
+
+# 1e308 on (0, 1/2), -1e308 on (1/2, 1), then -t^-2: tau(T) = -1 fits,
+# but the witness plus mu(T) passes the float range at every scaling
+OVERFLOWING_WITNESS = [Seg(0.0, 0.5, (Term(1e308),)),
+                       Seg(0.5, 1.0, (Term(1e308),), -1.0),
+                       Seg(1.0, INF, (Term(1.0, 2.0),), -1.0)]
+
+
+def test_member_without_block_data_past_a_witness_overflow(tmp_path, capsys):
+    T = so.make_op(OVERFLOWING_WITNESS)
+    dec = cm.member_IIinf(T, md.K(), md.M())
+    assert (dec.answer, dec.notes) == ("member",
+                                       "split criteria hold with a=0.0")
+    assert dec.certificate.alpha is None
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({"schema_version": sz.SCHEMA_VERSION,
+                                "operator": sz.op_to_json(T),
+                                "module_I": sz.module_to_json(md.K())}))
+    assert cli.main(["member", "--input", str(path)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)["decision"]
+    assert doc["answer"] == "member"
+    assert "alpha" not in doc["certificate"]
 
 
 def test_term_value_raises_on_overflow():
