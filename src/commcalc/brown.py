@@ -23,6 +23,8 @@ from .specop import II_INF
 
 BROWN_PPO = 16
 DEPTH_OCTAVES = 60
+# the certificate probe grid: 40 log-spaced points on [2^-20, 2^20]
+PROBE_PTS = np.geomspace(2.0 ** -20, 2.0 ** 20, 40)
 
 
 def _norm_atoms(atoms):
@@ -150,15 +152,10 @@ def brown_of_normal(T):
     return BrownMeasure(tuple(atoms))
 
 
-def normal_model(nu, I=None):
+def normal_model(nu):
     """Step profile with the given spectral measure; atoms sorted by
-    decreasing modulus.  Optionally reports mu-membership in I."""
-    op = so.from_atoms(list(nu.atoms), II_INF)
-    note = ""
-    if I is not None:
-        v = md.contains(I, so.mu(op))
-        note = "mu in module: %s (%s)" % (v.answer, v.reason)
-    return (op, note) if I is not None else op
+    decreasing modulus."""
+    return so.from_atoms(list(nu.atoms), II_INF)
 
 
 def phi(src, r, s):
@@ -255,9 +252,9 @@ def fk_det(T, mode="I+T", k=1, w=1.0):
 # certificate classes
 
 
-def _class_bound(V, cls, pts):
-    """The class bound of V on probe pairs (pts[i], pts[j]), as a function
-    of index arrays i, j assembled from per-point tables.
+def _class_bound(V, cls):
+    """The class bound of V on probe pairs (PROBE_PTS[i], PROBE_PTS[j]), as
+    a function of index arrays i, j assembled from per-point tables.
 
     Class F: r nu_V(r, oo) + s nu_V(s, oo).  Class G: the sum over the
     atoms z of nu_V, in order, of mass * (r max(0, log(|z|/r))
@@ -266,13 +263,13 @@ def _class_bound(V, cls, pts):
     operations in the same order, so an overflow warns as it does there.
     """
     if cls == "F":
-        w = np.array([x * so.distribution(V, x) for x in pts])
+        w = np.array([x * so.distribution(V, x) for x in PROBE_PTS])
         return lambda i, j: w[i] + w[j]
     if cls == "G":
         atoms = brown_of_normal(V).atoms
         masses = np.array([mass for _, mass in atoms])
         w = np.array([[x * max(0.0, math.log(abs(z) / x)) for z, _ in atoms]
-                      for x in pts]).reshape(len(pts), len(atoms))
+                      for x in PROBE_PTS]).reshape(len(PROBE_PTS), len(atoms))
 
         def bound(i, j):
             acc = np.zeros(len(i))
@@ -284,8 +281,8 @@ def _class_bound(V, cls, pts):
     raise ValueError("unknown class %r" % cls)
 
 
-def verify_certificate(F, V, cls, grid_n=40, lo=2.0 ** -20, hi=2.0 ** 20):
-    """Probe |F(r,s)| <= class bound of V over a log-spaced (r,s) grid.
+def verify_certificate(F, V, cls):
+    """Probe |F(r,s)| <= class bound of V over the pairs r < s of PROBE_PTS.
 
     Returns a report dict with the worst ratio and its location.  F is
     called once per pair in row-major order (and tables its own side when
@@ -295,15 +292,14 @@ def verify_certificate(F, V, cls, grid_n=40, lo=2.0 ** -20, hi=2.0 ** 20):
     nor a violation, and the worst is the first maximal ratio in
     row-major order, so the report is the pair loop's bit for bit.
     """
-    pts = np.geomspace(lo, hi, grid_n)
-    bound = _class_bound(V, cls, pts)
+    bound = _class_bound(V, cls)
     worst = 0.0
-    worst_rs = (pts[0], pts[1])
-    xs = pts.tolist()
+    worst_rs = (PROBE_PTS[0], PROBE_PTS[1])
+    xs = PROBE_PTS.tolist()
     lhs = np.array([abs(F(r, s)) for k, r in enumerate(xs)
                     for s in xs[k + 1:]])
     live = lhs != 0.0
-    i, j = (ix[live] for ix in np.triu_indices(grid_n, 1))
+    i, j = (ix[live] for ix in np.triu_indices(len(xs), 1))
     lhs = lhs[live]
     b = bound(i, j)
     ratio = np.full(len(lhs), INF)
@@ -323,7 +319,7 @@ def _abs_op(T):
                       T.factor_type, validate=False)
 
 
-def build_V(T, h=None, grid_n=40):
+def build_V(T, h=None):
     """Positive certificate operator for the band functional of T.
 
     Four copies of |T| (and of the witness profile h when given), their
@@ -340,7 +336,7 @@ def build_V(T, h=None, grid_n=40):
                   for z, mass in brown_of_normal(hop).atoms]
     V = normal_model(BrownMeasure(tuple(atoms)))
     F = phi_of(T)
-    rep = verify_certificate(F, V, "F", grid_n)
+    rep = verify_certificate(F, V, "F")
     if rep["ok"]:
         return V
     if rep["worst_ratio"] == INF:
@@ -349,7 +345,7 @@ def build_V(T, h=None, grid_n=40):
     factor = 2.0 ** math.ceil(math.log2(rep["worst_ratio"]))
     V = normal_model(BrownMeasure(tuple((z, factor * mass)
                                         for z, mass in atoms)))
-    if not verify_certificate(F, V, "F", grid_n)["ok"]:
+    if not verify_certificate(F, V, "F")["ok"]:
         raise DomainError("certificate amplification did not converge")
     return V
 

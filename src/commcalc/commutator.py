@@ -240,43 +240,6 @@ def decide_side(side, module, a=0.0):
                       "the brackets of t^-1 log|log t| disagree")
 
 
-def decide_fs(T_fs, I, a=0.0):
-    """Existence of h in mu(FsPart(I)) with |a - head(r)| <= r h(r), r < 1."""
-    return decide_side(side_facts(T_fs, "head"), md.FsPart(I), a)
-
-
-def decide_b(T_b, I, a=0.0):
-    """Existence of h in mu(BPart(I)) with |a + tail(s)| <= s h(s), s >= 1,
-    for a bounded part T_b or a bounded operator."""
-    return decide_side(side_facts(T_b, "tail"), md.BPart(I), a)
-
-
-def member_side(Tside, I, side, a=0.0):
-    """Single-side membership criterion; side in {fs, b}."""
-    if side == "fs":
-        if df.support_hi(so.mu(Tside)) == INF:
-            raise DomainError("fs side requires finite support")
-        res = decide_fs(Tside, I, a)
-    elif side == "b":
-        if not md.is_bounded(so.mu(Tside)):
-            raise DomainError("b side requires a bounded operator")
-        res = decide_b(Tside, I, a)
-    else:
-        raise ValueError("side must be fs or b")
-    return _side_to_decision(res, a, side)
-
-
-def _side_to_decision(res, a, side):
-    if res.answer == "yes":
-        cert = WitnessCertificate(a=a, h_fs=res.h if side == "fs" else None,
-                                  h_b=res.h if side == "b" else None)
-        return member(cert, res.reason)
-    if res.answer == "no":
-        return not_member({"side": side, "r": res.worst[0],
-                           "required": res.worst[1], "reason": res.reason})
-    return inconclusive(res.reason)
-
-
 # ---------------------------------------------------------------------------
 # the constant a
 
@@ -393,11 +356,14 @@ def member_II1(T, I, J):
         return not_member({"side": "module",
                            "reason": "mu(T) outside the product module: "
                            + nec.reason})
-    dec = _side_to_decision(decide_side(side_facts(T, "head"), IJ), 0.0,
-                            "fs")
-    if dec.certificate is None:
-        return dec
-    return replace(dec, certificate=replace(dec.certificate, total_count=12))
+    res = decide_side(side_facts(T, "head"), IJ)
+    if res.answer == "yes":
+        return member(WitnessCertificate(h_fs=res.h, total_count=12),
+                      res.reason)
+    if res.answer == "no":
+        return not_member({"side": "fs", "r": res.worst[0],
+                           "required": res.worst[1], "reason": res.reason})
+    return inconclusive(res.reason)
 
 
 def member_F_plus(T, I):

@@ -2,7 +2,7 @@
 
 Functions live on (0, oo) or (0, 1) and are finite sums, per segment, of
 terms coeff*(t/scale)^(-pow)*|log(t/scale)|^(-logpow).  The class is closed
-under sum, max, product, and dyadic dilation, and supports exact integral
+under sum, product, and dyadic dilation, and supports exact integral
 divergence tests from the exponents.
 """
 
@@ -158,16 +158,16 @@ def right_limit(seg, hi):
 
 
 class Levels:
-    """Bisection table for the measure of {f > x} or {f >= x} of a PLFun.
+    """Bisection table for the measure of {f > x} of a PLFun.
 
-    A segment lies above level x when its right limit is > x (>= x when
-    closed); a zero segment has limit 0.  The table keeps each segment's
-    end (clipped to the domain) and the running minimum of the right
-    limits, negated so that it ascends.  The first segment not above x is
-    the first index at which the running minimum fails the same test, even
-    where right limits rise within MONOTONE_RTOL.  The table grows only as
-    far as the queries reach, so no segment is evaluated that a scan from
-    the left would not evaluate, and it stops at a NaN limit.
+    A segment lies above level x when its right limit is > x; a zero
+    segment has limit 0.  The table keeps each segment's end (clipped to
+    the domain) and the running minimum of the right limits, negated so
+    that it ascends.  The first segment not above x is the first index at
+    which the running minimum fails the same test, even where right limits
+    rise within MONOTONE_RTOL.  The table grows only as far as the queries
+    reach, so no segment is evaluated that a scan from the left would not
+    evaluate, and it stops at a NaN limit.
     """
 
     def __init__(self, segs, domain_hi):
@@ -177,19 +177,14 @@ class Levels:
         self.negmin = []
         self.complete = False
 
-    def first_below(self, x, closed):
+    def first_below(self, x):
         """(k, D): the first segment not above x (or a NaN limit, or the
         end), and the end of the segment before it (0.0 for k == 0)."""
         neg = -x
         negmin = self.negmin
-        while not self.complete and (
-                not negmin
-                or (negmin[-1] <= neg if closed else negmin[-1] < neg)):
+        while not self.complete and (not negmin or negmin[-1] < neg):
             self._grow()
-        if closed:
-            k = bisect.bisect_right(negmin, neg)
-        else:
-            k = bisect.bisect_left(negmin, neg)
+        k = bisect.bisect_left(negmin, neg)
         return k, (self.ends[k - 1] if k else 0.0)
 
     def _grow(self):
@@ -255,8 +250,10 @@ def tile(segs, domain_hi=INF, validate=True):
 
 
 def _probe_ends(lo, hi):
-    """Ends of the probe range of a segment; None when the range is empty."""
-    a = lo if lo > 0.0 else min(hi, 1.0) * 2.0 ** -60
+    """Ends of the probe range of a segment; None when the range is empty.
+    A head segment probes from 2^-60 min(hi, 1), or from the least
+    positive float where that underflows."""
+    a = lo if lo > 0.0 else max(min(hi, 1.0) * 2.0 ** -60, math.ulp(0.0))
     b = hi if hi < INF else max(a, 1.0) * 2.0 ** 60
     return None if a >= b else (a, b)
 
@@ -360,12 +357,7 @@ def limit_at_inf(f):
     """Limit at the right end of an infinite domain."""
     if f.domain_hi < INF:
         raise DomainError("limit_at_inf needs domain (0, oo)")
-    seg = f.segs[-1]
-    total = 0.0
-    for term in seg.terms:
-        if term.pow == 0.0 and term.logpow == 0.0:
-            total += term.coeff
-    return total
+    return float(right_limit(f.segs[-1], INF))
 
 
 def _dominant(terms, at_zero):
@@ -445,27 +437,8 @@ def _product_terms(ts1, ts2):
     return tuple(out)
 
 
-def _diff_roots(ts1, ts2, lo, hi):
-    """Crossing points of sum(ts1) - sum(ts2) inside (lo, hi)."""
-
-    def d(t):
-        return sum(tm.value(t) for tm in ts1) - sum(tm.value(t) for tm in ts2)
-
-    pts = _probe_points(lo, hi, n=65)
-    roots = []
-    for a, b in zip(pts, pts[1:]):
-        da, db = d(a), d(b)
-        if da == 0.0:
-            roots.append(a)
-            continue
-        if db == 0.0 or da * db > 0.0:
-            continue
-        r = optimize.brentq(d, a, b, xtol=1e-300, rtol=1e-12)
-        roots.append(r)
-    return sorted(set(roots))
-
-
 def combine(f, g, kind):
+    """Pointwise sum or product of f and g."""
     if f.domain_hi != g.domain_hi:
         raise DomainError("mixed domains")
     segs = []
@@ -474,18 +447,9 @@ def combine(f, g, kind):
             segs.append(Seg(lo, hi, ts1 + ts2))
         elif kind == "product":
             segs.append(Seg(lo, hi, _product_terms(ts1, ts2)))
-        elif kind == "max":
-            cuts = [lo] + _diff_roots(ts1, ts2, lo, hi) + [hi]
-            for a, b in zip(cuts, cuts[1:]):
-                if b <= a:
-                    continue
-                mid = _mid(a, b)
-                v1 = sum(tm.value(mid) for tm in ts1)
-                v2 = sum(tm.value(mid) for tm in ts2)
-                segs.append(Seg(a, b, ts1 if v1 >= v2 else ts2))
         else:
             raise ValueError("unknown kind %r" % kind)
-    return make(segs, f.domain_hi, validate=(kind != "max"))
+    return make(segs, f.domain_hi)
 
 
 def scale_fun(f, c):
@@ -564,10 +528,9 @@ def mean_term(dom):
     return None
 
 
-def _term_integral(tm, lo, hi, p):
-    """Integral of (coeff*(t/s)^-g*|log(t/s)|^-d)^p over (lo, hi), finite case."""
-    c = tm.coeff ** p
-    g, d, s = tm.pow * p, tm.logpow * p, tm.scale
+def _term_integral(tm, lo, hi):
+    """Integral of coeff*(t/s)^-g*|log(t/s)|^-d over (lo, hi), finite case."""
+    c, g, d, s = tm.coeff, tm.pow, tm.logpow, tm.scale
     if d == 0.0:
         # c * s^g * t^-g
         cc = c * s ** g
@@ -601,54 +564,35 @@ def _term_integral(tm, lo, hi, p):
     return None  # no closed form
 
 
-def _seg_integral(terms, lo, hi, p, log1p):
+def _seg_integral(terms, lo, hi):
     if not terms:
         return 0.0
-    if not log1p:
-        if len(terms) == 1:
-            v = _term_integral(terms[0], lo, hi, p)
-            if v is not None:
-                return v
-        elif p == 1.0:
-            vals = [_term_integral(tm, lo, hi, 1.0) for tm in terms]
-            if all(v is not None for v in vals):
-                return sum(vals)
-    if log1p and len(terms) == 1 and terms[0].pow == 0.0 and terms[0].logpow == 0.0:
-        if hi == INF:
-            return INF if terms[0].coeff > 0.0 else 0.0
-        return (hi - lo) * math.log1p(terms[0].coeff)
-    return _log_quad(terms, lo, hi, p, log1p)
+    vals = [_term_integral(tm, lo, hi) for tm in terms]
+    if None in vals:
+        return _log_quad(terms, lo, hi)
+    return vals[0] if len(vals) == 1 else sum(vals)
 
 
-def _log_quad(terms, lo, hi, p, log1p):
-    """Quadrature of (sum of terms)^p (or log(1 + sum)) over (lo, hi) in
-    u = log(t/s), s the first term's scale, where dt = t du.  Each term
-    times t^a (a = 1/p, or 1 for log1p) is c e^(-(g - a) u) |w|^-d up to
-    constants, w = log(t/s_k), and its log is taken in that form, so the
-    integrand is smooth, free of cancellation between g u and a u, and in
-    the float range where t^-g is not."""
-    a = 1.0 if log1p else 1.0 / p
+def _log_quad(terms, lo, hi):
+    """Quadrature of the sum of the terms over (lo, hi) in u = log(t/s),
+    s the first term's scale, where dt = t du.  Each term times t is
+    c e^(-(g - 1) u) |w|^-d up to constants, w = log(t/s_k), and its log is
+    taken in that form, so the integrand is smooth, free of cancellation
+    between g u and u, and in the float range where t^-g is not."""
     log_s = math.log(terms[0].scale)
     shifts = [log_s - math.log(tm.scale) for tm in terms]
 
     def fn(u):
-        # ls: log of t^a times the sum of the terms at t = s e^u
-        logs = [(math.log(abs(tm.coeff)) - (tm.pow - a) * u - tm.pow * sh
-                 + a * log_s
+        # log of t times each term at t = s e^u, with its sign
+        logs = [(math.log(abs(tm.coeff)) - (tm.pow - 1.0) * u - tm.pow * sh
+                 + log_s
                  - (tm.logpow * math.log(abs(u + sh)) if tm.logpow else 0.0),
                  tm.coeff) for tm, sh in zip(terms, shifts) if tm.coeff]
         top = max(lv for lv, _ in logs)
         tot = sum(math.copysign(math.exp(lv - top), c) for lv, c in logs)
         if tot <= 0.0:
             return 0.0
-        ls = top + math.log(tot)
-        if not log1p:
-            return math.exp(p * ls)
-        lv = ls - u - log_s  # log of the sum
-        if lv > 0.0:  # log(1 + e^lv) = lv + log(1 + e^-lv)
-            return (lv + math.log1p(math.exp(-lv))) * math.exp(u + log_s)
-        x = math.exp(lv)
-        return math.exp(ls) * (math.log1p(x) / x if x > 0.0 else 1.0)
+        return math.exp(top + math.log(tot))
 
     val, _ = integrate.quad(
         fn, math.log(lo) - log_s if lo > 0.0 else -INF,
@@ -657,26 +601,14 @@ def _log_quad(terms, lo, hi, p, log1p):
     return val
 
 
-def diverges(f, a, b, p=1.0, log1p=False):
-    """Whether the integral of f^p (or log(1+f)) over (a, b) diverges at an
-    end of the domain, from the end exponents; (a, b) within the domain."""
-    if a == 0.0 and not log1p and _diverges_at_0(dominant_at_0(f), p):
-        return True
-    if b < INF:
-        return False
-    dom = dominant_at_inf(f)
-    if log1p:
-        return dom is not None and dom[2] > 0.0 and _diverges_at_inf(dom, 1.0)
-    return _diverges_at_inf(dom, p)
-
-
-def integral(f, a, b, p=1.0, log1p=False):
-    """Integral of f^p (or log(1+f)) over (a, b); +inf where it diverges
-    (detected symbolically) or passes the float range."""
+def integral(f, a, b):
+    """Integral of f over (a, b); +inf where it diverges at an end of the
+    domain (detected from the end exponents) or passes the float range."""
     if not (0.0 <= a < b <= INF):
         raise DomainError("bad interval")
     b = min(b, f.domain_hi)
-    if diverges(f, a, b, p, log1p):
+    if (a == 0.0 and _diverges_at_0(dominant_at_0(f), 1.0)) \
+            or (b == INF and _diverges_at_inf(dominant_at_inf(f), 1.0)):
         return INF
     total = 0.0
     for seg in f.segs:
@@ -684,7 +616,7 @@ def integral(f, a, b, p=1.0, log1p=False):
         if hi <= lo or seg.is_zero():
             continue
         try:
-            total += _seg_integral(seg.terms, lo, hi, p, log1p)
+            total += _seg_integral(seg.terms, lo, hi)
         except OverflowError:
             return INF
     return total
@@ -727,6 +659,8 @@ def dominated_by(f, g):
             return num / den
 
         pts = _probe_points(lo, hi, n=33)
+        if not pts:
+            continue  # no float lies inside (lo, hi)
         vals = [ratio(t) for t in pts]
         imax = int(np.argmax(vals))
         best = max(best, vals[imax])

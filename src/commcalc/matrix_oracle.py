@@ -15,6 +15,7 @@ from .decfun import DomainError
 
 SHODA_SWEEPS = 400
 SHODA_TOL = 1e-12
+SHODA_TRACE_TOL = 1e-9  # the largest |trace| / (n max(||T||, 1)) accepted
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def _apply_rotation(T, U, i, j, theta, phi):
     U[:, j] = -s * np.conj(e) * col_i + c * col_j
 
 
-def shoda_decompose(T, tol_abs=1e-9):
+def shoda_decompose(T):
     """Write a trace-zero matrix as a single commutator [A, B].
 
     One pass of n(n-1)/2 unitary 2x2 rotations makes the diagonal equal,
@@ -126,15 +127,15 @@ def shoda_decompose(T, tol_abs=1e-9):
     a = _arr(T)
     n = a.shape[0]
     norm = float(np.linalg.norm(a, 2)) if n else 0.0
-    if abs(np.trace(a)) > tol_abs * max(n, 1) * max(norm, 1.0):
+    if abs(np.trace(a)) > SHODA_TRACE_TOL * max(n, 1) * max(norm, 1.0):
         raise DomainError("trace must vanish")
     Tp = a.copy()
     U = np.eye(n, dtype=complex)
     scale = max(norm, 1.0)
     for _ in range(SHODA_SWEEPS):
         d = np.diag(Tp)
-        # equal, not zero: a trace within tol_abs stays on the diagonal;
-        # an empty diagonal is equal already
+        # equal, not zero: a trace within SHODA_TRACE_TOL stays on the
+        # diagonal; an empty diagonal is equal already
         if not n or np.abs(d - d.mean()).max() <= SHODA_TOL * scale:
             break
         for k in range(1, n):

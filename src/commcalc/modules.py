@@ -315,11 +315,6 @@ def omega_tests(I):
     return contains(I, omega_fs()), contains(I, omega_b_proxy())
 
 
-def omega_bools(I):
-    vfs, vb = omega_tests(I)
-    return vfs.answer == "yes", vb.answer == "yes"
-
-
 STABLE_KINDS = {"Lp", "Llog", "F", "K", "M"}
 
 
@@ -335,7 +330,10 @@ def geometrically_stable(I):
     vanishes, and on compact sets g is bounded while h(./2) is bounded
     below.  So g lies in <h> for every h of the class, and the verdict is
     the ambient hypothesis h in M + L_log, read from the end exponents:
-    "no" when log(1 + h) is not integrable at oo, "yes" otherwise.
+    "no" when log(1 + h) is not integrable at oo, "yes" otherwise.  That
+    is h's end key at oo against L_1's threshold there: log(1 + h) ~ h
+    where h tends to 0, and is not integrable where h has a positive
+    limit.
     """
     k = I.kind
     if k in STABLE_KINDS:
@@ -345,7 +343,8 @@ def geometrically_stable(I):
         return "yes" if stable else "no"
     if k == "Principal":
         h = I.gen
-        if h.domain_hi == INF and df.diverges(h, 1.0, INF, log1p=True):
+        at_inf = _end_keys(h)[1]
+        if h.domain_hi == INF and not _admits(Lp(1.0).ends[1], at_inf):
             return "no"
         return "yes"
     raise ValueError("unknown module kind %r" % k)

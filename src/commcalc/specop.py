@@ -106,8 +106,7 @@ class SegIntegrals:
         c = self._whole[k]
         if c is None:
             seg = self.segs[k]
-            c = seg.phase * df._seg_integral(seg.terms, seg.lo, seg.hi,
-                                             1.0, False)
+            c = seg.phase * df._seg_integral(seg.terms, seg.lo, seg.hi)
             self._whole[k] = c
         return c
 
@@ -173,27 +172,24 @@ def mu(T):
     return T.profile
 
 
-def distribution(T, x, closed=False):
-    """Measure of {mu > x} (open) or {mu >= x} (closed)."""
-    return dist_fun(mu(T), x, closed)
+def distribution(T, x):
+    """Measure of {mu > x}."""
+    return dist_fun(mu(T), x)
 
 
-def dist_fun(f, x, closed=False):
-    """For nonincreasing f: measure of {f > x} resp. {f >= x}."""
+def dist_fun(f, x):
+    """For nonincreasing f: measure of {f > x}."""
     if x < 0:
         raise DomainError("negative level")
     # segments before k lie above x; segment k's right limit is not (the
     # table's running minimum fails there first), so the crossing is in it
-    k, D = f.levels.first_below(x, closed)
+    k, D = f.levels.first_below(x)
     if k == len(f.segs) or f.segs[k].is_zero():
         return D
     seg = f.segs[k]
-    hi = min(seg.hi, f.domain_hi)
-    vL = seg.value(seg.lo) if seg.lo > 0 else df.value_at_0(
-        df.PLFun(f.domain_hi, (Seg(0.0, hi, seg.terms),)))
+    vL = seg.value(seg.lo) if seg.lo > 0 else df.value_at_0(f)
     # vL == vR on a constant segment: it never reaches _level_cross
-    return D if ((vL < x) if closed else (vL <= x)) \
-        else _level_cross(seg, hi, x)
+    return D if vL <= x else _level_cross(seg, min(seg.hi, f.domain_hi), x)
 
 
 def edge(f, t):
@@ -206,7 +202,7 @@ def edge(f, t):
     i = bisect.bisect_right(f.breaks, t) - 1
     seg = f.segs[i]
     if seg.is_const():
-        k, D = f.levels.first_below(seg.const_value(), False)
+        k, D = f.levels.first_below(seg.const_value())
         if k == i:
             return D
     elif seg.lo < t:
@@ -279,8 +275,7 @@ def integrate_v(T, u, w):
         if lo == seg.lo and hi == seg.hi:
             total += tab.whole(i)
         else:
-            total += seg.phase * df._seg_integral(seg.terms, lo, hi, 1.0,
-                                                  False)
+            total += seg.phase * df._seg_integral(seg.terms, lo, hi)
     return total
 
 

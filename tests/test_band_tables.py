@@ -47,54 +47,42 @@ def scan_right_limit(seg, hi):
     return seg.value(hi * (1 - 1e-14))
 
 
-def scan_dist_fun(f, x, closed=False):
+def scan_dist_fun(f, x):
     if x < 0:
         raise DomainError("negative level")
     D = 0.0
     for seg in f.segs:
         hi = min(seg.hi, f.domain_hi)
         if seg.is_zero():
-            if closed and x == 0.0:
-                D = hi
-                continue
             break
-        vR = scan_right_limit(seg, hi)
-        inside = (vR >= x) if closed else (vR > x)
-        if inside:
+        if scan_right_limit(seg, hi) > x:
             D = hi
             continue
         vL = seg.value(seg.lo) if seg.lo > 0 else df.value_at_0(
             df.PLFun(f.domain_hi, (Seg(0.0, hi, seg.terms),)))
-        outside_all = (vL < x) if closed else (vL <= x)
-        if outside_all:
+        if vL <= x:
             break
         D = so._level_cross(seg, hi, x)
         break
     return D
 
 
-def loop_dist_fun(f, x, closed=False):
+def loop_dist_fun(f, x):
     """The level table, then a scan on from the first segment it finds."""
     if x < 0:
         raise DomainError("negative level")
-    k, D = f.levels.first_below(x, closed)
+    k, D = f.levels.first_below(x)
     for i in range(k, len(f.segs)):
         seg = f.segs[i]
         hi = min(seg.hi, f.domain_hi)
         if seg.is_zero():
-            if closed and x == 0.0:
-                D = hi
-                continue
             break
-        vR = df.right_limit(seg, hi)
-        inside = (vR >= x) if closed else (vR > x)
-        if inside:
+        if df.right_limit(seg, hi) > x:
             D = hi
             continue
         vL = seg.value(seg.lo) if seg.lo > 0 else df.value_at_0(
             df.PLFun(f.domain_hi, (Seg(0.0, hi, seg.terms),)))
-        outside_all = (vL < x) if closed else (vL <= x)
-        if outside_all:
+        if vL <= x:
             break
         D = so._level_cross(seg, hi, x)
         break
@@ -109,7 +97,7 @@ def scan_integrate_v(T, u, w):
         lo, hi = max(seg.lo, u), min(seg.hi, w)
         if hi <= lo:
             continue
-        total += seg.phase * df._seg_integral(seg.terms, lo, hi, 1.0, False)
+        total += seg.phase * df._seg_integral(seg.terms, lo, hi)
     return total
 
 
@@ -219,16 +207,16 @@ def test_band_queries_equal_the_scans(data, factor_type):
     points = {-1.0, 0.0, 0.5, 3.0, INF}
     for seg in T.segs:
         points.update((seg.lo, seg.hi))
-    queries = [("dist", x, closed) for x in levels for closed in (False, True)]
+    queries = [("dist", x) for x in levels]
     queries += [("band", u, w) for u in points for w in points]
     # the tables fill lazily, so the order of the queries matters
-    for kind, a, b in data.draw(st.permutations(queries)):
+    for kind, *args in data.draw(st.permutations(queries)):
         if kind == "dist":
-            assert (outcome(so.dist_fun, m, a, b)
-                    == outcome(scan_dist_fun, m, a, b))
+            assert (outcome(so.dist_fun, m, *args)
+                    == outcome(scan_dist_fun, m, *args))
         else:
-            assert (outcome(so.integrate_v, T, a, b)
-                    == outcome(scan_integrate_v, T, a, b))
+            assert (outcome(so.integrate_v, T, *args)
+                    == outcome(scan_integrate_v, T, *args))
 
 
 @settings(max_examples=120, deadline=None)
@@ -240,10 +228,8 @@ def test_dist_fun_equals_the_scan_on_any_steps(data, values):
     f = df.make([Seg(float(k), k + 1.0, (Term(v),) if v else ())
                  for k, v in enumerate(values)], validate=False)
     xs = (0.0, 0.25, 0.5, 1.0, 1.0 + 1e-10, 2.0, 3.0)
-    queries = [(x, closed) for x in xs for closed in (False, True)]
-    for x, closed in data.draw(st.permutations(queries)):
-        assert (outcome(so.dist_fun, f, x, closed)
-                == outcome(scan_dist_fun, f, x, closed))
+    for x in data.draw(st.permutations(xs)):
+        assert outcome(so.dist_fun, f, x) == outcome(scan_dist_fun, f, x)
 
 
 @st.composite
@@ -266,10 +252,8 @@ def levels_of(draw, m):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), factor_type=st.sampled_from([so.II_INF, so.II_1]),
-       closed=st.booleans())
-def test_dist_fun_reads_one_segment_past_the_table(data, factor_type,
-                                                   closed):
+@given(data=st.data(), factor_type=st.sampled_from([so.II_INF, so.II_1]))
+def test_dist_fun_reads_one_segment_past_the_table(data, factor_type):
     # the loop past the level table never takes a second step: the table
     # stops at the first segment not above x, which is zero or holds the
     # crossing
@@ -281,21 +265,19 @@ def test_dist_fun_reads_one_segment_past_the_table(data, factor_type,
     m = so.mu(T)
     for _ in range(4):
         x = data.draw(levels_of(m))
-        got = outcome(so.dist_fun, m, x, closed)
-        assert got == outcome(loop_dist_fun, m, x, closed)
-        assert got == outcome(scan_dist_fun, m, x, closed)
+        got = outcome(so.dist_fun, m, x)
+        assert got == outcome(loop_dist_fun, m, x)
+        assert got == outcome(scan_dist_fun, m, x)
 
 
 @settings(max_examples=120, deadline=None)
 @given(values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-10, 2.0]),
                        min_size=1, max_size=8),
-       x=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 + 1e-10, 2.0, 3.0]),
-       closed=st.booleans())
-def test_dist_fun_equals_the_table_loop_on_any_steps(values, x, closed):
+       x=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 + 1e-10, 2.0, 3.0]))
+def test_dist_fun_equals_the_table_loop_on_any_steps(values, x):
     f = df.make([Seg(float(k), k + 1.0, (Term(v),) if v else ())
                  for k, v in enumerate(values)], validate=False)
-    assert (outcome(so.dist_fun, f, x, closed)
-            == outcome(loop_dist_fun, f, x, closed))
+    assert outcome(so.dist_fun, f, x) == outcome(loop_dist_fun, f, x)
 
 
 def test_divergent_head_fails_where_the_scan_fails():

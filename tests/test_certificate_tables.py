@@ -143,7 +143,7 @@ def ref_attach_block_data(T, dec, K=40):
     return dec
 
 
-def ref_build_V(T, h=None, grid_n=40):
+def ref_build_V(T, h=None):
     atoms = [(z, 4.0 * mass)
              for z, mass in br.brown_of_normal(br._abs_op(T)).atoms]
     if h is not None and not h.is_zero():
@@ -153,7 +153,7 @@ def ref_build_V(T, h=None, grid_n=40):
     V = br.normal_model(br.BrownMeasure(tuple(atoms)))
     F = br.phi_of(T)
     for _ in range(60):
-        rep = br.verify_certificate(F, V, "F", grid_n)
+        rep = br.verify_certificate(F, V, "F")
         if rep["ok"]:
             return V
         factor = 2.0 ** math.ceil(math.log2(max(rep["worst_ratio"], 2.0)))
@@ -166,23 +166,38 @@ def ref_phi_of(T):
     return lambda r, s: br.phi(T, r, s)
 
 
-def ref_class_bound(V, nu_V, r, s, cls):
+def ref_class_bound(V, nu_V, cls):
+    """(r, s) -> the class bound of V, the float each pair computes; the
+    part of one probe point is computed once and kept."""
+    parts = {}
     if cls == "F":
-        return (r * so.distribution(V, r) + s * so.distribution(V, s))
+        def part(x):
+            if x not in parts:
+                parts[x] = x * so.distribution(V, x)
+            return parts[x]
+
+        return lambda r, s: part(r) + part(s)
     if cls == "G":
-        acc = 0.0
-        for z, mass in nu_V.atoms:
-            x = abs(z)
-            acc += mass * (r * max(0.0, math.log(x / r))
-                           + s * max(0.0, math.log(x / s)))
-        return acc
+        def part(x):
+            if x not in parts:
+                parts[x] = [x * max(0.0, math.log(abs(z) / x))
+                            for z, _ in nu_V.atoms]
+            return parts[x]
+
+        def bound(r, s):
+            acc = 0.0
+            for (_, mass), a, b in zip(nu_V.atoms, part(r), part(s)):
+                acc += mass * (a + b)
+            return acc
+
+        return bound
     raise ValueError("unknown class %r" % cls)
 
 
-def ref_verify_certificate(F, V, cls, grid_n=40, lo=2.0 ** -20,
-                           hi=2.0 ** 20):
+def ref_verify_certificate(F, V, cls):
     nu_V = br.brown_of_normal(V) if cls == "G" else None
-    pts = np.geomspace(lo, hi, grid_n)
+    class_bound = ref_class_bound(V, nu_V, cls)
+    pts = np.geomspace(2.0 ** -20, 2.0 ** 20, 40)
     worst = 0.0
     worst_rs = (pts[0], pts[1])
     violations = 0
@@ -191,7 +206,7 @@ def ref_verify_certificate(F, V, cls, grid_n=40, lo=2.0 ** -20,
             lhs = abs(F(r, s))
             if lhs == 0.0:
                 continue
-            bound = ref_class_bound(V, nu_V, r, s, cls)
+            bound = class_bound(r, s)
             ratio = lhs / bound if bound > 0.0 else INF
             if ratio > worst:
                 worst, worst_rs = ratio, (float(r), float(s))
@@ -389,32 +404,31 @@ def certificate_operators(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(T=operators(), V=certificate_operators(),
-       grid_n=st.sampled_from([2, 5, 9]))
-def test_verify_certificate_equals_the_pair_loop(T, V, grid_n):
+@given(T=operators(), V=certificate_operators())
+def test_verify_certificate_equals_the_pair_loop(T, V):
     # one F serves both classes, as in member_F
     F = br.phi_of(T)
     for cls, W in (("F", V), ("G", so.scale_op(V, math.e))):
-        assert (outcome(br.verify_certificate, report_bits, F, W, cls,
-                        grid_n)
+        assert (outcome(br.verify_certificate, report_bits, F, W, cls)
                 == outcome(ref_verify_certificate, report_bits,
-                           ref_phi_of(T), W, cls, grid_n))
+                           ref_phi_of(T), W, cls))
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), cls=st.sampled_from(["F", "G"]),
-       grid_n=st.sampled_from([2, 4, 7]),
-       huge=st.booleans())
-def test_verify_certificate_with_nan_inf_and_ties(data, cls, grid_n, huge):
+@given(data=st.data(), cls=st.sampled_from(["F", "G"]), huge=st.booleans())
+def test_verify_certificate_with_nan_inf_and_ties(data, cls, huge):
     # |F| may be 0, NaN, inf or tied at the maximum; a huge V makes the
-    # class-G bound overflow to inf, so inf / inf ratios are NaN
+    # class-G bound overflow to inf, so inf / inf ratios are NaN.  One
+    # drawn value fills the pairs, and up to 24 pairs get values of their
+    # own.
     V = so.from_atoms([(1e308, 1e308)] if huge else [(2.0, 1.5), (0.5, 1.0)])
-    pts = np.geomspace(2.0 ** -20, 2.0 ** 20, grid_n).tolist()
+    pts = br.PROBE_PTS.tolist()
     pairs = [(r, s) for k, r in enumerate(pts) for s in pts[k + 1:]]
-    values = data.draw(st.lists(
-        st.sampled_from([0.0, math.nan, INF, 1e-300, 0.5, 3.0, 3.0, 1e308]),
-        min_size=len(pairs), max_size=len(pairs)))
-    table = dict(zip(pairs, values))
+    value = st.sampled_from([0.0, math.nan, INF, 1e-300, 0.5, 3.0, 1e308])
+    table = dict.fromkeys(pairs, data.draw(value))
+    own = data.draw(st.dictionaries(st.sampled_from(pairs), value,
+                                    max_size=24))
+    table.update(own)
 
     def F(r, s):
         return complex(table[float(r), float(s)])
@@ -422,10 +436,8 @@ def test_verify_certificate_with_nan_inf_and_ties(data, cls, grid_n, huge):
     with warnings.catch_warnings():
         # both sides warn on overflow in float64 arithmetic
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert (outcome(br.verify_certificate, report_bits, F, V, cls,
-                        grid_n)
-                == outcome(ref_verify_certificate, report_bits, F, V, cls,
-                           grid_n))
+        assert (outcome(br.verify_certificate, report_bits, F, V, cls)
+                == outcome(ref_verify_certificate, report_bits, F, V, cls))
 
 
 def test_verify_certificate_on_the_full_grid():
@@ -452,7 +464,7 @@ def test_phi_of_checks_its_arguments_on_every_call():
 def test_unknown_class_is_refused():
     V = so.from_atoms([(1.0, 1.0)])
     with pytest.raises(ValueError, match="unknown class 'H'"):
-        br.verify_certificate(lambda r, s: 1.0, V, "H", grid_n=3)
+        br.verify_certificate(lambda r, s: 1.0, V, "H")
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +582,12 @@ def v_bits(V):
 
 
 @settings(max_examples=40, deadline=None)
-@given(T=operators(), h=st.none() | witnesses(),
-       grid_n=st.sampled_from([6, 40]))
-def test_build_V_equals_the_amplification_loop(T, h, grid_n):
+@given(T=operators(), h=st.none() | witnesses())
+def test_build_V_equals_the_amplification_loop(T, h):
     # one amplification where the loop converges; an infinite ratio, on
     # which the loop raised OverflowError, is a DomainError naming the pair
-    got = outcome(br.build_V, v_bits, T, h, grid_n)
-    want = outcome(ref_build_V, v_bits, T, h, grid_n)
+    got = outcome(br.build_V, v_bits, T, h)
+    want = outcome(ref_build_V, v_bits, T, h)
     if want[0] is OverflowError:
         assert got[0] is DomainError
         assert got[1].startswith("class-F bound of V vanishes at (r, s)=")
@@ -604,26 +615,25 @@ def test_build_V_checks_class_F_at_most_twice(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(T=operators(), atoms=atom_lists, k=st.integers(-40, 60),
-       grid_n=st.sampled_from([5, 40]))
-def test_class_F_ratios_scale_exactly_with_the_masses(T, atoms, k, grid_n):
+@given(T=operators(), atoms=atom_lists, k=st.integers(-40, 60))
+def test_class_F_ratios_scale_exactly_with_the_masses(T, atoms, k):
     # every atom mass times 2^k: each class-F bound times 2^k, each ratio
     # divided by 2^k, bit for bit
     atoms = [(z, m) for z, m in atoms if z != 0.0]
     assume(atoms)
     V = so.from_atoms(atoms)
     Vk = so.from_atoms([(z, m * 2.0 ** k) for z, m in atoms])
-    pts = np.geomspace(2.0 ** -20, 2.0 ** 20, grid_n)
-    i, j = np.triu_indices(grid_n, 1)
-    b = br._class_bound(V, "F", pts)(i, j)
-    bk = br._class_bound(Vk, "F", pts)(i, j)
+    pts = br.PROBE_PTS
+    i, j = np.triu_indices(len(pts), 1)
+    b = br._class_bound(V, "F")(i, j)
+    bk = br._class_bound(Vk, "F")(i, j)
     assert (bk == b * 2.0 ** k).all()
     F = br.phi_of(T)
     xs = pts.tolist()
     lhs = np.array([abs(F(xs[a], xs[c])) for a, c in zip(i, j)])
     pos = b > 0.0
     assert (lhs[pos] / bk[pos] == lhs[pos] / b[pos] / 2.0 ** k).all()
-    rep, repk = (br.verify_certificate(F, W, "F", grid_n) for W in (V, Vk))
+    rep, repk = (br.verify_certificate(F, W, "F") for W in (V, Vk))
     assert repk["worst_ratio"] == rep["worst_ratio"] / 2.0 ** k
     assert repk["worst_rs"] == rep["worst_rs"]
 

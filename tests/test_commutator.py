@@ -462,22 +462,14 @@ class TestNecessaryH:
 
 
 class TestMemberSide:
-    def test_fs_guard(self):
-        T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0),))])
-        with pytest.raises(df.DomainError):
-            cm.member_side(T, md.M(), "fs")
-
-    def test_b_guard(self):
-        T = power_op(1.0, 0.5, 1.0)
-        with pytest.raises(df.DomainError):
-            cm.member_side(T, md.M(), "b")
-
     def test_fs_yes(self):
         T = so.from_atoms([(1.0, 0.5), (-1.0, 0.5)])
-        assert cm.member_side(T, md.Lp(1.0), "fs").answer == "member"
+        res = cm.decide_side(cm.side_facts(T, "head"), md.FsPart(md.Lp(1.0)))
+        assert res.answer == "yes"
 
     def test_b_yes(self):
         segs = [df.Seg(0.0, 1.0, (df.Term(1.0),)),
                 df.Seg(1.0, df.INF, (df.Term(1.0, 0.75),))]
         T = so.make_op(segs)
-        assert cm.member_side(T, md.Lp(2.0), "b").answer == "member"
+        res = cm.decide_side(cm.side_facts(T, "tail"), md.BPart(md.Lp(2.0)))
+        assert res.answer == "yes"

@@ -42,15 +42,6 @@ class TestEval:
 
 
 class TestCombine:
-    def test_max_crossing_at_1(self):
-        f = df.power_fun(1.0, 0.5)
-        g = df.power_fun(1.0, 1.0)
-        m = df.combine(f, g, "max")
-        assert close(m(0.5), 2.0)
-        assert close(m(4.0), 0.5)
-        # crossing breakpoint near t=1
-        assert any(abs(s.lo - 1.0) < 1e-9 for s in m.segs)
-
     def test_product_exponent_addition(self):
         f = df.power_fun(1.0, 0.5)
         g = df.power_fun(1.0, 1.0 / 3.0)
@@ -73,11 +64,24 @@ class TestCombine:
         g = df.power_fun(1.0, 0.75)
         grid = np.exp(rng.uniform(-20, 20, size=256))
         for kind, op in [("sum", lambda a, b: a + b),
-                         ("max", max),
                          ("product", lambda a, b: a * b)]:
             h = df.combine(f, g, kind)
             for t in grid:
                 assert close(h(t), op(f(t), g(t)))
+
+
+class TestProbes:
+    def test_head_probes_start_at_the_least_float(self):
+        # on (0, 1e-310) 2^-60 hi underflows to 0; the probes start at
+        # 5e-324, so a rise and a negative value are still caught
+        with pytest.raises(df.DomainError, match="not nonincreasing"):
+            df.make([df.Seg(0.0, 1e-310, (df.Term(1e300, -1.0),))])
+        with pytest.raises(df.DomainError, match="not nonincreasing"):
+            df.make([df.Seg(0.0, 1e-310, (df.Term(-1.0),))])
+        # no float lies inside (0, 5e-324): there is nothing to probe
+        f = df.make([df.Seg(0.0, 5e-324, (df.Term(1e300, -1.0),))])
+        assert f.segs[0].hi == 5e-324
+        assert df.dominated_by(f, f) == 1.0
 
 
 class TestDilate:
@@ -122,14 +126,13 @@ class TestIntegral:
         assert df.integral(f, 0, 0.5) == df.INF
 
     def test_power_divergence_at_0(self):
-        f = df.power_fun(1.0, 0.5, hi=1.0)
-        assert df.integral(f, 0, 1, p=2.5) == df.INF
-        assert df.integral(f, 0, 1, p=1.9) < df.INF
+        assert df.integral(df.power_fun(1.0, 1.25, hi=1.0), 0, 1) == df.INF
+        assert df.integral(df.power_fun(1.0, 0.95, hi=1.0), 0, 1) < df.INF
 
     def test_tail_divergence(self):
         f = df.power_fun(1.0, 1.0)
         assert df.integral(f, 0, df.INF) == df.INF
-        assert df.integral(f, 1, df.INF, p=2.0) < df.INF
+        assert df.integral(df.power_fun(1.0, 2.0), 1, df.INF) < df.INF
 
     def test_additive_over_splits(self):
         f = df.combine(df.power_fun(1.0, 0.5, hi=2.0), df.const(0.25, ), "sum")
@@ -137,33 +140,76 @@ class TestIntegral:
         parts = df.integral(f, 0.1, 1.3) + df.integral(f, 1.3, 10.0)
         assert abs(whole - parts) < 1e-10
 
-    def test_log1p_constant(self):
-        f = df.const(1.0, domain_hi=1.0)
-        assert close(df.integral(f, 0, 1, log1p=True), math.log(2.0))
-
-    def test_log1p_tail(self):
-        assert df.integral(df.const(0.5), 0, df.INF, log1p=True) == df.INF
-        f = df.power_fun(1.0, 2.0)
-        assert df.integral(f, 0, df.INF, log1p=True) < df.INF
-
     # references: mpmath.quad at 30 digits in x = log t
-    @pytest.mark.parametrize("terms, lo, hi, p, log1p, ref", [
-        # log(1 + 1/(t log^2 t)) decays like 1/(t log^2 t): slow in t
-        ((df.Term(1.0, 1.0, 2.0),), math.exp(3.0), df.INF, 1.0, True,
-         0.33319168189933529),
-        # two terms squared, one with no closed form
+    @pytest.mark.parametrize("terms, lo, hi, ref", [
+        # two terms, one with no closed form
         ((df.Term(1.0, 0.5, 2.0), df.Term(0.5, 0.25)), 0.0, math.exp(-3.0),
-         2.0, False, 0.19628107343909132),
-        # log1p of a sum with two scales
-        ((df.Term(1.0, 0.5, 2.0), df.Term(1.0, 0.5, 2.0, scale=0.5)), 0.0,
-         0.1, 1.0, True, 0.075610939545997735),
+         0.094633078554069842),
     ])
-    def test_quadrature_in_log_t(self, terms, lo, hi, p, log1p, ref):
+    def test_quadrature_in_log_t(self, terms, lo, hi, ref):
         f = df.make([df.Seg(lo, hi, terms)], validate=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v = df.integral(f, lo, hi, p=p, log1p=log1p)
+            v = df.integral(f, lo, hi)
         assert abs(v - ref) <= 1e-12 * ref
+
+    # float.hex of integral(f, lo, hi) and _seg_integral(terms, lo, hi),
+    # f the profile of the terms on (lo, hi), pinned when integral still
+    # took a power p and a log1p switch: dropping them (p = 1 only) keeps
+    # every bit on each branch of _term_integral and _log_quad
+    @pytest.mark.parametrize("terms, lo, hi, whole, seg", [
+        # d = 0, g = 1
+        ((df.Term(2.0, 1.0),), 0.5, 3.0,
+         "0x1.cab0bfa2a2002p+1", "0x1.cab0bfa2a2002p+1"),
+        ((df.Term(2.0, 1.0, 0.0, 0.7),), 1e-3, 40.0,
+         "0x1.dabaaf369a7a7p+3", "0x1.dabaaf369a7a7p+3"),
+        # d = 0, g near 1
+        ((df.Term(1.5, 1.0 + 1e-6),), 0.25, 40.0,
+         "0x1.e73753fd6ae2dp+2", "0x1.e73753fd6ae2dp+2"),
+        ((df.Term(1.0, 1.0 + 2.0 ** -9, 0.0, 3.0),), 2.0, df.INF,
+         "0x1.804de1507a9ecp+10", "0x1.804de1507a9ecp+10"),
+        ((df.Term(1.0, 1.0 - 1e-12),), 1e-3, 0.5,
+         "0x1.8dbc239b05083p+2", "0x1.8dbc239b05083p+2"),
+        # d = 0 elsewhere
+        ((df.Term(3.0, 0.5),), 0.0, 1.0,
+         "0x1.8000000000000p+2", "0x1.8000000000000p+2"),
+        ((df.Term(1.0, 2.0, 0.0, 0.5),), 1.5, df.INF,
+         "0x1.5555555555555p-3", "0x1.5555555555555p-3"),
+        ((df.Term(0.75),), 0.0, 2.5,
+         "0x1.e000000000000p+0", "0x1.e000000000000p+0"),
+        # g = 1 with a log factor
+        ((df.Term(1.0, 1.0, 2.0),), 0.0, 0.5,
+         "0x1.71547652b82fep+0", "0x1.71547652b82fep+0"),
+        ((df.Term(1.0, 1.0, 1.0, 2.0),), 3.0, 50.0,
+         "0x1.10b40502ac262p-2", "0x1.10b40502ac262p-2"),
+        ((df.Term(0.5, 1.0, 1.5),), math.exp(2.0), df.INF,
+         "0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bcdp-1"),
+        ((df.Term(1.0, 1.0, -1.0),), 1e-6, 0.25,
+         "0x1.79e49e425822ap+6", "0x1.79e49e425822ap+6"),
+        # a log term with g != 1: _log_quad
+        ((df.Term(1.0, 0.5, 2.0),), 0.0, math.exp(-3.0),
+         "0x1.8f3a4e9fe2cb6p-6", "0x1.8f3a4e9fe2cb6p-6"),
+        ((df.Term(2.0, 1.5, -1.0),), math.e, df.INF,
+         "0x1.d1d0c7aa7610ep+2", "0x1.d1d0c7aa7610ep+2"),
+        # several terms
+        ((df.Term(1.0, 0.5, 2.0), df.Term(0.5, 0.25)), 0.0, math.exp(-3.0),
+         "0x1.839df9982707ep-4", "0x1.839df9982707ep-4"),
+        ((df.Term(0.5, 0.5), df.Term(0.25)), 0.1, 10.0,
+         "0x1.548c14daf0f7fp+2", "0x1.548c14daf0f7fp+2"),
+        ((df.Term(1.0, 2.0, 1.0), df.Term(1.0, 1.5), df.Term(0.5, 3.0)),
+         math.e, df.INF, "0x1.775e10c05840cp+0", "0x1.775e10c05840cp+0"),
+        # two scales (make sorts the terms, so the two orders differ)
+        ((df.Term(1.0, 0.5, 2.0), df.Term(1.0, 0.5, 2.0, 0.5)), 0.0, 0.1,
+         "0x1.d1a2dc7fcdf09p-4", "0x1.d1a2dc7fcdf08p-4"),
+        ((df.Term(1.0, 1.2, 2.0, 2.0), df.Term(3.0, 1.1, 0.0, 5.0)), 8.0,
+         df.INF, "0x1.1fa41a7ae0b80p+7", "0x1.1fa41a7ae0b80p+7"),
+    ])
+    def test_integral_keeps_its_bits(self, terms, lo, hi, whole, seg):
+        f = df.make([df.Seg(lo, hi, terms)], validate=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert df.integral(f, lo, hi).hex() == whole
+            assert df._seg_integral(terms, lo, hi).hex() == seg
 
     NEAR_ONE = [1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-6]
 
@@ -179,7 +225,7 @@ class TestIntegral:
             e = 1 - mpmath.mpf(g)
             top = 0 if hi == df.INF else mpmath.mpf(hi) ** e
             ref = float((top - mpmath.mpf(lo) ** e) / e)
-        v = df._term_integral(df.Term(1.0, g), lo, hi, 1.0)
+        v = df._term_integral(df.Term(1.0, g), lo, hi)
         assert abs(v - ref) <= 1e-15 * ref
 
 

@@ -160,12 +160,13 @@ class TestOmega:
         (2.0, False, True),
     ])
     def test_lp_table(self, p, fs_in, b_in):
-        a, b = md.omega_bools(md.Lp(p))
-        assert a == fs_in and b == b_in
+        vfs, vb = md.omega_tests(md.Lp(p))
+        assert (vfs.answer, vb.answer) == (("yes" if fs_in else "no"),
+                                           ("yes" if b_in else "no"))
 
     def test_M(self):
-        a, b = md.omega_bools(md.M())
-        assert (a, b) == (False, True)
+        vfs, vb = md.omega_tests(md.M())
+        assert (vfs.answer, vb.answer) == ("no", "yes")
 
 
 # t^-p L^-q heads on (0, e^-2) that are nonincreasing there (L = |log t|)
@@ -274,9 +275,8 @@ class TestSumNode:
         I = md.Sum(md.FsPart(md.Lp(0.5)), md.BPart(md.Lp(2.0)))
         # head like t^-1|log t|^-2-free: use t^-1.5 head (in L_1/2 fs),
         # tail like t^-0.6 bounded (in L_2 b)
-        tail = df.make([df.Seg(0.0, 1.0, (df.Term(1.0),)),
-                        df.Seg(1.0, df.INF, (df.Term(1.0, 0.6),))])
-        f = df.combine(df.power_fun(1.0, 1.5, hi=1.0), tail, "max")
+        f = df.make([df.Seg(0.0, 1.0, (df.Term(1.0, 1.5),)),
+                     df.Seg(1.0, df.INF, (df.Term(1.0, 0.6),))])
         v = md.contains(I, f)
         assert v.answer == "yes"
 
@@ -355,8 +355,29 @@ class TestEndThresholds:
         if ii1:
             f = on_unit_interval(f)
         v = md.contains(md.Lp(p, II_1 if ii1 else II_INF), f)
-        assert (v.answer == "yes") \
-            == (not df.diverges(f, 0.0, f.domain_hi, p))
+        diverges = df._diverges_at_0(df.dominant_at_0(f), p) \
+            or f.domain_hi == df.INF \
+            and df._diverges_at_inf(df.dominant_at_inf(f), p)
+        assert (v.answer == "yes") == (not diverges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(heads(), tails(), st.none() | st.tuples(heads(), tails()),
+           st.floats(1e-3, 1e3), st.booleans())
+    def test_stability_follows_the_log1p_divergence_test(self, head, tail,
+                                                         other, c, ii1):
+        # the reference is the divergence test of log(1 + h) at oo that
+        # geometrically_stable read before: h's end term at oo has a
+        # positive coefficient and is not integrable there
+        h = df.scale_fun(grid_generator(*head, tail), c)
+        if other is not None:
+            h = df.combine(h, grid_generator(*other[0], other[1]), "sum")
+        if ii1:
+            h = on_unit_interval(h)
+        dom = df.dominant_at_inf(h)
+        log1p_diverges = h.domain_hi == df.INF and dom is not None \
+            and dom[2] > 0.0 and df._diverges_at_inf(dom, 1.0)
+        assert md.geometrically_stable(md.Principal(h)) \
+            == ("no" if log1p_diverges else "yes")
 
     @settings(max_examples=150, deadline=None)
     @given(modules(), modules(), heads(), tails(), heads(), tails())

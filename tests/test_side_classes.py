@@ -152,7 +152,7 @@ def _classes(T, side, a):
 
 
 class TestHeadCases:
-    # t^-p L^-q on (0, e^-3); decide_fs judges it against FsPart(I)
+    # t^-p L^-q on (0, e^-3), its head side judged against FsPart(I)
 
     def test_forced_convergent(self):
         T = head_op(0.5, 0.0)
@@ -160,12 +160,15 @@ class TestHeadCases:
         st, lim = cm.trace_limit(T, "head")
         assert st == "converged" and abs(lim - tau) < 1e-12
         assert _classes(T, "head", lim) == [(Term(2.0, 0.5),)]
-        assert cm.decide_fs(T, md.Lp(1.0), lim).answer == "yes"
+        head = cm.side_facts(T, "head")
+        assert cm.decide_side(head, md.FsPart(md.Lp(1.0)), lim).answer \
+            == "yes"
         # t^-1 L^-1.5 forced: the class L^-0.5 / (0.5 r) is not in L_1
         T = head_op(1.0, 1.5)
         _, lim = cm.trace_limit(T, "head")
         assert _classes(T, "head", lim) == [(Term(2.0, 1.0, 0.5),)]
-        res = cm.decide_fs(T, md.Lp(1.0), lim)
+        res = cm.decide_side(cm.side_facts(T, "head"), md.FsPart(md.Lp(1.0)),
+                             lim)
         assert res.answer == "no" and res.worst is not None
 
     def test_forced_divergent(self):
@@ -183,15 +186,17 @@ class TestHeadCases:
         _, lim = cm.trace_limit(T, "head")
         assert _classes(T, "head", 0.0) \
             == [(Term(abs(lim), 1.0), Term(2.0, 0.5))]
-        assert cm.decide_fs(T, md.Lp(0.5), 0.0).answer == "yes"
-        assert cm.decide_fs(T, md.Lp(1.0), 0.0).answer == "no"
+        head = cm.side_facts(T, "head")
+        assert cm.decide_side(head, md.FsPart(md.Lp(0.5))).answer == "yes"
+        assert cm.decide_side(head, md.FsPart(md.Lp(1.0))).answer == "no"
 
     def test_free_divergent(self):
         T = head_op(1.5, 0.0)
         assert _classes(T, "head", 0.0) == [(Term(2.0, 1.5),)]
         # (r^-1.5)^(1/2) is integrable at 0, r^-1.5 is not
-        assert cm.decide_fs(T, md.Lp(0.5), 0.0).answer == "yes"
-        assert cm.decide_fs(T, md.Lp(1.0), 0.0).answer == "no"
+        head = cm.side_facts(T, "head")
+        assert cm.decide_side(head, md.FsPart(md.Lp(0.5))).answer == "yes"
+        assert cm.decide_side(head, md.FsPart(md.Lp(1.0))).answer == "no"
 
     def test_log_log_brackets(self):
         # t^-1 L^-1: the side function is log L / r, between 1/r and
@@ -200,10 +205,11 @@ class TestHeadCases:
         eps = cm.LOGLOG_EPS
         assert _classes(T, "head", 0.0) == [
             (Term(1.0 / (math.e * eps), 1.0, -eps),), (Term(1.0, 1.0),)]
-        assert cm.decide_fs(T, md.Lp(0.5), 0.0).answer == "yes"
+        head = cm.side_facts(T, "head")
+        assert cm.decide_side(head, md.FsPart(md.Lp(0.5))).answer == "yes"
         assert cm.member_F_plus(T, md.Llog()).answer == "member"
         # the brackets disagree against the module generated by 1/t
-        res = cm.decide_fs(T, md.Principal(md.omega_fs()), 0.0)
+        res = cm.decide_side(head, md.FsPart(md.Principal(md.omega_fs())))
         assert res.answer == "inconclusive"
         assert "brackets" in res.reason
 
@@ -239,18 +245,22 @@ def test_log_log_head_is_undecided_end_to_end(tmp_path, capsys):
 
 
 class TestTailCases:
-    # the mirror cases at infinity; decide_b judges against BPart(I)
+    # the mirror cases at infinity, judged against BPart(I)
 
     def test_forced_convergent(self):
         T = tail_op(2.0, 0.0)
         st, lim = cm.trace_limit(T, "tail")
         assert st == "converged"
         assert _classes(T, "tail", -lim) == [(Term(1.0, 2.0),)]
-        assert cm.decide_b(T, md.Lp(1.0), -lim).answer == "yes"
+        tail = cm.side_facts(T, "tail")
+        assert cm.decide_side(tail, md.BPart(md.Lp(1.0)), -lim).answer \
+            == "yes"
         T = tail_op(1.0, 1.5)
         _, lim = cm.trace_limit(T, "tail")
         assert _classes(T, "tail", -lim) == [(Term(2.0, 1.0, 0.5),)]
-        assert cm.decide_b(T, md.Lp(1.0), -lim).answer == "no"
+        tail = cm.side_facts(T, "tail")
+        assert cm.decide_side(tail, md.BPart(md.Lp(1.0)), -lim).answer \
+            == "no"
 
     def test_forced_divergent(self):
         T = tail_op(1.0, 1.0)
@@ -264,15 +274,17 @@ class TestTailCases:
         _, lim = cm.trace_limit(T, "tail")
         assert _classes(T, "tail", 0.0) \
             == [(Term(abs(lim), 1.0), Term(1.0, 2.0))]
-        assert cm.decide_b(T, md.Lp(2.0), 0.0).answer == "yes"
-        assert cm.decide_b(T, md.Lp(1.0), 0.0).answer == "no"
+        tail = cm.side_facts(T, "tail")
+        assert cm.decide_side(tail, md.BPart(md.Lp(2.0))).answer == "yes"
+        assert cm.decide_side(tail, md.BPart(md.Lp(1.0))).answer == "no"
 
     def test_free_divergent(self):
         T = tail_op(0.5, 0.0)
         assert _classes(T, "tail", 0.0) == [(Term(2.0, 0.5),)]
         # (s^-1/2)^3 is integrable at infinity, (s^-1/2)^2 is not
-        assert cm.decide_b(T, md.Lp(3.0), 0.0).answer == "yes"
-        assert cm.decide_b(T, md.Lp(2.0), 0.0).answer == "no"
+        tail = cm.side_facts(T, "tail")
+        assert cm.decide_side(tail, md.BPart(md.Lp(3.0))).answer == "yes"
+        assert cm.decide_side(tail, md.BPart(md.Lp(2.0))).answer == "no"
 
     def test_finite_support(self):
         # past the support the side function is |a + tau| / s exactly
@@ -284,7 +296,7 @@ class TestTailCases:
 def test_witness_majorizes_the_samples_and_carries_the_class():
     T = head_op(0.5, 1.0)
     _, lim = cm.trace_limit(T, "head")
-    res = cm.decide_fs(T, md.Lp(1.0), lim)
+    res = cm.decide_side(cm.side_facts(T, "head"), md.FsPart(md.Lp(1.0)), lim)
     assert res.answer == "yes"
     for r, v in cm._clean_samples(cm.head_values(T), lim):
         assert res.h(r) >= v
@@ -345,9 +357,12 @@ def test_overflowing_L2_integral_is_finite():
     # 1e200 on (0, 1), then 1e200 t^-1.01: (1e200)^2 passes the float range
     T = so.make_op([Seg(0.0, 1.0, (Term(1e200),)),
                     Seg(1.0, INF, (Term(1e200, 1.01),))])
-    assert md.contains(md.Lp(2.0), so.mu(T)).answer == "yes"
-    assert df.integral(so.mu(T), 0.0, INF, 2.0) == INF
-    assert not df.diverges(so.mu(T), 0.0, INF, 2.0)
+    m = so.mu(T)
+    assert md.contains(md.Lp(2.0), m).answer == "yes"
+    # mu(T)^2 passes the float range: the end exponents decide L_2
+    assert m(0.5) * m(0.5) == INF
+    assert not df._diverges_at_0(df.dominant_at_0(m), 2.0)
+    assert not df._diverges_at_inf(df.dominant_at_inf(m), 2.0)
     assert cm.member_IIinf(T, md.Lp(2.0), md.M()).answer == "member"
     assert br.member_F(T, md.Lp(2.0)).answer == "member"
 
@@ -387,6 +402,31 @@ def test_member_without_block_data_past_a_witness_overflow(tmp_path, capsys):
     doc = json.loads(captured.out)["decision"]
     assert doc["answer"] == "member"
     assert "alpha" not in doc["certificate"]
+
+
+# 1 + 1e-9 |log t|^0.001 on (0, e^-1), then 1: unbounded at 0, yet the
+# level 1 + 1e-6 above its limit is crossed at the least float 5e-324, so
+# the head it leaves is one segment on (0, 5e-324)
+BARELY_ABOVE_ONE = [Seg(0.0, math.exp(-1.0),
+                        (Term(1.0), Term(1e-9, 0.0, -0.001))),
+                    Seg(math.exp(-1.0), INF, (Term(1.0),))]
+
+
+def test_member_past_a_head_cut_at_the_least_float(tmp_path, capsys):
+    T = so.make_op(BARELY_ABOVE_ONE)
+    I = md.Sum(md.Lp(1.0), md.M())
+    assert so.dist_fun(so.mu(T), 1.0 + 1e-6) == 5e-324
+    for J in (I, md.Principal(so.mu(T))):
+        assert cm.member_IIinf(T, J, md.M()).answer == "member"
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({"schema_version": sz.SCHEMA_VERSION,
+                                "operator": sz.op_to_json(T),
+                                "module_I": sz.module_to_json(I)}))
+    assert cli.main(["member", "--input", str(path)]) \
+        in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["decision"]["answer"] == "member"
 
 
 def test_term_value_raises_on_overflow():

@@ -75,7 +75,6 @@ class TestDistribution:
     def test_step(self):
         T = so.from_atoms([(3.0, 1.0), (2j, 2.0)])
         assert so.distribution(T, 2.0) == 1.0
-        assert so.distribution(T, 2.0, closed=True) == 3.0
 
     def test_support(self):
         T = so.from_atoms([(1.0, 1.5), (0.5, 1.0)])
