@@ -134,8 +134,7 @@ def brown_of_normal(T):
         if seg.lo < lo_floor:
             # deepest chunk keeps the exact remaining mass
             cuts.insert(0, seg.lo)
-        mids = [math.sqrt(max(a, b * 1e-30) * b)
-                for a, b in zip(cuts, cuts[1:])]
+        mids = list(map(_midpoint, cuts, cuts[1:]))
         try:
             vs = seg.values(mids)
         except OverflowError:
@@ -150,6 +149,17 @@ def brown_of_normal(T):
         atoms += zip(map(operator.mul, repeat(seg.phase), vs),
                      map(operator.sub, cuts[1:], cuts))
     return BrownMeasure(tuple(atoms))
+
+
+def _midpoint(a, b):
+    """Geometric midpoint of the chunk (a, b), the deepest one from
+    b 1e-30 up.  Where the product underflows to 0 it is the product of
+    the square roots, from the least positive float up: a subnormal
+    midpoint, where 0 would be no point of the chunk."""
+    mid = math.sqrt(max(a, b * 1e-30) * b)
+    if mid == 0.0:
+        mid = math.sqrt(max(a, b * 1e-30, math.ulp(0.0))) * math.sqrt(b)
+    return mid
 
 
 def normal_model(nu):

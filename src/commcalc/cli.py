@@ -122,10 +122,14 @@ _LEAF = {str: _STR, int: int.__repr__, float: _float_text,
          type(None): lambda _: "null"}
 
 
+# the cells a record template writes: None as null, the others by repr
+_CELLS = {float, int, type(None)}
+
+
 def _records_text(recs, nl):
     """The items of a list of dicts that share one non-empty set of string
-    keys and hold only floats, each record formatted by one %-template;
-    None for any other list of dicts."""
+    keys and hold only floats, ints (not bools) and None, each record
+    formatted by one %-template; None for any other list of dicts."""
     keys = recs[0]
     if not (keys and all(type(k) is str for k in keys)
             and set(map(len, recs)) == {len(keys)}):
@@ -135,17 +139,49 @@ def _records_text(recs, nl):
         columns = [list(map(itemgetter(k), recs)) for k in keys]
     except KeyError:
         return None
-    if set(map(type, chain.from_iterable(columns))) != {float}:
+    kinds = [set(map(type, col)) for col in columns]
+    if not _CELLS.issuperset(chain.from_iterable(kinds)):
         return None
-    rows = list(zip(*columns))
-    if not all(map(math.isfinite, chain.from_iterable(columns))):
-        for row in rows:  # json's message, at json's first bad value
-            for x in row:
+    floats = [col for col, kind in zip(columns, kinds) if float in kind]
+    if not all(map(math.isfinite, filter(_is_float, chain(*floats)))):
+        for row in zip(*columns):  # json's message, at json's first bad value
+            for x in filter(_is_float, row):
                 _float_text(x)
+    specs = []
+    for i, kind in enumerate(kinds):
+        if type(None) in kind:  # a column with nulls is written as text
+            columns[i] = ["null" if x is None else repr(x)
+                          for x in columns[i]]
+            specs.append("%s")
+        else:
+            specs.append("%r")
     inner = nl + "  "
     template = "{%s%s%s}" % (inner, ("," + inner).join(
-        _STR(k).replace("%", "%%") + ": %r" for k in keys), nl)
-    return ("," + nl).join(map(template.__mod__, rows))
+        _STR(k).replace("%", "%%") + ": " + spec
+        for k, spec in zip(keys, specs)), nl)
+    return ("," + nl).join(map(template.__mod__, zip(*columns)))
+
+
+def _is_float(x):
+    return type(x) is float
+
+
+def _pairs_text(value, nl):
+    """The text of a dict whose values are all lists or tuples of two
+    finite floats, each item by one %-template; None for any other dict."""
+    pairs = value.values()
+    if not (set(map(type, pairs)) <= {list, tuple}
+            and set(map(len, pairs)) == {2}):
+        return None
+    cells = list(chain.from_iterable(pairs))
+    if set(map(type, cells)) != {float} or not all(map(math.isfinite, cells)):
+        return None  # _layout's recursion writes or refuses each cell
+    inner, inner2 = nl + "  ", nl + "    "
+    template = "%s: [" + inner2 + "%r," + inner2 + "%r" + inner + "]"
+    keys = sorted(value)
+    firsts, seconds = zip(*map(value.__getitem__, keys))
+    return "{%s%s%s}" % (inner, ("," + inner).join(map(
+        template.__mod__, zip(map(_STR, keys), firsts, seconds))), nl)
 
 
 def _layout(value, nl):
@@ -154,11 +190,11 @@ def _layout(value, nl):
 
     Each leaf goes to a C-level call: float.__repr__, int.__repr__ and
     encode_basestring_ascii, mapped over a list whose items share one
-    type; a list of float records formats each record with one
-    %-template.  Whatever else json accepts (subclasses other than of
-    float, non-string keys) and every other error are the stdlib
-    encoder's, indented by replacing newlines, which json never writes
-    inside a string.
+    type; a list of records of floats, ints and None formats each record
+    with one %-template, and so does a dict of float pairs each item.
+    Whatever else json accepts (subclasses other than of float, non-string
+    keys) and every other error are the stdlib encoder's, indented by
+    replacing newlines, which json never writes inside a string.
     """
     leaf = _LEAF.get(type(value))
     if leaf is not None:
@@ -167,6 +203,9 @@ def _layout(value, nl):
     if type(value) is dict and all(type(k) is str for k in value):
         if not value:
             return "{}"
+        text = _pairs_text(value, nl)
+        if text is not None:
+            return text
         return "{%s%s%s}" % (inner, ("," + inner).join(
             "%s: %s" % (_STR(k), _layout(v, inner))
             for k, v in sorted(value.items())), nl)

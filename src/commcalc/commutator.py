@@ -25,6 +25,7 @@ c t^-1 |log t|^-1, is decided from its two brackets.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +44,8 @@ TRACE_TOL = 1e-9
 LOGLOG_EPS = 0.125
 # the constant 1: a module holds it exactly when it holds the bounded carpet
 ONE = df.const(1.0)
+# _attach_block_data tries the witness scaled by 2^j, j < SCALINGS
+SCALINGS = 13
 
 
 @dataclass(frozen=True)
@@ -101,14 +104,17 @@ TAIL_GRID = tuple(dyadic_grid(0, GRID_K))
 
 def head_values(T):
     """(r, tau(T E[0, mu_r])) over the decision grid in [2^-GRID_K, 1],
-    at the points inside T's domain (a II_1 operator stops before 1)."""
-    return [(r, so.band_trace(T, "head", r=r))
-            for r in HEAD_GRID if r < T.domain_hi]
+    at the points inside T's domain (a II_1 operator stops before 1): the
+    bands from the edges of the grid to the domain end, in one pass."""
+    rs = [r for r in HEAD_GRID if r < T.domain_hi]
+    hi = T.domain_hi
+    vals = so.integrate_bands(T, ((e, hi) for e in so.edges(so.mu(T), rs)))
+    return list(zip(rs, vals))
 
 
 def tail_values(T_b):
     """(s, tau(T_b E(mu_s, oo))) over the decision grid in [1, 2^GRID_K]."""
-    return [(s, T_b.tail(s)) for s in TAIL_GRID]
+    return list(zip(TAIL_GRID, T_b.tails(TAIL_GRID)))
 
 
 @dataclass(frozen=True)
@@ -468,10 +474,12 @@ def _certificate_table(T, K):
     if df.limit_at_inf(m) > 0.0:
         raise DomainError("certificate requires vanishing singular values")
     pts = dyadic_grid(-K, K, 1)
-    edges = [so.edge(m, t) for t in pts]
+    edges = list(so.edges(m, pts))
+    bands = list(zip(edges, edges[1:]))
+    ints = so.integrate_bands(T, bands)
     cumul = [0.0 + 0.0j]
-    for u, w in zip(edges, edges[1:]):
-        cumul.append(cumul[-1] + so.integrate_v(T, u, w))
+    for v in ints:
+        cumul.append(cumul[-1] + v)
     # abs(cj - ci) for every pair: the libm hypot that abs() calls (numpy's
     # complex abs rounds differently), and abs()'s error where it overflows
     c = np.array(cumul)
@@ -481,35 +489,56 @@ def _certificate_table(T, K):
     if np.isinf(lhs[np.isfinite(diff)]).any():
         raise OverflowError("absolute value too large")
     lhs[np.tril_indices(len(cumul))] = -INF
-    alpha = {n: 2.0 ** -n * so.integrate_v(T, r, s)
-             for n, r, s in zip(range(-K, K), pts, pts[1:])}
+    # a block band is its edge band where both edges are its own scales:
+    # the same pair of floats, so the same integral
+    blocks = list(zip(pts, pts[1:]))
+    rest = iter(so.integrate_bands(
+        T, [b for b, e in zip(blocks, bands) if b != e]))
+    alpha = {n: 2.0 ** -n * (v if b == e else next(rest))
+             for n, b, e, v in zip(range(-K, K), blocks, bands, ints)}
     return K, pts, m, lhs, alpha
 
 
 def _certificate_for(table, h):
     """The h half of fdh_certificate: h at the 2K + 1 dyadic points, the
     two-variable bound on every pair as one float64 array comparison, then
-    the beta sequences and the block bounds.  phi = h + mu(T) is built
-    only once the pair test has passed, as most scalings fail it."""
-    K, pts, m, lhs, alpha = table
-    rh = np.array([t * h(t) for t in pts])
+    the beta sequences and the block bounds."""
+    pts = table[1]
+    pair = _failing_pair(table, np.array([t * h(t) for t in pts]))
+    if pair is not None:
+        raise DomainError("criterion bound fails at (r, s)=(%g, %g)"
+                          % (pts[pair[0]], pts[pair[1]]))
+    return _block_data(table, h)
+
+
+def _failing_pair(table, rh):
+    """The first pair (i, j), row-major as the pair loop meets them, where
+    |tau(T E(mu_s, mu_r])| exceeds the bound of the witness row rh[k] =
+    t_k h(t_k); None when every pair holds."""
+    lhs = table[3]
     # overflow to inf and inf - inf are silent in float arithmetic too
     with np.errstate(over="ignore", invalid="ignore"):
         bad = lhs > (rh[:, None] + rh[None, :]) * (1.0 + 1e-9) + 1e-12
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), len(pts))  # row-major first
-        raise DomainError(
-            "criterion bound fails at (r, s)=(%g, %g)" % (pts[i], pts[j]))
+    if not bad.any():
+        return None
+    return divmod(int(np.argmax(bad)), len(rh))
+
+
+def _block_data(table, h):
+    """The certificate of a witness h that passes the pair test: phi =
+    h + mu(T), built only now as most scalings fail that test, the beta
+    sequences and the block bounds."""
+    K, pts, m, _, alpha = table
     phi = df.combine(h, m, "sum")
     # both beta sequences read phi at the same dyadic points
-    phi_at = dict(zip(pts, map(phi, pts))).__getitem__
+    phi_at = dict(zip(pts, phi.values(pts))).__getitem__
     iv_re, beta_re = beta_sequence(
         {n: v.real for n, v in alpha.items()}, phi_at, K)
     iv_im, beta_im = beta_sequence(
         {n: v.imag for n, v in alpha.items()}, phi_at, K)
     blocks = []
-    for n, t in zip(range(-K, K), pts):
-        s_bound = 2.0 * m(t)
+    for n, v in zip(range(-K, K), m.values(pts[:-1])):
+        s_bound = 2.0 * v
         blocks.append({"n": n, "S_norm_bound": s_bound,
                        "X_norm_bound": 12.0 * s_bound,
                        "Y_norm_bound": 2.0, "commutators": 10})
@@ -520,9 +549,66 @@ def _certificate_for(table, h):
         block_bounds=tuple(blocks), total_count=14)
 
 
+# a normal float below this stays finite and exact times 2^j, j < SCALINGS
+_ROOM = sys.float_info.max / 2.0 ** (SCALINGS - 1)
+
+
+def _scales_exactly(x):
+    return sys.float_info.min <= abs(x) <= _ROOM
+
+
+def _witness_row(h, pts):
+    """The row t h(t) at each t in pts, as a float64 array, where the row
+    of scale_fun(h, 2^j) is 2^j times it for every j < SCALINGS; else None.
+
+    It is computed with the float operations of h(t) (Term.value summed as
+    Seg.value does).  Scaling multiplies each coefficient c by 2^j, and so
+    c u^-p, its product with |log u|^-q, the running sum and t h(t); each
+    of these rounds to 2^j times its unscaled float where that float is
+    normal with room to scale, or is 0 through an unscaled factor.  A sum
+    is exact in the subnormal range, so it needs the room only.
+    """
+    row = []
+    for t in pts:
+        if not 0.0 < t < h.domain_hi:
+            return None  # h(t) raises: each scaling fails as before
+        total = 0
+        for tm in h.seg_at(t).terms:
+            c = tm.coeff
+            if c == 0.0:
+                continue  # Term.value's 0.0, which the sum keeps
+            if not _scales_exactly(c):
+                return None
+            u = t / tm.scale
+            f = u ** (-tm.pow)
+            v = c * f
+            if not (_scales_exactly(v) or f == 0.0):
+                return None
+            if tm.logpow:
+                g = abs(math.log(u)) ** (-tm.logpow)
+                w = v * g
+                if not (_scales_exactly(w)
+                        or (w == 0.0 and (v == 0.0 or g == 0.0))):
+                    return None
+                v = w
+            total += v
+            if not abs(total) <= _ROOM:
+                return None
+        x = t * total
+        if not (_scales_exactly(x) or total == 0.0):
+            return None
+        row.append(x)
+    return np.array(row)
+
+
 def _attach_block_data(T, dec, K=40):
-    """Certificate data for the first witness scaling 2^j, j < 13, that
-    passes; the h-free table of T is built once for all of them.  Past the
+    """Certificate data for the first witness scaling 2^j, j < SCALINGS,
+    that passes; the h-free table of T is built once for all of them.
+
+    Where scaling the witness is exact (_witness_row), its row is
+    evaluated once and each scaling's pair test reads 2^j times it; a pair
+    whose bound is 0 at both points fails at every scaling, so the search
+    ends there.  Elsewhere each scaled witness is evaluated.  Past the
     float range a scaling fails: the verdict stays, without block data."""
     cert = dec.certificate
     h = cert.h
@@ -532,11 +618,22 @@ def _attach_block_data(T, dec, K=40):
         h = df.combine(h, df.scale_fun(md.omega_fs(), abs(cert.a)), "sum")
     try:
         table = _certificate_table(T, K)
+        base = df.scale_fun(h, 1.0)
+        # a power past the float range raises here as at every scaling
+        row = _witness_row(base, table[1])
     except (DomainError, OverflowError):
         return dec
-    for j in range(13):
+    for j in range(SCALINGS):
+        if row is not None:
+            pair = _failing_pair(table, row * 2.0 ** j)
+            if pair is not None:
+                if row[pair[0]] == row[pair[1]] == 0.0:
+                    return dec
+                continue
         try:
-            full = _certificate_for(table, df.scale_fun(h, 2.0 ** j))
+            hj = base if j == 0 else df.scale_fun(h, 2.0 ** j)
+            full = (_certificate_for if row is None else _block_data)(
+                table, hj)
         except (DomainError, OverflowError):
             continue
         cert2 = replace(full, a=cert.a, h_fs=cert.h_fs, h_b=cert.h_b)

@@ -141,6 +141,23 @@ class PLFun:
         idx = bisect.bisect_right(self.breaks, t) - 1
         return self.segs[idx].value(t)
 
+    def values(self, ts):
+        """[self(t) for t in ts] for ascending ts: the points of each
+        segment at once (Seg.values), so an error is the one self(t) raises
+        at the first point that fails."""
+        breaks, segs, out = self.breaks, self.segs, []
+        i, n = 0, len(ts)
+        while i < n:
+            t = ts[i]
+            if not (0.0 < t < self.domain_hi):
+                self(t)  # raises DomainError
+            k = bisect.bisect_right(breaks, t) - 1
+            end = segs[k + 1].lo if k + 1 < len(segs) else self.domain_hi
+            j = bisect.bisect_left(ts, end, i)
+            out += segs[k].values(ts[i:j])
+            i = j
+        return out
+
     def seg_at(self, t):
         idx = bisect.bisect_right(self.breaks, t) - 1
         return self.segs[idx]
@@ -290,9 +307,12 @@ def _check_monotone(f):
                                           % _probe_points(seg.lo, hi)[i])
                 prev = v
         else:
+            # v against prev, then against itself as the constant branch
+            # compares it: a value below 0 fails
             for t in _probe_points(seg.lo, hi):
                 v = _value_or_inf(seg, t)
-                if v > prev * (1 + MONOTONE_RTOL) + 1e-300:
+                if v > prev * (1 + MONOTONE_RTOL) + 1e-300 \
+                        or v > v * (1 + MONOTONE_RTOL) + 1e-300:
                     raise DomainError("not nonincreasing near t=%g" % t)
                 prev = v
         # junction: compare right limit of next seg against left value here
@@ -567,10 +587,13 @@ def _term_integral(tm, lo, hi):
 def _seg_integral(terms, lo, hi):
     if not terms:
         return 0.0
+    if len(terms) == 1:
+        val = _term_integral(terms[0], lo, hi)
+        return _log_quad(terms, lo, hi) if val is None else val
     vals = [_term_integral(tm, lo, hi) for tm in terms]
     if None in vals:
         return _log_quad(terms, lo, hi)
-    return vals[0] if len(vals) == 1 else sum(vals)
+    return sum(vals)
 
 
 def _log_quad(terms, lo, hi):

@@ -16,6 +16,15 @@ queries reach, so every answer is the float a scan over all segments
 from the left gives, and a segment whose integral diverges or raises
 fails exactly where that scan would.
 
+Band queries come in batches: edges yields the edges of an ascending
+grid of scales, reading each segment's kind and a constant segment's
+edge once, and integrate_bands integrates a list of bands, each with the
+float additions of the scan.  Both read their input in order, so the
+bands of a grid can come from its edges as they are found and the first
+error is the one a query per point meets first; edge and integrate_v
+are their one-point cases.  The decision grids (commutator.head_values,
+BoundedPart.tails) and the certificate table are such batches.
+
 split_fs_b cuts T at D(mu_1(T)) into T truncated there and T read past
 the cut (BoundedPart), whose band queries are exact band queries on T:
 no shifted or discretized copy is built.
@@ -197,17 +206,33 @@ def edge(f, t):
     strictly decreasing) segment, the lo of a constant one that the level
     table puts first at its value, the support end past the domain; else
     (a segment start, a junction rising within rtol) dist_fun(f, f(t))."""
-    if not 0.0 < t < f.domain_hi:
-        return dist_fun(f, 0.0) if t >= f.domain_hi else f(t)  # t <= 0 raises
-    i = bisect.bisect_right(f.breaks, t) - 1
-    seg = f.segs[i]
-    if seg.is_const():
-        k, D = f.levels.first_below(seg.const_value())
-        if k == i:
-            return D
-    elif seg.lo < t:
-        return t
-    return dist_fun(f, f(t))
+    (e,) = edges(f, (t,))
+    return e
+
+
+def edges(f, ts):
+    """edge(f, t) for each t in ts, in order and on demand, so that a band
+    read between two edges fails where a query per point did.  Each
+    segment's kind is read once, and so is the edge of a constant segment:
+    its value, and so its edge, is one float."""
+    breaks, segs, hi = f.breaks, f.segs, f.domain_hi
+    known = {}  # segment index -> (constant, its edge or its lo)
+    for t in ts:
+        if not 0.0 < t < hi:
+            yield dist_fun(f, 0.0) if t >= hi else f(t)  # t <= 0 raises
+            continue
+        i = bisect.bisect_right(breaks, t) - 1
+        kind = known.get(i)
+        if kind is None:
+            seg = segs[i]
+            if seg.is_const():
+                k, D = f.levels.first_below(seg.const_value())
+                kind = (True, D if k == i else dist_fun(f, f(t)))
+            else:
+                kind = (False, seg.lo)
+            known[i] = kind
+        const, x = kind
+        yield x if const else (t if x < t else dist_fun(f, f(t)))
 
 
 def _level_cross(seg, hi, x):
@@ -218,8 +243,11 @@ def _level_cross(seg, hi, x):
     def d(t):
         return seg.value(t) - x
 
-    a = seg.lo if seg.lo > 0 else min(hi, 1.0) * 2.0 ** -120
-    while d(a) < 0.0 and a > 4.9e-324:
+    # a head segment starts from 2^-120 min(hi, 1), or from the least
+    # positive float where that underflows; halving stops there too
+    least = math.ulp(0.0)
+    a = seg.lo if seg.lo > 0 else max(min(hi, 1.0) * 2.0 ** -120, least)
+    while d(a) < 0.0 and a > least:
         a *= 0.5  # numeric fuzz right at the left edge
     b = hi
     if b == INF:
@@ -254,29 +282,49 @@ def _check_band_integrable(T, u, w):
 
 def integrate_v(T, u, w):
     """Integral of the complex profile over the scale interval (u, w)."""
-    w = min(w, T.domain_hi)
-    _check_band_integrable(T, u, w)
-    segs, tab = T.segs, T.integrals
-    if not segs or u <= segs[0].lo:
-        # segments ending by w are whole: their running sum, then the rest
-        k = bisect.bisect_right(tab.his, w)
-        total = tab.head_sum(k)
-    else:
-        # segments ending by u lie outside the band
-        k = bisect.bisect_right(tab.his, u)
-        total = 0.0 + 0.0j
-    for i in range(k, len(segs)):
-        seg = segs[i]
-        if seg.lo >= w:
-            break
-        lo, hi = max(seg.lo, u), min(seg.hi, w)
-        if hi <= lo:
-            continue
-        if lo == seg.lo and hi == seg.hi:
-            total += tab.whole(i)
+    return integrate_bands(T, ((u, w),))[0]
+
+
+def integrate_bands(T, bands):
+    """[integrate_v(T, u, w) for u, w in bands], read in order, so that
+    the bands may come from edges as they are found.  Each band makes the
+    float additions of a scan from the left: the running sum of whole
+    segments where it starts at the first, then each segment it meets.
+    The first band is checked as _check_band_integrable says, and so is
+    each later one that reaches 0, or infinity where |v| is not integrable
+    there: the others pass that check."""
+    segs, tab, hi_dom = T.segs, T.integrals, T.domain_hi
+    his, whole, n = tab.his, tab.whole, len(segs)
+    first = segs[0].lo if segs else None
+    out = []
+    checked = False
+    for u, w in bands:
+        w = min(w, hi_dom)
+        if not checked or u == 0.0 or (w == INF and not T.integrable_at_inf):
+            _check_band_integrable(T, u, w)
+            checked = True
+        if first is None or u <= first:
+            # segments ending by w are whole: their running sum, then the
+            # rest
+            k = bisect.bisect_right(his, w)
+            total = tab.head_sum(k)
         else:
-            total += seg.phase * df._seg_integral(seg.terms, lo, hi)
-    return total
+            # segments ending by u lie outside the band
+            k = bisect.bisect_right(his, u)
+            total = 0.0 + 0.0j
+        while k < n:
+            seg = segs[k]
+            lo, hi = seg.lo, seg.hi
+            if lo >= w:
+                break
+            # max(lo, u) and min(hi, w), as those builtins treat a NaN
+            a, b = (u if u > lo else lo), (w if w < hi else hi)
+            if a < b:
+                total += whole(k) if a == lo and b == hi else \
+                    seg.phase * df._seg_integral(seg.terms, a, b)
+            k += 1
+        out.append(total)
+    return out
 
 
 def band_trace(T, mode, r=None, s=None, a=None, b=None):
@@ -385,8 +433,14 @@ class BoundedPart:
 
     def tail(self, s):
         """tau(T_b E(mu_s(T_b), oo)): v over (cut, D(mu_{cut + s}(T)))."""
+        return self.tails((s,))[0]
+
+    def tails(self, ss):
+        """[self.tail(s) for s in ss], the edges and bands of ascending ss
+        read in one pass."""
         T, cut = self.T, self.cut
-        return integrate_v(T, cut, max(cut, edge(mu(T), cut + s)))
+        return integrate_bands(T, ((cut, max(cut, e)) for e in
+                                   edges(mu(T), [cut + s for s in ss])))
 
 
 def truncate(T, cut):

@@ -4,8 +4,12 @@ specop.dist_fun and specop.integrate_v bisect over tables kept on the
 profile and on the operator.  The linear scans below are the definitions
 they replace; every answer must equal the scan's bit for bit.  A band edge
 at a scale, specop.edge, is the level query at the profile's own value.
+The batches specop.edges and specop.integrate_bands answer a grid of
+scales and a list of bands in one pass; they must equal the per-point
+queries, the first error included.
 """
 
+import bisect
 import cmath
 import json
 import math
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from commcalc import cli
 from commcalc import commutator as cm
 from commcalc import decfun as df
+from commcalc import serialize as sz
 from commcalc import specop as so
 from commcalc.decfun import INF, DomainError, Seg, Term
 
@@ -99,6 +104,21 @@ def scan_integrate_v(T, u, w):
             continue
         total += seg.phase * df._seg_integral(seg.terms, lo, hi)
     return total
+
+
+def ref_edge(f, t):
+    """The band edge at one scale, as it was read point by point."""
+    if not 0.0 < t < f.domain_hi:
+        return so.dist_fun(f, 0.0) if t >= f.domain_hi else f(t)
+    i = bisect.bisect_right(f.breaks, t) - 1
+    seg = f.segs[i]
+    if seg.is_const():
+        k, D = f.levels.first_below(seg.const_value())
+        if k == i:
+            return D
+    elif seg.lo < t:
+        return t
+    return so.dist_fun(f, f(t))
 
 
 def outcome(fn, *args):
@@ -340,6 +360,162 @@ def test_edge_refuses_a_scale_outside_the_domain():
             so.edge(m, t)
 
 
+# ---------------------------------------------------------------------------
+# the batches equal the per-point queries
+
+# 1 + 1e-9 |log t|^0.001 on (0, 1e-300), then 1/2: a head level crossed
+# below 2^-120 of the segment end, which underflows, so its bracket starts
+# at the least float
+DEEP_LOG_HEAD = [Seg(0.0, 1e-300, (Term(1.0), Term(1e-9, 0.0, -0.001))),
+                 Seg(1e-300, 1.0, (Term(0.5),))]
+# a segment on (0, 5e-324), the least float, then a power and a constant
+LEAST_FLOAT_CUT = [Seg(0.0, 5e-324, (Term(2.0),)),
+                   Seg(5e-324, 1.0, (Term(1.0, 0.0, -0.001),), -1.0),
+                   Seg(1.0, 3.0, (Term(0.5),), 1j)]
+# a power segment that starts within rtol above the constant before it:
+# the edge at its start is the level query there, 0, not the start 1
+RISE_AT_A_POWER = [Seg(0.0, 1.0, (Term(1.0),)),
+                   Seg(1.0, 4.0, (Term(1.0 + 1e-10, 0.5),), -1.0)]
+
+
+@st.composite
+def batch_operators(draw):
+    """The profiles of profile_segs, II_1 and II_inf, the two operators
+    that reach the least float, or a rise within rtol at a power."""
+    factor_type = draw(st.sampled_from([so.II_INF, so.II_1]))
+    domain_hi = 1.0 if factor_type == so.II_1 else INF
+    fixed = [DEEP_LOG_HEAD, LEAST_FLOAT_CUT[:2]] if domain_hi == 1.0 \
+        else [DEEP_LOG_HEAD, LEAST_FLOAT_CUT, RISE_AT_A_POWER]
+    segs = draw(st.sampled_from(fixed) | profile_segs(domain_hi))
+    try:
+        return so.make_op(segs, factor_type)
+    except DomainError:
+        assume(False)
+
+
+def hexed(z):
+    if isinstance(z, complex):
+        return z.real.hex(), z.imag.hex()
+    return float(z).hex()
+
+
+def per_point(fn, items):
+    """fn at each item in order: the bits up to the first error, and that
+    error's type and message (None when there is none)."""
+    bits = []
+    for x in items:
+        try:
+            bits.append(hexed(fn(x)))
+        except Exception as exc:  # the per-point queries define the errors
+            return bits, (type(exc), str(exc))
+    return bits, None
+
+
+def drained(values):
+    """per_point of an iterator that may raise: its bits up to the error,
+    and the error."""
+    bits = []
+    try:
+        for z in values:
+            bits.append(hexed(z))
+    except Exception as exc:  # compared with the per-point errors
+        return bits, (type(exc), str(exc))
+    return bits, None
+
+
+def batch_points(m, data):
+    """An ascending grid: the scale points, the least float, and points
+    the decision grids reach; a nonpositive first point fails at once."""
+    ts = set(scale_points(m, data)) | {5e-324, 1e-300, 2.0 ** -60, 1.0}
+    ts = sorted(data.draw(st.lists(st.sampled_from(sorted(ts)),
+                                   min_size=1, max_size=12)))
+    if data.draw(st.integers(0, 9)) == 0:
+        ts.insert(0, data.draw(st.sampled_from([0.0, -1.0])))
+    return ts
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), T=batch_operators())
+def test_edges_equal_the_per_point_edges(data, T):
+    m = so.mu(T)
+    ts = batch_points(m, data)
+    want = per_point(lambda t: ref_edge(m, t), ts)
+    # a fresh profile: the level table fills as the batch reads it
+    m2 = so.mu(so.NormalOp(T.factor_type, T.segs))
+    assert drained(so.edges(m2, ts)) == want
+    assert per_point(lambda t: so.edge(m, t), ts) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), T=batch_operators())
+def test_band_batch_equals_the_scans(data, T):
+    points = {0.0, 5e-324, 0.5, 3.0, INF, -1.0}
+    for seg in T.segs:
+        points.update((seg.lo, seg.hi))
+    points = sorted(points)
+    bands = data.draw(st.lists(st.tuples(st.sampled_from(points),
+                                         st.sampled_from(points)),
+                               min_size=1, max_size=10))
+    want = per_point(lambda b: scan_integrate_v(T, *b), bands)
+    read = []
+
+    def feed():
+        for band in bands:
+            read.append(band)
+            yield band
+
+    try:
+        got = [hexed(z) for z in so.integrate_bands(T, feed())]
+    except Exception as exc:  # compared with the scan's error
+        assert want[1] == (type(exc), str(exc))
+        assert len(read) == len(want[0]) + 1  # it stopped at that band
+    else:
+        assert (got, None) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=batch_operators())
+def test_decision_grids_equal_the_per_point_bands(T):
+    # the head bands run to the domain end, the tail bands from the cut to
+    # the edge past it; the first error is the per-point one
+    m, hi = so.mu(T), T.domain_hi
+    rs = [r for r in cm.HEAD_GRID if r < hi]
+    want = per_point(lambda r: scan_integrate_v(T, ref_edge(m, r), hi), rs)
+    assert grid_bits(cm.head_values, T) == grid_bits(None, want)
+    if T.factor_type == so.II_INF:
+        cut = ref_edge(m, 1.0)
+        want = per_point(lambda s: scan_integrate_v(
+            T, cut, max(cut, ref_edge(m, cut + s))), cm.TAIL_GRID)
+        assert grid_bits(cm.tail_values, so.BoundedPart(T, cut)) \
+            == grid_bits(None, want)
+
+
+def grid_bits(fn, X):
+    """The bits of the values of fn(X), or fn's error alone; with no fn,
+    the same of the per_point outcome X."""
+    if fn is None:
+        return X if X[1] is None else ([], X[1])
+    try:
+        return [hexed(v) for _, v in fn(X)], None
+    except Exception as exc:  # compared with the per-point errors
+        return [], (type(exc), str(exc))
+
+
+def test_edge_at_a_rise_is_the_level_query():
+    m = so.mu(so.make_op(RISE_AT_A_POWER))
+    # the level table reads no segment above 1 before the rise
+    assert list(so.edges(m, [0.5, 1.0, 2.0])) == [0.0, 0.0, 2.0]
+
+
+def test_level_crossing_below_the_bracket_start():
+    # 2^-120 * 1e-300 underflows to 0, where log t fails; the bracket
+    # starts at the least float instead, and the level 1.5 is crossed there
+    T = so.make_op(DEEP_LOG_HEAD)
+    assert so.dist_fun(so.mu(T), 1.5) == 5e-324
+    assert so.band_trace(T, "by_modulus", a=1.2, b=1.5) == 0.0
+    assert so.dist_fun(so.mu(T), 0.75) == 1e-300
+
+
 def test_golden_table_solves_no_level_crossing(monkeypatch):
     # every band of the decisions and certificates is at a scale, so no
     # edge goes through _level_cross's brentq (989 calls when it did)
@@ -497,6 +673,20 @@ def test_monotone_check_names_the_probe(segs, domain_hi, t):
     with pytest.raises(DomainError) as err:
         df.make(segs, domain_hi)
     assert str(err.value) == "not nonincreasing near t=" + t
+
+
+def test_monotone_check_refuses_a_negative_power_segment():
+    # 1 on (0, 1), then -t^(1/2): nonincreasing, but below 0 from t = 1 on
+    segs = [Seg(0.0, 1.0, (Term(1.0),)), Seg(1.0, INF, (Term(-1.0, -0.5),))]
+    with pytest.raises(DomainError, match="not nonincreasing near t=1$"):
+        df.make(segs)
+    with pytest.raises(sz.SchemaError) as err:
+        sz.plfun_from_json(sz.plfun_to_json(df.make(segs, validate=False)))
+    assert str(err.value) == "plfun: not nonincreasing near t=1"
+    # a power segment that falls to 0 at its end passes
+    f = df.make([Seg(0.0, 1.0, (Term(1.0),)),
+                 Seg(1.0, 2.0, (Term(0.5, 1.0), Term(-0.25)))])
+    assert f(1.5) == 0.5 / 1.5 - 0.25
 
 
 def test_monotone_check_allows_a_rise_within_rtol():

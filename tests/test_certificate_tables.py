@@ -366,6 +366,97 @@ def test_absolute_slack_does_not_scale_with_the_witness():
                 == ("member", "criteria", "no block data"))
 
 
+# the golden +-1 pair, a constant profile on (0, 2), so that every band
+# edge below 2 is 2; with 1/2 on (2, 4) after it the running trace steps
+# from 0 to 1 at 2
+PAIR = [(1.0, 1.0), (-1.0, 1.0)]
+PAIR_AND_HALF = PAIR + [(0.5, 2.0)]
+# 1/t on (0, 0.3), then 0: r h(r) = 1 holds every pair from r < 0.3, and
+# the first pair from r = 1/2 on has the bound 0 at both of its points
+HOPELESS = df.make([Seg(0.0, 0.3, (Term(1.0, 1.0),)), Seg(0.3, INF, ())])
+
+
+def counted_pair_tests(monkeypatch):
+    calls = []
+    failing_pair = cm._failing_pair
+
+    def counted(table, rh):
+        calls.append(rh)
+        return failing_pair(table, rh)
+
+    monkeypatch.setattr(cm, "_failing_pair", counted)
+    return calls
+
+
+@pytest.mark.parametrize("atoms, h, tries", [
+    (PAIR_AND_HALF, df.zero(), 1),  # a zero witness gets one try
+    (PAIR_AND_HALF, HOPELESS, 1),  # no scaling moves a bound of 0
+    (PAIR_AND_HALF, df.const(1e-30), 13),  # each scaling fails
+    # a witness that rises from 0 (unvalidated): a bound of 0 at r alone
+    # is moved by scaling, so the search goes on
+    (PAIR_AND_HALF, df.make([Seg(0.0, 1.0, ()), Seg(1.0, INF, (Term(0.1),))],
+                            validate=False), 13),
+])
+def test_block_data_stop_where_no_scaling_helps(monkeypatch, atoms, h,
+                                                 tries):
+    T = so.from_atoms(atoms)
+    dec = cm.member(cm.WitnessCertificate(h_fs=h), "criteria")
+    want = decision_bits(ref_attach_block_data(T, dec, 12))
+    assert want[1].startswith("criteria")
+    calls = counted_pair_tests(monkeypatch)
+    assert decision_bits(cm._attach_block_data(T, dec, 12)) == want
+    assert len(calls) == tries
+
+
+# witness coefficients at the edges of the float range: a row t h(t) with
+# a subnormal, or one that scaling by 2^12 would overflow, is evaluated
+# per scaling; each outcome is the scaling loop's
+EDGE_COEFFS = [5e-324, 1e-310, 2.2250738585072014e-308, 2.0 ** -980, 1e-300,
+               1.0, 2.0 ** 960, 2.0 ** 972, 2.0 ** 973, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("c", EDGE_COEFFS)
+@pytest.mark.parametrize("shape", ["const", "power", "log", "steep"])
+def test_block_data_at_the_float_range_edges(c, shape):
+    if shape == "const":
+        h = df.const(c)
+    elif shape == "steep":
+        # t^-400 passes the float range at the small dyadic points, where
+        # the power itself raises OverflowError
+        h = df.make([Seg(0.0, 0.5, (Term(c, 400.0),)), Seg(0.5, INF, ())])
+    elif shape == "power":
+        h = df.make([Seg(0.0, 2.0, (Term(c, 0.5), Term(c / 4.0))),
+                     Seg(2.0, INF, (Term(c / 2.0, 0.75),))])
+    else:
+        # c/2 t^-1/2 |log t|^-1 decreases on (0, e^-2)
+        h = df.make([Seg(0.0, 0.1, (Term(c / 2.0, 0.5, 1.0),)),
+                     Seg(0.1, INF, (Term(c / 4.0 * 0.1 ** -0.5
+                                         / math.log(10.0)),))])
+    for atoms in (PAIR, PAIR_AND_HALF, [(c, 1.0), (-c, 1.0)]):
+        T = so.from_atoms(atoms)
+        dec = cm.member(cm.WitnessCertificate(h_fs=h), "criteria")
+        for K in (12, 40):
+            assert (outcome(cm._attach_block_data, decision_bits, T, dec, K)
+                    == outcome(ref_attach_block_data, decision_bits, T,
+                               dec, K))
+
+
+def test_witness_row_is_the_evaluated_row():
+    # where the row scales exactly it is t h(t) itself, and 2^j times it
+    # is the row of the witness scaled by 2^j
+    pts = cm.dyadic_grid(-40, 40, 1)
+    h = df.make([Seg(0.0, 0.1, (Term(3.0, 0.5, 1.0), Term(0.25))),
+                 Seg(0.1, 2.0, (Term(1.0, 0.5),)),
+                 Seg(2.0, INF, (Term(0.5, 0.75), Term(1e-3, 1.0, -0.5)))])
+    row = cm._witness_row(h, pts)
+    for j in range(cm.SCALINGS):
+        hj = df.scale_fun(h, 2.0 ** j)
+        assert (row * 2.0 ** j).tolist() == [t * hj(t) for t in pts]
+    assert cm._witness_row(df.const(1e-310), pts) is None
+    assert cm._witness_row(df.const(2.0 ** 1000), pts) is None
+    assert cm._witness_row(df.zero(1.0), pts) is None
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), K=st.integers(1, 12))
 def test_beta_sequence_equals_the_pair_loop(data, K):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from commcalc import brown as br
 from commcalc import cli
 from commcalc import commutator as cm
 from commcalc import decfun as df
@@ -271,6 +272,26 @@ class TestFloatOverflow:
                         df.Seg(1.0, df.INF, (df.Term(1e200, 1.01),))])
         return write_query(tmp_path, operator=sz.op_to_json(T),
                            module_I=sz.module_to_json(md.Lp(2.0)))
+
+    def test_brown_of_a_head_below_the_square_root_of_the_least_float(
+            self, capsys, tmp_path):
+        # 1 + 1e-9 |log t|^0.001 on (0, 1e-300): the midpoints of its
+        # chunks underflow as products, and 0 is no point of a chunk; they
+        # are products of square roots, the deepest from the least float
+        T = so.make_op([df.Seg(0.0, 1e-300, (df.Term(1.0),
+                                             df.Term(1e-9, 0.0, -0.001))),
+                        df.Seg(1e-300, 1.0, (df.Term(0.5),))])
+        path = write_query(tmp_path, operator=sz.op_to_json(T))
+        code, out, err = run(capsys, ["brown", "--input", path])
+        assert code == 0 and err == ""
+        atoms = json.loads(out)["brown"]
+        assert atoms[-1] == {"re": 0.5, "im": 0.0, "mass": 1.0}
+        assert all(1.0 < a["re"] < 1.0 + 1e-8 for a in atoms[:-1])
+        assert math.isclose(sum(a["mass"] for a in atoms[:-1]), 1e-300)
+        assert br._midpoint(2.0, 8.0) == 4.0
+        assert br._midpoint(1e-200, 4e-200) == math.sqrt(1e-200) \
+            * math.sqrt(4e-200)
+        assert 0.0 < br._midpoint(0.0, 1e-310) < 1e-310
 
     def test_brown_member_F(self, capsys, tmp_path):
         outdir = tmp_path / "b"

@@ -326,15 +326,15 @@ class TestII1:
 
     def test_bands_stay_inside_the_domain(self, monkeypatch):
         # the head grid ends at r = 1, the II_1 domain end, which the
-        # criterion never reads: no band is computed there
+        # criterion never reads: the batch reads no band edge there
         rs = []
-        band_trace = so.band_trace
+        edges = so.edges
 
-        def record(T, mode, r=None, **kw):
-            rs.append(r)
-            return band_trace(T, mode, r=r, **kw)
+        def record(f, ts):
+            rs.extend(ts)
+            return edges(f, ts)
 
-        monkeypatch.setattr(so, "band_trace", record)
+        monkeypatch.setattr(so, "edges", record)
         for T, I in [
                 (so.from_atoms([(1.0, 0.5), (-1.0, 0.5)], so.II_1),
                  md.M(so.II_1)),

@@ -2,9 +2,11 @@
 
 The report contract is json.dumps(doc, sort_keys=True, indent=2,
 allow_nan=False) plus a newline.  cli._layout writes that layout itself,
-with every leaf formatted by a C-level call and a list of same-key float
-records (the Brown atom list) by one %-template per record; from Python
-3.13 on cli._json_bytes calls json's C encoder, which indents by itself.
+with every leaf formatted by a C-level call, a list of same-key records of
+floats, ints and None (the Brown atom list, the block bounds, a PLFun) by
+one %-template per record, and a dict of float pairs (alpha, beta) by one
+%-template per item; from Python 3.13 on cli._json_bytes calls json's C
+encoder, which indents by itself.
 Both are checked against json.dumps on every Python version the tests
 run on, and the pins below hash whole reports.
 """
@@ -138,6 +140,62 @@ def test_any_value_equals_json_dumps(doc):
 @given(doc=st.dictionaries(keys, deep, min_size=1, max_size=3))
 def test_nested_records_equal_json_dumps(doc):
     assert writers(doc) == [reference(doc)] * 2
+
+
+@st.composite
+def cell_records(draw):
+    """Records sharing one key set whose cells are floats, ints, None or
+    bools, a column of one kind or of several; a float may be out of
+    range."""
+    names = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+    cell = {"float": finite, "int": st.integers(-2 ** 70, 2 ** 70),
+            "none": st.none(), "bool": st.booleans(),
+            "bad": st.sampled_from([math.nan, math.inf, -math.inf])}
+    kinds = {k: draw(st.lists(st.sampled_from(
+        ["float", "float", "int", "none", "bool", "bad"]), min_size=1,
+        max_size=2, unique=True)) for k in names}
+    return [{k: draw(cell[draw(st.sampled_from(kinds[k]))]) for k in names}
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+pair_cells = finite | st.sampled_from([math.nan, math.inf, -math.inf, 1, None,
+                                       True])
+pair_dicts = st.dictionaries(
+    st.text(max_size=4) | st.sampled_from(["-40", "-4", "0", "39", "re"]),
+    st.lists(finite, min_size=2, max_size=2).map(tuple)
+    | st.lists(finite, min_size=2, max_size=2)
+    | st.lists(pair_cells, min_size=1, max_size=3),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recs=cell_records(), depth=st.integers(0, 2))
+def test_records_of_ints_and_nulls_equal_json_dumps(recs, depth):
+    doc = recs
+    for _ in range(depth):
+        doc = {"block_bounds": doc}
+    assert writers(doc) == [expected(doc)] * 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(keys, pair_dicts, min_size=1, max_size=3))
+def test_dicts_of_float_pairs_equal_json_dumps(doc):
+    assert writers(doc) == [expected(doc)] * 2
+
+
+def test_certificate_layouts_equal_json_dumps():
+    # the block bounds, alpha and phi of a certificate, with an int
+    # column, a null hi and a nan that json refuses
+    doc = {"alpha": {str(n): [2.0 ** n, -0.0] for n in range(-3, 3)},
+           "block_bounds": [{"n": n, "S_norm_bound": 0.5, "commutators": 10}
+                            for n in range(-2, 2)],
+           "phi": [{"lo": 0.0, "hi": 1.0, "coeff": 2.0},
+                   {"lo": 1.0, "hi": None, "coeff": 0.5}]}
+    assert writers(doc) == [reference(doc)] * 2
+    for bad in ({"alpha": {"0": [1.0, math.nan]}},
+                {"phi": [{"lo": 1.0, "hi": math.inf},
+                         {"lo": 2.0, "hi": None}]}):
+        assert writers(dict(doc, **bad)) == [ValueError] * 2
 
 
 @settings(max_examples=100, deadline=None)
