@@ -73,8 +73,9 @@ def phi_of(T):
     The band edge dist_fun(mu(T), x) of every level x and the value of
     every (r, s) are tabled on T (NormalOp.band_tables), so an n-point
     probe grid costs n level queries and one integrate_v per pair, once
-    per operator: build_V and member_F read the same tables.  Each value
-    is the float phi(T, r, s) gives: the same edges, the same integral.
+    per operator: build_V, member_F and phi read the same tables.  Each
+    value is the float so.band_trace(T, "by_modulus", a=r, b=s) gives: the
+    same edges, the same integral.
     """
     m = so.mu(T)
     edges, values = T.band_tables
@@ -169,15 +170,13 @@ def normal_model(nu):
 
 
 def phi(src, r, s):
-    """Band integral of z over r < |z| <= s."""
+    """Band integral of z over r < |z| <= s, of a Brown measure or of an
+    operator (phi_of)."""
+    if not isinstance(src, BrownMeasure):
+        return phi_of(src)(r, s)
     if not 0 < r <= s:
         raise DomainError("need 0 < r <= s")
-    if r == s:
-        return 0.0 + 0.0j
-    if isinstance(src, BrownMeasure):
-        return sum((z * m for z, m in src.atoms if r < abs(z) <= s),
-                   0.0 + 0.0j)
-    return complex(so.band_trace(src, "by_modulus", a=r, b=s))
+    return sum((z * m for z, m in src.atoms if r < abs(z) <= s), 0.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +219,17 @@ def fk_det(T, mode="I+T", k=1, w=1.0):
             raise DomainError("log-determinant integral diverges at infinity")
     total = 0.0
     for seg in T.segs:
-        if seg.hi == INF:
-            hi = max(seg.lo * 2.0, 1.0) * 2.0 ** DEPTH_OCTAVES
-        else:
-            hi = seg.hi
+        hi = seg.hi if seg.hi < INF \
+            else max(seg.lo * 2.0, 1.0) * 2.0 ** DEPTH_OCTAVES
         if seg.is_const():
             z = seg.phase * seg.value(0.5 * (seg.lo + hi))
             lg = log_g(z)
             if lg == -INF:
                 return 0.0
-            length = (seg.hi - seg.lo) if seg.hi != INF else INF
-            if length == INF:
+            if seg.hi == INF:
                 raise DomainError(
                     "log-determinant integral diverges at infinity")
-            total += length * lg
+            total += (seg.hi - seg.lo) * lg
             continue
 
         def integrand(t):

@@ -28,6 +28,8 @@ from .decfun import DomainError, INF
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
+# the largest --K: the grid reaches 2^K, and 2.0 ** 1024 overflows
+MAX_K = 1023
 
 # report file extension per --format
 _EXT = {"json": "json", "csv": "csv", "text": "txt"}
@@ -248,8 +250,7 @@ def _csv_bytes(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue().encode("utf-8")
 
 
@@ -327,6 +328,21 @@ def _write(args, name, data):
             fh.write(data)
 
 
+def _sample(args, f, name):
+    """(t, f(t)) on the dyadic grid of --K and --grid inside f's domain
+    (the domain of a II_1 operator is the open interval (0, 1))."""
+    samples = []
+    for t in cm.dyadic_grid(-args.K, args.K, args.grid):
+        if t < f.domain_hi:
+            try:
+                samples.append((t, f(t)))
+            except OverflowError:
+                # a float limit, not an infinite value
+                raise CliError("query.operator: %s(%s) overflows a float"
+                               % (name, _fmt_num(t))) from None
+    return samples
+
+
 def _samples_csv(samples):
     return _csv_bytes(("t", "value"),
                       [(_fmt_num(t), _fmt_num(v)) for t, v in samples])
@@ -338,17 +354,7 @@ def _samples_csv(samples):
 
 def cmd_mu(args, query):
     T = _query_field(query, "operator", sz.op_from_json, required=True)
-    m = so.mu(T)
-    # the domain of a II_1 operator is the open interval (0, 1)
-    samples = []
-    for t in cm.dyadic_grid(-args.K, args.K, args.grid):
-        if t < T.domain_hi:
-            try:
-                samples.append((t, m(t)))
-            except OverflowError:
-                # a float limit, not an infinite singular value
-                raise CliError("query.operator: mu(%s) overflows a float"
-                               % _fmt_num(t)) from None
+    samples = _sample(args, so.mu(T), "mu")
     if args.format == "csv":
         _write(args, "mu.csv", _samples_csv(samples))
         return EXIT_OK
@@ -408,25 +414,23 @@ def _decide(run, *args):
         raise CliError("query.operator: %s" % exc) from None
 
 
-def _decide_and_write(args, query, name):
-    """Run the membership query and write its report as name.<ext>."""
-    dec = _decide(_run_member, query)
-    _write(args, name + "." + _EXT[args.format], emit_report(dec, args.format))
-    return dec
-
-
 def cmd_member(args, query):
-    return _decision_exit(_decide_and_write(args, query, "member"))
+    dec = _decide(_run_member, query)
+    _write(args, "member." + _EXT[args.format], emit_report(dec, args.format))
+    return _decision_exit(dec)
 
 
 def cmd_witness(args, query):
-    dec = _decide_and_write(args, query, "witness")
+    dec = _decide(_run_member, query)
     cert = dec.certificate
+    phi = None
     if args.out and cert is not None and cert.phi is not None:
-        samples = [(t, cert.phi(t))
-                   for t in cm.dyadic_grid(-args.K, args.K, args.grid)]
+        # sampled before any output: past the float range nothing is written
+        phi = _samples_csv(_sample(args, cert.phi, "phi"))
+    _write(args, "witness." + _EXT[args.format], emit_report(dec, args.format))
+    if phi is not None:
         with open(os.path.join(args.out, "phi.csv"), "wb") as fh:
-            fh.write(_samples_csv(samples))
+            fh.write(phi)
     return _decision_exit(dec)
 
 
@@ -482,8 +486,7 @@ def cmd_oracle(args, query):
     tol = _env_tol()
     kwargs = {"seed": args.seed, "dims": tuple(dims), "trials": trials}
     if tol is not None:
-        kwargs["tol_rel"] = tol
-        kwargs["tol_abs"] = tol
+        kwargs.update(tol_rel=tol, tol_abs=tol)
     try:
         cfg = mo.OracleConfig(**kwargs)
         rep = mo.run_property_suite(cfg, suite, N=N)
@@ -510,10 +513,6 @@ def cmd_oracle(args, query):
 # the golden decision table
 
 
-def _op(segs):
-    return so.make_op(segs)
-
-
 def _seg(lo, hi, phase, *terms):
     return df.Seg(lo, hi, terms, phase)
 
@@ -521,28 +520,28 @@ def _seg(lo, hi, phase, *terms):
 def _log_witness_fs():
     # positive head 1/(t log^2 t), flat negative block cancelling the trace
     c = math.exp(-2.0)
-    return _op([_seg(0.0, c, 1.0, df.Term(1.0, 1.0, 2.0)),
-                _seg(c, c + 0.5, -1.0, df.Term(1.0))])
+    return so.make_op([_seg(0.0, c, 1.0, df.Term(1.0, 1.0, 2.0)),
+                       _seg(c, c + 0.5, -1.0, df.Term(1.0))])
 
 
 def _log_witness_b():
     # bounded tail 1/(t log^2 t) for t > 2; the head trace vanishes but the
     # required tail majorant 1/(s log s) falls outside mu((L1)_b)
     v2 = 1.0 / (2.0 * math.log(2.0) ** 2)
-    return _op([_seg(0.0, 1.0, 1.0, df.Term(v2)),
-                _seg(1.0, 2.0, -1.0, df.Term(v2)),
-                _seg(2.0, INF, 1.0, df.Term(1.0, 1.0, 2.0))])
+    return so.make_op([_seg(0.0, 1.0, 1.0, df.Term(v2)),
+                       _seg(1.0, 2.0, -1.0, df.Term(v2)),
+                       _seg(2.0, INF, 1.0, df.Term(1.0, 1.0, 2.0))])
 
 
 def _table_rows(name):
     pair = so.from_atoms([(1.0, 1.0), (-1.0, 1.0)])
     atom = so.from_atoms([(1.0, 1.0)])
     cpair = so.from_atoms([(2.0j, 0.5), (-1.0j, 1.0)])
-    head_half = _op([_seg(0.0, 1.0, 1.0, df.Term(1.0, 0.5))])
-    tail_slow = _op([_seg(0.0, 1.0, 1.0, df.Term(1.0)),
-                     _seg(1.0, INF, 1.0, df.Term(1.0, 0.6))])
-    mixed = _op([_seg(0.0, 1.0, 1.0, df.Term(1.0, 0.5)),
-                 _seg(1.0, INF, 1.0, df.Term(1.0, 0.6))])
+    head_half = so.make_op([_seg(0.0, 1.0, 1.0, df.Term(1.0, 0.5))])
+    tail_slow = so.make_op([_seg(0.0, 1.0, 1.0, df.Term(1.0)),
+                            _seg(1.0, INF, 1.0, df.Term(1.0, 0.6))])
+    mixed = so.make_op([_seg(0.0, 1.0, 1.0, df.Term(1.0, 0.5)),
+                        _seg(1.0, INF, 1.0, df.Term(1.0, 0.6))])
     ex_i = md.Sum(md.FsPart(md.Lp(0.5)), md.BPart(md.Lp(2.0)))
     ex_ii = md.Sum(md.FsPart(md.Lp(2.0)), md.BPart(md.Lp(0.5)))
     ex_iii = md.Sum(md.FsPart(md.Lp(1.0)), md.BPart(md.Lp(1.0)))
@@ -617,13 +616,11 @@ def cmd_table(args, query):
     def text(rs):
         wid = max(len(r["id"]) for r in rs)
         wrel = max(len(r["relation"]) for r in rs)
-        lines = ["%-*s  %-*s  %-10s  %-10s  %s"
-                 % (wid, "id", wrel, "relation", "expected", "answer", "ok")]
-        for r in rs:
-            lines.append("%-*s  %-*s  %-10s  %-10s  %s"
-                         % (wid, r["id"], wrel, r["relation"], r["expected"],
-                            r["answer"], "ok" if r["ok"] else "MISMATCH"))
-        return "\n".join(lines) + "\n"
+        cells = [("id", "relation", "expected", "answer", "ok")] + [
+            (r["id"], r["relation"], r["expected"], r["answer"],
+             "ok" if r["ok"] else "MISMATCH") for r in rs]
+        return "".join("%-*s  %-*s  %-10s  %-10s  %s\n"
+                       % (wid, c[0], wrel, *c[1:]) for c in cells)
 
     if args.format == "csv":
         data = _csv_bytes(
@@ -673,8 +670,9 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    if args.grid < 1 or args.K < 1:
-        print("commcalc: --grid and --K must be positive", file=sys.stderr)
+    if args.grid < 1 or not 1 <= args.K <= MAX_K:
+        print("commcalc: --grid must be positive and --K from 1 to %d"
+              % MAX_K, file=sys.stderr)
         return EXIT_INPUT
     try:
         query = {}

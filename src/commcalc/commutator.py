@@ -20,8 +20,8 @@ Each side is then decided from the exact class of its side function at
 the end (side_classes): Karamata's mean of the profile's end term, plus
 |a - lim| / t where a misses a convergent limit.  The module judges the
 witness h, that class past the samples and their step majorant at mid
-scale, so no verdict depends on a fit.  The one end outside the class,
-c t^-1 |log t|^-1, is decided from its two brackets.
+scale, so no verdict depends on a fit.  At the one end outside the
+class, c t^-1 |log t|^-1, the module judges the mean through a bracket.
 """
 
 import math
@@ -40,7 +40,7 @@ from .specop import II_1, II_INF
 GRID_K = 60
 GRID_PPO = 2
 TRACE_TOL = 1e-9
-# c t^-1 log L (L = |log t|) lies below c t^-1 L^EPS / (e EPS) for L > 1
+# c t^-1 log L (L = |log t|) lies below c t^-1 L^ε / (e ε) for every ε > 0
 LOGLOG_EPS = 0.125
 # the constant 1: a module holds it exactly when it holds the bounded carpet
 ONE = df.const(1.0)
@@ -177,7 +177,7 @@ def trace_limit(T, side):
 
 @dataclass(frozen=True)
 class SideResult:
-    answer: str
+    answer: str  # yes | no
     h: PLFun = None
     worst: tuple = None  # (r, required) sample behind a "no"
     reason: str = ""
@@ -193,15 +193,16 @@ def _clean_samples(pairs, a):
     return out
 
 
-def side_classes(side, a):
-    """Exact end class of |a - head(r)| / r as r -> 0 (side "head") or of
-    |a + tail(s)| / s as s -> oo (side "tail"), for a Side.
+def side_classes(side, a, module):
+    """Exact end class, a tuple of terms, of |a - head(r)| / r as r -> 0
+    (side "head") or of |a + tail(s)| / s as s -> oo (side "tail").
 
     mean_term of the end term of the profile, plus |a - lim| / t when the
-    trace converges to lim (minus the tail limit) and a != lim.  Returns
-    the list of classes: two for p = q = 1, the brackets c L^EPS / (e EPS t)
-    above c log L / t and c / t below it.  A miss |a - lim| within the
-    side's noise is float noise and counts as 0.
+    trace converges to lim (minus the tail limit) and a != lim.  A miss
+    |a - lim| within the side's noise is float noise and counts as 0.  For
+    p = q = 1 the mean c log L / t lies outside the class, and its bracket
+    c L^ε / (e ε t), ε from md.loglog_eps, stands in: module holds it
+    exactly when it holds c log L / t.
     """
     lim = side.limit
     d = (a - lim if side.name == "head" else a + lim) \
@@ -210,40 +211,37 @@ def side_classes(side, a):
         d = 0.0
     near = (Term(abs(d), 1.0),) if d else ()
     if side.end is None:
-        return [near]
+        return near
     term = df.mean_term(side.end)
-    if term is not None:
-        return [near + (term,)]
-    c = side.end[2]
-    return [near + (Term(c / (math.e * LOGLOG_EPS), 1.0, -LOGLOG_EPS),),
-            near + (Term(c, 1.0),)]
+    if term is None:
+        eps = md.loglog_eps(module, int(side.name == "tail"), LOGLOG_EPS)
+        c = side.end[2] / (math.e * eps) if eps else INF
+        if c == INF:
+            raise OverflowError("the t^-1 log|log t| bracket overflows")
+        term = Term(c, 1.0, -eps)
+    return near + (term,)
 
 
 def decide_side(side, module, a=0.0):
     """Whether module holds a majorant of the sampled side function
-    |a - head(r)| / r or |a + tail(s)| / s: the step majorant with the
-    exact end class attached (envelope_majorant), held past the samples on
-    the tail side or a finite domain.  Of two brackets, "yes" comes from
-    the upper and "no" from the lower."""
+    |a - head(r)| / r or |a + tail(s)| / s, "yes" or "no": the step
+    majorant with the exact end class attached (envelope_majorant), held
+    past the samples on the tail side or a finite domain."""
     samples = _clean_samples(
         head_values(side.part) if side.name == "head"
         else [(s, -v) for s, v in tail_values(side.part)], a)
     domain_hi = module.domain_hi
-    classes = side_classes(side, a)
-    if classes == [()] and all(v == 0.0 for _, v in samples):
+    ends = side_classes(side, a, module)
+    if not ends and all(v == 0.0 for _, v in samples):
         return SideResult("yes", df.zero(domain_hi), None, "zero bound")
-    worst = max(samples, key=lambda tv: tv[1])
-    hold = side.name == "tail" or domain_hi < INF
-    for i, ends in enumerate(classes):
-        h = df.envelope_majorant(samples, domain_hi, reach=side.reach,
-                                 hold=hold, **{side.name: ends})
-        verdict = md.contains(module, h)
-        if verdict.answer == "yes" and i == 0:
-            return SideResult("yes", h, None, verdict.reason)
-    if verdict.answer == "no":
-        return SideResult("no", h, worst, verdict.reason)
-    return SideResult("inconclusive", h, worst,
-                      "the brackets of t^-1 log|log t| disagree")
+    h = df.envelope_majorant(samples, domain_hi, reach=side.reach,
+                             hold=side.name == "tail" or domain_hi < INF,
+                             **{side.name: ends})
+    verdict = md.contains(module, h)
+    if verdict.answer == "yes":
+        return SideResult("yes", h, None, verdict.reason)
+    return SideResult("no", h, max(samples, key=lambda tv: tv[1]),
+                      verdict.reason)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +299,7 @@ def member_with_a(T_fs, T_b, I, shared_a=True):
                                "required": res.worst[1],
                                "reason": res.reason})
         sides.append(res)
-    fs_res, b_res = sides
-    if fs_res.answer != "yes" or b_res.answer != "yes":
-        return inconclusive("side tests undecided")
-    cert = WitnessCertificate(a=a_fs, h_fs=fs_res.h, h_b=b_res.h)
+    cert = WitnessCertificate(a=a_fs, h_fs=sides[0].h, h_b=sides[1].h)
     if shared_a:
         return member(cert, "split criteria hold with a=%r" % a_fs)
     return member(cert, "independent side constants a_fs=%r a_b=%r"
@@ -313,6 +308,14 @@ def member_with_a(T_fs, T_b, I, shared_a=True):
 
 # ---------------------------------------------------------------------------
 # top-level membership
+
+
+def _outside(I, m, name):
+    """The not_member Decision where mu(T) = m lies outside I, else None."""
+    nec = md.contains(I, m)
+    if nec.answer == "no":
+        return not_member({"side": "module", "reason": "mu(T) outside the "
+                           "%s: %s" % (name, nec.reason)})
 
 
 def member_IIinf(T, I, J):
@@ -324,11 +327,8 @@ def member_IIinf(T, I, J):
     if T.is_zero():
         return member(WitnessCertificate(h_fs=df.zero(), h_b=df.zero()),
                       "zero operator")
-    nec = md.contains(IJ, m)
-    if nec.answer == "no":
-        return not_member({"side": "module",
-                           "reason": "mu(T) outside the product module: "
-                           + nec.reason})
+    if dec := _outside(IJ, m, "product module"):
+        return dec
     if md.is_bounded(m) and md.contains(IJ, ONE).answer == "yes":
         cert = WitnessCertificate(h_fs=df.zero(),
                                   h_b=df.const(2.0 * df.value_at_0(m)))
@@ -357,29 +357,21 @@ def member_II1(T, I, J):
     if T.is_zero():
         return member(WitnessCertificate(h_fs=df.zero(1.0), total_count=12),
                       "zero operator")
-    nec = md.contains(IJ, m)
-    if nec.answer == "no":
-        return not_member({"side": "module",
-                           "reason": "mu(T) outside the product module: "
-                           + nec.reason})
+    if dec := _outside(IJ, m, "product module"):
+        return dec
     res = decide_side(side_facts(T, "head"), IJ)
     if res.answer == "yes":
         return member(WitnessCertificate(h_fs=res.h, total_count=12),
                       res.reason)
-    if res.answer == "no":
-        return not_member({"side": "fs", "r": res.worst[0],
-                           "required": res.worst[1], "reason": res.reason})
-    return inconclusive(res.reason)
+    return not_member({"side": "fs", "r": res.worst[0],
+                       "required": res.worst[1], "reason": res.reason})
 
 
 def member_F_plus(T, I):
     """T in F + [I, M]: the split criteria with independent constants."""
     m = so.mu(T)
-    nec = md.contains(I, m)
-    if nec.answer == "no":
-        return not_member({"side": "module",
-                           "reason": "mu(T) outside the module: "
-                           + nec.reason})
+    if dec := _outside(I, m, "module"):
+        return dec
     if md.is_bounded(m) and md.contains(I, ONE).answer == "yes":
         return member(WitnessCertificate(h_b=df.const(2.0 * df.value_at_0(m))),
                       "bounded operator against a bounded-carpet module")

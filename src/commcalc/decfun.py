@@ -538,7 +538,8 @@ def mean_term(dom):
     dom = (p, q, c), f ~ c t^-p L^-q with L = |log t|.  By Karamata's
     theorem (Bingham, Goldie, Teugels, Regular Variation, 1.5-1.6) it is
     c t^-p L^-q / |1 - p| for p != 1 and c t^-1 L^(1-q) / |1 - q| for
-    p = 1, at 0 and at infinity alike; None for p = q = 1 (c log L / t).
+    p = 1, at 0 and at infinity alike; None for p = q = 1 (c log L / t),
+    which commutator.side_classes replaces by a bracket.
     """
     p, q, c = dom
     if p != 1.0:

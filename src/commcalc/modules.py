@@ -205,6 +205,18 @@ def contains(I, f):
                "dominated by %g * dilate2(gen, %d)" % (C, k))
 
 
+def loglog_eps(I, end, eps):
+    """The ε of a bracket t^-1 L^ε / (e ε), key (±1, ε), that I admits at
+    end 0 or 1 (oo) exactly when it holds t^-1 log L (L = |log t|), whose
+    key lies just above (±1, 0): a threshold (a, b, attained, s) admits it
+    when (±s, 0) < (a, b).  eps, or half the room b / s if eps is too big."""
+    t = I.ends[end]
+    x = (1.0, -1.0)[end]
+    if (x * t[3], 0.0) < t[:2] and not _admits(t, (x, eps)):
+        return t[1] / t[3] / 2.0
+    return eps
+
+
 def _refusal(I, keys):
     """Why I refuses a function with these end keys."""
     k = I.kind

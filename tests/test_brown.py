@@ -113,6 +113,27 @@ class TestPhi:
             br.phi(nu, 2.0, 1.0)
         with pytest.raises(df.DomainError):
             br.phi(nu, 0.0, 1.0)
+        T = br.normal_model(nu)
+        for r, s in ((2.0, 1.0), (0.0, 1.0), (-1.0, 1.0)):
+            with pytest.raises(df.DomainError):
+                br.phi(T, r, s)
+
+    def test_operator_bands_are_the_by_modulus_traces(self):
+        # phi of an operator reads phi_of's tables: the floats of
+        # band_trace's by_modulus mode, the same edges and integral
+        rng = np.random.default_rng(5)
+        ops = [br.normal_model(random_atomic(rng)) for _ in range(5)]
+        ops.append(so.make_op([df.Seg(0.0, 0.5, (df.Term(1.0, 0.5),)),
+                               df.Seg(0.5, df.INF, (df.Term(0.25, 2.0),),
+                                      0.6 + 0.8j)]))
+        for T in ops:
+            for r, s in [(0.05, 1.0), (0.5, 2.0), (1.0, 8.0), (0.01, 16.0),
+                         (0.3, 0.7)]:
+                want = complex(so.band_trace(T, "by_modulus", a=r, b=s))
+                got = br.phi(T, r, s)
+                assert (got.real.hex(), got.imag.hex()) \
+                    == (want.real.hex(), want.imag.hex())
+            assert br.phi(T, 2.0, 2.0) == 0.0
 
 
 class TestFkDet:

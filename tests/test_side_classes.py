@@ -11,6 +11,8 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commcalc import brown as br
 from commcalc import cli
@@ -147,8 +149,8 @@ def test_tail_grid_against_Ls_and_Llog(p, q, module):
 # forced / free x convergent / divergent
 
 
-def _classes(T, side, a):
-    return cm.side_classes(cm.side_facts(T, side), a)
+def _classes(T, side, a, module=md.M()):
+    return cm.side_classes(cm.side_facts(T, side), a, module)
 
 
 class TestHeadCases:
@@ -159,14 +161,14 @@ class TestHeadCases:
         tau = 2.0 * E3 ** -0.5
         st, lim = cm.trace_limit(T, "head")
         assert st == "converged" and abs(lim - tau) < 1e-12
-        assert _classes(T, "head", lim) == [(Term(2.0, 0.5),)]
+        assert _classes(T, "head", lim) == (Term(2.0, 0.5),)
         head = cm.side_facts(T, "head")
         assert cm.decide_side(head, md.FsPart(md.Lp(1.0)), lim).answer \
             == "yes"
         # t^-1 L^-1.5 forced: the class L^-0.5 / (0.5 r) is not in L_1
         T = head_op(1.0, 1.5)
         _, lim = cm.trace_limit(T, "head")
-        assert _classes(T, "head", lim) == [(Term(2.0, 1.0, 0.5),)]
+        assert _classes(T, "head", lim) == (Term(2.0, 1.0, 0.5),)
         res = cm.decide_side(cm.side_facts(T, "head"), md.FsPart(md.Lp(1.0)),
                              lim)
         assert res.answer == "no" and res.worst is not None
@@ -185,63 +187,162 @@ class TestHeadCases:
         T = head_op(0.5, 0.0)
         _, lim = cm.trace_limit(T, "head")
         assert _classes(T, "head", 0.0) \
-            == [(Term(abs(lim), 1.0), Term(2.0, 0.5))]
+            == (Term(abs(lim), 1.0), Term(2.0, 0.5))
         head = cm.side_facts(T, "head")
         assert cm.decide_side(head, md.FsPart(md.Lp(0.5))).answer == "yes"
         assert cm.decide_side(head, md.FsPart(md.Lp(1.0))).answer == "no"
 
     def test_free_divergent(self):
         T = head_op(1.5, 0.0)
-        assert _classes(T, "head", 0.0) == [(Term(2.0, 1.5),)]
+        assert _classes(T, "head", 0.0) == (Term(2.0, 1.5),)
         # (r^-1.5)^(1/2) is integrable at 0, r^-1.5 is not
         head = cm.side_facts(T, "head")
         assert cm.decide_side(head, md.FsPart(md.Lp(0.5))).answer == "yes"
         assert cm.decide_side(head, md.FsPart(md.Lp(1.0))).answer == "no"
 
     def test_log_log_brackets(self):
-        # t^-1 L^-1: the side function is log L / r, between 1/r and
-        # L^EPS / r
+        # t^-1 L^-1: the side function is log L / r, below L^ε / (e ε r)
+        # for every ε > 0; a module that holds log L / r holds the bracket
+        # with the ε of md.loglog_eps, one that does not holds none
         T = head_op(1.0, 1.0)
         eps = cm.LOGLOG_EPS
-        assert _classes(T, "head", 0.0) == [
-            (Term(1.0 / (math.e * eps), 1.0, -eps),), (Term(1.0, 1.0),)]
+        assert _classes(T, "head", 0.0) \
+            == (Term(1.0 / (math.e * eps), 1.0, -eps),)
         head = cm.side_facts(T, "head")
         assert cm.decide_side(head, md.FsPart(md.Lp(0.5))).answer == "yes"
         assert cm.member_F_plus(T, md.Llog()).answer == "member"
-        # the brackets disagree against the module generated by 1/t
+        # 1/r < log L / r: the module generated by 1/t refuses it
         res = cm.decide_side(head, md.FsPart(md.Principal(md.omega_fs())))
-        assert res.answer == "inconclusive"
-        assert "brackets" in res.reason
+        assert res.answer == "no" and res.worst is not None
+        # L^0.05 / r leaves the room 0.05 above log L / r, too little for
+        # ε = 0.125: the bracket takes half of it
+        I = md.FsPart(md.Principal(head_gen(-0.05)))
+        assert md.loglog_eps(I, 0, eps) == 0.025
+        assert _classes(T, "head", 0.0, I) \
+            == (Term(1.0 / (math.e * 0.025), 1.0, -0.025),)
+        assert cm.decide_side(head, I).answer == "yes"
+        assert md.loglog_eps(md.FsPart(md.Principal(head_gen(-0.2))), 0,
+                             eps) == eps
 
 
-def test_log_log_head_is_undecided_end_to_end(tmp_path, capsys):
-    # the brackets of t^-1 L^-1 disagree against <1/t>: the membership
-    # entry points answer inconclusive, and so does the CLI (exit 2), with
-    # the same report on every run
-    T = head_op(1.0, 1.0)
-    I = md.Principal(md.omega_fs())
-    for dec in (cm.member_IIinf(T, I, md.M()), cm.member_F_plus(T, I)):
-        assert (dec.answer, dec.notes) == ("inconclusive",
-                                           "side tests undecided")
-    T1 = so.make_op([Seg(0.0, 1.0 / E3, (Term(1.0, 1.0, 1.0),))], so.II_1)
-    I1 = md.Principal(md.omega_fs(so.II_1))
-    dec = cm.member_II1(T1, I1, md.M(so.II_1))
-    assert (dec.answer, dec.notes) == (
-        "inconclusive", "the brackets of t^-1 log|log t| disagree")
-    for op, module, relation in ((T, I, "commutator"), (T, I, "F_plus"),
-                                 (T1, I1, "commutator")):
+def head_gen(q, domain_hi=INF):
+    """t^-1 L^-q on (0, e^-3), zero after: decreasing for |q| < 3."""
+    return df.make([Seg(0.0, 1.0 / E3, (Term(1.0, 1.0, q),))], domain_hi)
+
+
+def tail_gen(q):
+    """The value of t^-1 L^-q at e^3 on (0, e^3), then t^-1 L^-q."""
+    return df.make([Seg(0.0, E3, (Term(E3 ** -1 * 3.0 ** -q),)),
+                    Seg(E3, INF, (Term(1.0, 1.0, q),))])
+
+
+def log_log_queries(where, q):
+    """The t^-1 L^-1 end operator and the decisions of its membership
+    entry points against <t^-1 L^-q>, with the end (0 or 1) and the part
+    of the witness that carries it."""
+    if where == "II_1":
+        T = so.make_op([Seg(0.0, 1.0 / E3, (Term(1.0, 1.0, 1.0),))], so.II_1)
+        I = md.Principal(head_gen(q, 1.0))
+        return T, I, 0, "h_fs", [lambda: cm.member_II1(T, I, md.M(so.II_1))]
+    if where == "head":
+        T, I, end, part = head_op(1.0, 1.0), md.Principal(head_gen(q)), 0, \
+            "h_fs"
+    else:
+        T, I, end, part = tail_op(1.0, 1.0), md.Principal(tail_gen(q)), 1, \
+            "h_b"
+    return T, I, end, part, [lambda: cm.member_IIinf(T, I, md.M()),
+                             lambda: cm.member_F_plus(T, I)]
+
+
+def _assert_bracket_admitted(I, end, h):
+    # the witness's end key lies above that of log L / t, (±1, 0), and
+    # within I's threshold there
+    key = md._end_keys(h)[end]
+    assert key[0] == (1.0, -1.0)[end] and key[1] > 0.0
+    assert md._admits(I.ends[end], key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(where=st.sampled_from(["head", "tail", "II_1"]),
+       q=st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+       p=st.one_of(st.just(1.0), st.floats(0.8, 1.2)))
+def test_log_log_ends_are_exact(where, q, p):
+    # the side function of t^-1 L^-1 is log L / t, just above 1/t at
+    # either end: <t^-1 L^-q> holds it exactly when q < 0 (for q > 0 it
+    # holds no omega function, and the trace diverges); a room too small
+    # for the bracket's floats raises OverflowError, never a verdict
+    _, I, end, part, runs = log_log_queries(where, q)
+    for run in runs:
+        try:
+            dec = run()
+        except OverflowError:
+            assert -1e-200 < q < 0.0
+            continue
+        assert dec.answer == ("member" if q < 0.0 else "not_member")
+        if q < 0.0:
+            _assert_bracket_admitted(I, end, getattr(dec.certificate, part))
+    # L_p holds log L / t at 0 exactly when p < 1, at oo when p > 1
+    if where == "tail":
+        side, module = cm.side_facts(tail_op(1.0, 1.0), "tail"), \
+            md.BPart(md.Lp(p))
+        held = p > 1.0
+    else:
+        side, module = cm.side_facts(head_op(1.0, 1.0), "head"), \
+            md.FsPart(md.Lp(p))
+        held = p < 1.0
+    res = cm.decide_side(side, module)
+    assert res.answer == ("yes" if held else "no")
+    if held:
+        _assert_bracket_admitted(module, end, res.h)
+
+
+PROBES = [("head", 0.0, "not_member"), ("head", -0.05, "member"),
+          ("head", -0.2, "member"), ("tail", 0.0, "not_member"),
+          ("tail", -0.05, "member"), ("II_1", 0.0, "not_member"),
+          ("II_1", -0.05, "member"), ("II_1", -0.2, "member")]
+
+
+@pytest.mark.parametrize("where, q, answer", PROBES)
+def test_log_log_ends_are_decided_end_to_end(tmp_path, capsys, where, q,
+                                             answer):
+    # t^-1 L^-1 against <t^-1 L^-q>: the membership entry points and the
+    # CLI (exit 0) give the exact answer, with the same report on every run
+    T, I, _, _, runs = log_log_queries(where, q)
+    assert [run().answer for run in runs] == [answer] * len(runs)
+    relations = ["commutator"] if where == "II_1" \
+        else ["commutator", "F_plus"]
+    for relation in relations:
         path = tmp_path / "query.json"
         path.write_text(json.dumps({
             "schema_version": sz.SCHEMA_VERSION,
-            "operator": sz.op_to_json(op),
-            "module_I": sz.module_to_json(module), "relation": relation}))
+            "operator": sz.op_to_json(T),
+            "module_I": sz.module_to_json(I), "relation": relation}))
         reports = []
         for _ in range(2):
-            assert cli.main(["member", "--input", str(path)]) \
-                == cli.EXIT_INCONCLUSIVE
+            assert cli.main(["member", "--input", str(path)]) == cli.EXIT_OK
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
-        assert json.loads(reports[0])["decision"]["answer"] == "inconclusive"
+        assert json.loads(reports[0])["decision"]["answer"] == answer
+
+
+def test_a_bracket_past_the_float_range_raises(tmp_path, capsys):
+    # <t^-1 L^1e-320> leaves the room 1e-320 above log L / t: the
+    # bracket's coefficient 1 / (e 5e-321) overflows, an input error
+    T = head_op(1.0, 1.0)
+    I = md.Principal(head_gen(-1e-320))
+    for run in (lambda: cm.member_IIinf(T, I, md.M()),
+                lambda: cm.member_F_plus(T, I)):
+        with pytest.raises(OverflowError, match="bracket overflows"):
+            run()
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({"schema_version": sz.SCHEMA_VERSION,
+                                "operator": sz.op_to_json(T),
+                                "module_I": sz.module_to_json(I)}))
+    assert cli.main(["member", "--input", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("commcalc: query.operator: the t^-1 log|log t| "
+                            "bracket overflows\n")
 
 
 class TestTailCases:
@@ -251,13 +352,13 @@ class TestTailCases:
         T = tail_op(2.0, 0.0)
         st, lim = cm.trace_limit(T, "tail")
         assert st == "converged"
-        assert _classes(T, "tail", -lim) == [(Term(1.0, 2.0),)]
+        assert _classes(T, "tail", -lim) == (Term(1.0, 2.0),)
         tail = cm.side_facts(T, "tail")
         assert cm.decide_side(tail, md.BPart(md.Lp(1.0)), -lim).answer \
             == "yes"
         T = tail_op(1.0, 1.5)
         _, lim = cm.trace_limit(T, "tail")
-        assert _classes(T, "tail", -lim) == [(Term(2.0, 1.0, 0.5),)]
+        assert _classes(T, "tail", -lim) == (Term(2.0, 1.0, 0.5),)
         tail = cm.side_facts(T, "tail")
         assert cm.decide_side(tail, md.BPart(md.Lp(1.0)), -lim).answer \
             == "no"
@@ -273,14 +374,14 @@ class TestTailCases:
         T = tail_op(2.0, 0.0)
         _, lim = cm.trace_limit(T, "tail")
         assert _classes(T, "tail", 0.0) \
-            == [(Term(abs(lim), 1.0), Term(1.0, 2.0))]
+            == (Term(abs(lim), 1.0), Term(1.0, 2.0))
         tail = cm.side_facts(T, "tail")
         assert cm.decide_side(tail, md.BPart(md.Lp(2.0))).answer == "yes"
         assert cm.decide_side(tail, md.BPart(md.Lp(1.0))).answer == "no"
 
     def test_free_divergent(self):
         T = tail_op(0.5, 0.0)
-        assert _classes(T, "tail", 0.0) == [(Term(2.0, 0.5),)]
+        assert _classes(T, "tail", 0.0) == (Term(2.0, 0.5),)
         # (s^-1/2)^3 is integrable at infinity, (s^-1/2)^2 is not
         tail = cm.side_facts(T, "tail")
         assert cm.decide_side(tail, md.BPart(md.Lp(3.0))).answer == "yes"
@@ -289,8 +390,8 @@ class TestTailCases:
     def test_finite_support(self):
         # past the support the side function is |a + tau| / s exactly
         T = so.from_atoms([(2.0, 1.0), (-1.0, 1.0)])
-        assert _classes(T, "tail", -1.0) == [()]
-        assert _classes(T, "tail", 0.0) == [(Term(1.0, 1.0),)]
+        assert _classes(T, "tail", -1.0) == ()
+        assert _classes(T, "tail", 0.0) == (Term(1.0, 1.0),)
 
 
 def test_witness_majorizes_the_samples_and_carries_the_class():
