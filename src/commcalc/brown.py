@@ -67,35 +67,6 @@ class BrownMeasure:
         return all(z == 0.0 for z, _ in self.atoms)
 
 
-def phi_of(T):
-    """The band functional (r, s) -> Phi(r, s; T) of an operator.
-
-    The band edge dist_fun(mu(T), x) of every level x and the value of
-    every (r, s) are tabled on T (NormalOp.band_tables), so an n-point
-    probe grid costs n level queries and one integrate_v per pair, once
-    per operator: build_V, member_F and phi read the same tables.  Each
-    value is the float so.band_trace(T, "by_modulus", a=r, b=s) gives: the
-    same edges, the same integral.
-    """
-    m = so.mu(T)
-    edges, values = T.band_tables
-
-    def edge(x):
-        if x not in edges:
-            edges[x] = so.dist_fun(m, x)
-        return edges[x]
-
-    def F(r, s):
-        if (r, s) not in values:
-            if not 0 < r <= s:
-                raise DomainError("need 0 < r <= s")
-            values[r, s] = (0.0 + 0.0j if r == s else
-                            complex(so.integrate_v(T, edge(s), edge(r))))
-        return values[r, s]
-
-    return F
-
-
 # ---------------------------------------------------------------------------
 # spectral measure of the normal model
 
@@ -171,12 +142,39 @@ def normal_model(nu):
 
 def phi(src, r, s):
     """Band integral of z over r < |z| <= s, of a Brown measure or of an
-    operator (phi_of)."""
-    if not isinstance(src, BrownMeasure):
-        return phi_of(src)(r, s)
+    operator T: there the band query of v over (D(s), D(r)), the float
+    that so.band_trace(T, "by_modulus", a=r, b=s) gives."""
     if not 0 < r <= s:
         raise DomainError("need 0 < r <= s")
-    return sum((z * m for z, m in src.atoms if r < abs(z) <= s), 0.0 + 0.0j)
+    if isinstance(src, BrownMeasure):
+        return sum((z * m for z, m in src.atoms if r < abs(z) <= s),
+                   0.0 + 0.0j)
+    if r == s:
+        return 0.0 + 0.0j
+    m = so.mu(src)
+    return so.integrate_v(src, so.dist_fun(m, s), so.dist_fun(m, r))
+
+
+def phi_table(T):
+    """|phi(T, r, s)| over the probe pairs r < s of PROBE_PTS, in row-major
+    order, as a float64 array.
+
+    Each band edge dist_fun(mu(T), x) is found when a pair first needs it,
+    and all 780 bands go to one so.integrate_bands call, whose one-band
+    case is integrate_v: every entry is the float of the pair loop, and
+    the first error is the one the loop meets first.
+    """
+    m = so.mu(T)
+    edges = {}
+
+    def edge(x):
+        if x not in edges:
+            edges[x] = so.dist_fun(m, x)
+        return edges[x]
+
+    xs = PROBE_PTS.tolist()
+    bands = ((edge(s), edge(r)) for k, r in enumerate(xs) for s in xs[k + 1:])
+    return np.array([abs(v) for v in so.integrate_bands(T, bands)])
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +285,21 @@ def _class_bound(V, cls):
     raise ValueError("unknown class %r" % cls)
 
 
-def verify_certificate(F, V, cls):
-    """Probe |F(r,s)| <= class bound of V over the pairs r < s of PROBE_PTS.
+def verify_certificate(lhs, V, cls):
+    """Probe |Phi(r, s; T)| <= class bound of V over the pairs r < s of
+    PROBE_PTS, with lhs the table of |Phi| in row-major order (phi_table).
 
-    Returns a report dict with the worst ratio and its location.  F is
-    called once per pair in row-major order (and tables its own side when
-    it comes from phi_of); the pairs with F != 0 then get V's side of the
-    bound (_class_bound) and their ratios as float64 arrays.  Every entry
-    is the float the pair loop computes, a NaN ratio is never the worst
-    nor a violation, and the worst is the first maximal ratio in
-    row-major order, so the report is the pair loop's bit for bit.
+    Returns a report dict with the worst ratio and its location.  The
+    pairs with lhs != 0 get V's side of the bound (_class_bound) and their
+    ratios as float64 arrays.  Every entry is the float the pair loop
+    computes, a NaN ratio is never the worst nor a violation, and the
+    worst is the first maximal ratio in row-major order, so the report is
+    the pair loop's bit for bit.
     """
     bound = _class_bound(V, cls)
     worst = 0.0
     worst_rs = (PROBE_PTS[0], PROBE_PTS[1])
     xs = PROBE_PTS.tolist()
-    lhs = np.array([abs(F(r, s)) for k, r in enumerate(xs)
-                    for s in xs[k + 1:]])
     live = lhs != 0.0
     i, j = (ix[live] for ix in np.triu_indices(len(xs), 1))
     lhs = lhs[live]
@@ -326,7 +322,8 @@ def _abs_op(T):
 
 
 def build_V(T, h=None):
-    """Positive certificate operator for the band functional of T.
+    """Positive certificate operator for the band functional of T, with
+    the table of |Phi(r, s; T)| it was checked against (phi_table).
 
     Four copies of |T| (and of the witness profile h when given), their
     masses amplified once, by the least 2^k at or above the worst class-F
@@ -341,25 +338,26 @@ def build_V(T, h=None):
         atoms += [(z, 4.0 * mass)
                   for z, mass in brown_of_normal(hop).atoms]
     V = normal_model(BrownMeasure(tuple(atoms)))
-    F = phi_of(T)
-    rep = verify_certificate(F, V, "F")
+    lhs = phi_table(T)
+    rep = verify_certificate(lhs, V, "F")
     if rep["ok"]:
-        return V
+        return V, lhs
     if rep["worst_ratio"] == INF:
         raise DomainError("class-F bound of V vanishes at (r, s)=(%g, %g)"
                           % rep["worst_rs"])
     factor = 2.0 ** math.ceil(math.log2(rep["worst_ratio"]))
     V = normal_model(BrownMeasure(tuple((z, factor * mass)
                                         for z, mass in atoms)))
-    if not verify_certificate(F, V, "F")["ok"]:
+    if not verify_certificate(lhs, V, "F")["ok"]:
         raise DomainError("certificate amplification did not converge")
-    return V
+    return V, lhs
 
 
 def member_F(T, I):
     """Membership of normal T in the commutator space against the bounded
     carpet, with the band-functional certificate cross-check when the
-    module is geometrically stable."""
+    module is geometrically stable: one table of |Phi(r, s; T)| per query
+    (build_V), checked against class F and then class G."""
     m = so.mu(T)
     if df.limit_at_inf(m) > 0.0:
         raise DomainError("requires vanishing singular values at infinity")
@@ -367,12 +365,12 @@ def member_F(T, I):
     if dec.answer != "member" or md.geometrically_stable(I) != "yes":
         return dec
     try:
-        V = build_V(T, dec.certificate.h)
+        V, lhs = build_V(T, dec.certificate.h)
     except DomainError as exc:
         return cm.inconclusive("certificate construction failed: %s" % exc)
     # build_V returns V only once class F holds on this grid, so only
     # class G is left to check
-    repG = verify_certificate(phi_of(T), so.scale_op(V, math.e), "G")
+    repG = verify_certificate(lhs, so.scale_op(V, math.e), "G")
     if not repG["ok"]:
         return cm.inconclusive(
             "band-functional certificate disagrees with the membership"

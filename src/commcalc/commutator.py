@@ -22,10 +22,12 @@ the end (side_classes): Karamata's mean of the profile's end term, plus
 witness h, that class past the samples and their step majorant at mid
 scale, so no verdict depends on a fit.  At the one end outside the
 class, c t^-1 |log t|^-1, the module judges the mean through a bracket.
+
+A member of [I, J] in II_inf carries the alpha/beta block data of the
+first witness scaling 2^j, j < SCALINGS, that passes (_attach_block_data).
 """
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -496,11 +498,17 @@ def _certificate_for(table, h):
     two-variable bound on every pair as one float64 array comparison, then
     the beta sequences and the block bounds."""
     pts = table[1]
-    pair = _failing_pair(table, np.array([t * h(t) for t in pts]))
+    pair = _failing_pair(table, _row(h, pts))
     if pair is not None:
         raise DomainError("criterion bound fails at (r, s)=(%g, %g)"
                           % (pts[pair[0]], pts[pair[1]]))
     return _block_data(table, h)
+
+
+def _row(h, pts):
+    """t h(t) at each of the ascending pts as a float64 array, h read a
+    segment at a time (PLFun.values): h(t)'s floats and first error."""
+    return np.array([t * v for t, v in zip(pts, h.values(pts))])
 
 
 def _failing_pair(table, rh):
@@ -541,67 +549,15 @@ def _block_data(table, h):
         block_bounds=tuple(blocks), total_count=14)
 
 
-# a normal float below this stays finite and exact times 2^j, j < SCALINGS
-_ROOM = sys.float_info.max / 2.0 ** (SCALINGS - 1)
-
-
-def _scales_exactly(x):
-    return sys.float_info.min <= abs(x) <= _ROOM
-
-
-def _witness_row(h, pts):
-    """The row t h(t) at each t in pts, as a float64 array, where the row
-    of scale_fun(h, 2^j) is 2^j times it for every j < SCALINGS; else None.
-
-    It is computed with the float operations of h(t) (Term.value summed as
-    Seg.value does).  Scaling multiplies each coefficient c by 2^j, and so
-    c u^-p, its product with |log u|^-q, the running sum and t h(t); each
-    of these rounds to 2^j times its unscaled float where that float is
-    normal with room to scale, or is 0 through an unscaled factor.  A sum
-    is exact in the subnormal range, so it needs the room only.
-    """
-    row = []
-    for t in pts:
-        if not 0.0 < t < h.domain_hi:
-            return None  # h(t) raises: each scaling fails as before
-        total = 0
-        for tm in h.seg_at(t).terms:
-            c = tm.coeff
-            if c == 0.0:
-                continue  # Term.value's 0.0, which the sum keeps
-            if not _scales_exactly(c):
-                return None
-            u = t / tm.scale
-            f = u ** (-tm.pow)
-            v = c * f
-            if not (_scales_exactly(v) or f == 0.0):
-                return None
-            if tm.logpow:
-                g = abs(math.log(u)) ** (-tm.logpow)
-                w = v * g
-                if not (_scales_exactly(w)
-                        or (w == 0.0 and (v == 0.0 or g == 0.0))):
-                    return None
-                v = w
-            total += v
-            if not abs(total) <= _ROOM:
-                return None
-        x = t * total
-        if not (_scales_exactly(x) or total == 0.0):
-            return None
-        row.append(x)
-    return np.array(row)
-
-
 def _attach_block_data(T, dec, K=40):
     """Certificate data for the first witness scaling 2^j, j < SCALINGS,
     that passes; the h-free table of T is built once for all of them.
 
-    Where scaling the witness is exact (_witness_row), its row is
-    evaluated once and each scaling's pair test reads 2^j times it; a pair
-    whose bound is 0 at both points fails at every scaling, so the search
-    ends there.  Elsewhere each scaled witness is evaluated.  Past the
-    float range a scaling fails: the verdict stays, without block data."""
+    Each scaled witness is evaluated (_row) and its pairs tested; phi and
+    the beta sequences are built only where they hold.  The search ends
+    where no scaling changes the outcome: at a failing pair whose points
+    both lie on segments of h without terms, which scale_fun keeps empty,
+    and at the first failure of a zero witness, the same at every scaling."""
     cert = dec.certificate
     h = cert.h
     if h is None:
@@ -610,27 +566,24 @@ def _attach_block_data(T, dec, K=40):
         h = df.combine(h, df.scale_fun(md.omega_fs(), abs(cert.a)), "sum")
     try:
         table = _certificate_table(T, K)
-        base = df.scale_fun(h, 1.0)
-        # a power past the float range raises here as at every scaling
-        row = _witness_row(base, table[1])
     except (DomainError, OverflowError):
         return dec
+    pts = table[1]
     for j in range(SCALINGS):
-        if row is not None:
-            pair = _failing_pair(table, row * 2.0 ** j)
-            if pair is not None:
-                if row[pair[0]] == row[pair[1]] == 0.0:
-                    return dec
-                continue
+        pair = None
         try:
-            hj = base if j == 0 else df.scale_fun(h, 2.0 ** j)
-            full = (_certificate_for if row is None else _block_data)(
-                table, hj)
+            hj = df.scale_fun(h, 2.0 ** j)
+            pair = _failing_pair(table, _row(hj, pts))
+            if pair is None:
+                full = replace(_block_data(table, hj), a=cert.a,
+                               h_fs=cert.h_fs, h_b=cert.h_b)
+                note = "" if j == 0 else " (witness scaled by 2^%d)" % j
+                return Decision("member", full, None, dec.notes + note)
         except (DomainError, OverflowError):
-            continue
-        cert2 = replace(full, a=cert.a, h_fs=cert.h_fs, h_b=cert.h_b)
-        note = "" if j == 0 else " (witness scaled by 2^%d)" % j
-        return Decision("member", cert2, None, dec.notes + note)
+            pass
+        if h.is_zero() or pair and all(h.seg_at(pts[k]).is_zero()
+                                       for k in pair):
+            return dec
     return dec
 
 

@@ -23,7 +23,8 @@ float additions of the scan.  Both read their input in order, so the
 bands of a grid can come from its edges as they are found and the first
 error is the one a query per point meets first; edge and integrate_v
 are their one-point cases.  The decision grids (commutator.head_values,
-BoundedPart.tails) and the certificate table are such batches.
+BoundedPart.tails), the certificate table and the Brown probe bands
+(brown.phi_table) are such batches.
 
 split_fs_b cuts T at D(mu_1(T)) into T truncated there and T read past
 the cut (BoundedPart), whose band queries are exact band queries on T:
@@ -80,12 +81,6 @@ class NormalOp:
         finite support is: its last profile segment is zero, so it has no
         dominant term."""
         return not df._diverges_at_inf(df.dominant_at_inf(self.profile), 1.0)
-
-    @functools.cached_property
-    def band_tables(self):
-        """The band-edge and band-value tables of brown.phi_of, so that
-        every phi_of(T) of this operator shares them."""
-        return {}, {}
 
     def value(self, t):
         for seg in self.segs:

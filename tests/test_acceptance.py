@@ -233,11 +233,10 @@ class TestBrownCoherence:
                 assert dec.answer in decided
                 decided[dec.answer] += 1
                 if dec.answer == "member":
-                    V = br.build_V(T)
-                    F = br.phi_of(T)
-                    assert br.verify_certificate(F, V, "F")["ok"]
+                    V, lhs = br.build_V(T)
+                    assert br.verify_certificate(lhs, V, "F")["ok"]
                     eV = so.scale_op(V, math.e)
-                    assert br.verify_certificate(F, eV, "G")["ok"]
+                    assert br.verify_certificate(lhs, eV, "G")["ok"]
         assert decided["member"] >= 40 and decided["not_member"] >= 40
 
 

@@ -119,8 +119,8 @@ class TestPhi:
                 br.phi(T, r, s)
 
     def test_operator_bands_are_the_by_modulus_traces(self):
-        # phi of an operator reads phi_of's tables: the floats of
-        # band_trace's by_modulus mode, the same edges and integral
+        # phi of an operator is a band query: the floats of band_trace's
+        # by_modulus mode, the same edges and integral
         rng = np.random.default_rng(5)
         ops = [br.normal_model(random_atomic(rng)) for _ in range(5)]
         ops.append(so.make_op([df.Seg(0.0, 0.5, (df.Term(1.0, 0.5),)),
@@ -192,7 +192,8 @@ class TestFkDet:
 class TestCertificates:
     def test_trivial(self):
         V = so.from_atoms([(1.0, 1.0)])
-        rep = br.verify_certificate(lambda r, s: 0.0, V, "F")
+        # the zero functional on the 40 * 39 / 2 probe pairs
+        rep = br.verify_certificate(np.zeros(780), V, "F")
         assert rep["ok"] and rep["worst_ratio"] == 0.0
 
     def test_atom_dominated(self):
@@ -200,13 +201,13 @@ class TestCertificates:
         # the top of V, so a heavy enough atom dominates
         T = so.from_atoms([(2.0, 1.0), (-1.0, 2.0)])
         V = so.from_atoms([(2.0, 2.5)])
-        rep = br.verify_certificate(br.phi_of(T), V, "F")
+        rep = br.verify_certificate(br.phi_table(T), V, "F")
         assert rep["ok"]
 
     def test_violation_reported(self):
         T = so.from_atoms([(8.0, 1.0)])
         V = so.from_atoms([(1e-3, 1e-3)])
-        rep = br.verify_certificate(br.phi_of(T), V, "F")
+        rep = br.verify_certificate(br.phi_table(T), V, "F")
         assert not rep["ok"] and rep["violations"] > 0
 
     def test_build_V_and_promotion(self):
@@ -214,11 +215,11 @@ class TestCertificates:
         for _ in range(10):
             nu = balanced_atomic(rng, n=3)
             T = br.normal_model(nu)
-            V = br.build_V(T)
-            assert br.verify_certificate(br.phi_of(T), V, "F")["ok"]
+            V, lhs = br.build_V(T)
+            assert br.verify_certificate(lhs, V, "F")["ok"]
             # class-F certificates promote to class G after scaling by e
             eV = so.scale_op(V, math.e)
-            assert br.verify_certificate(br.phi_of(T), eV, "G")["ok"]
+            assert br.verify_certificate(lhs, eV, "G")["ok"]
 
 
 class TestMemberF:

@@ -3,9 +3,10 @@
 commutator.fdh_certificate splits into an h-free table of T and a test
 of h against it, _attach_block_data builds that table once for all its
 witness scalings, beta_sequence checks its summed blocks as one array
-comparison, and brown.verify_certificate tables both sides of its bound
-per probe point.  The pair loops below are the definitions they replace;
-every outcome must equal theirs bit for bit, errors included.
+comparison, brown.phi_table integrates the probe bands of T in one batch,
+and brown.verify_certificate tables V's side of its bound per probe
+point.  The pair loops below are the definitions they replace; every
+outcome must equal theirs bit for bit, errors included.
 """
 
 import cmath
@@ -151,11 +152,11 @@ def ref_build_V(T, h=None):
         atoms += [(z, 4.0 * mass)
                   for z, mass in br.brown_of_normal(hop).atoms]
     V = br.normal_model(br.BrownMeasure(tuple(atoms)))
-    F = br.phi_of(T)
+    lhs = table_of(ref_phi_of(T))
     for _ in range(60):
-        rep = br.verify_certificate(F, V, "F")
+        rep = br.verify_certificate(lhs, V, "F")
         if rep["ok"]:
-            return V
+            return V, lhs
         factor = 2.0 ** math.ceil(math.log2(max(rep["worst_ratio"], 2.0)))
         atoms = [(z, factor * mass) for z, mass in atoms]
         V = br.normal_model(br.BrownMeasure(tuple(atoms)))
@@ -164,6 +165,13 @@ def ref_build_V(T, h=None):
 
 def ref_phi_of(T):
     return lambda r, s: br.phi(T, r, s)
+
+
+def table_of(F):
+    """|F(r, s)| over the probe pairs r < s, called in row-major order."""
+    pts = br.PROBE_PTS.tolist()
+    return np.array([abs(F(r, s)) for k, r in enumerate(pts)
+                     for s in pts[k + 1:]])
 
 
 def ref_class_bound(V, nu_V, cls):
@@ -245,6 +253,10 @@ def decision_bits(dec):
     cert = dec.certificate
     block = "no block data" if cert.alpha is None else cert_bits(cert)
     return dec.answer, dec.notes, block
+
+
+def table_bits(lhs):
+    return [x.hex() for x in lhs.tolist()]
 
 
 def report_bits(rep):
@@ -376,16 +388,23 @@ PAIR_AND_HALF = PAIR + [(0.5, 2.0)]
 HOPELESS = df.make([Seg(0.0, 0.3, (Term(1.0, 1.0),)), Seg(0.3, INF, ())])
 
 
-def counted_pair_tests(monkeypatch):
-    calls = []
-    failing_pair = cm._failing_pair
+def counted_tests(monkeypatch):
+    """The results of the pair tests and the witnesses of the block data
+    runs of _attach_block_data, recorded as they happen."""
+    pairs, blocks = [], []
+    failing_pair, block_data = cm._failing_pair, cm._block_data
 
-    def counted(table, rh):
-        calls.append(rh)
-        return failing_pair(table, rh)
+    def counted_pair(table, rh):
+        pairs.append(failing_pair(table, rh))
+        return pairs[-1]
 
-    monkeypatch.setattr(cm, "_failing_pair", counted)
-    return calls
+    def counted_block(table, h):
+        blocks.append(h)
+        return block_data(table, h)
+
+    monkeypatch.setattr(cm, "_failing_pair", counted_pair)
+    monkeypatch.setattr(cm, "_block_data", counted_block)
+    return pairs, blocks
 
 
 @pytest.mark.parametrize("atoms, h, tries", [
@@ -396,21 +415,26 @@ def counted_pair_tests(monkeypatch):
     # is moved by scaling, so the search goes on
     (PAIR_AND_HALF, df.make([Seg(0.0, 1.0, ()), Seg(1.0, INF, (Term(0.1),))],
                             validate=False), 13),
+    # every pair holds, and the summed blocks fail at (-40, 1) on float
+    # noise: the zero witness is the same at every scaling, so one try
+    ([(1.37, 1.0), (-1.37, 1.0)], df.zero(), 1),
 ])
 def test_block_data_stop_where_no_scaling_helps(monkeypatch, atoms, h,
                                                  tries):
     T = so.from_atoms(atoms)
     dec = cm.member(cm.WitnessCertificate(h_fs=h), "criteria")
-    want = decision_bits(ref_attach_block_data(T, dec, 12))
+    want = decision_bits(ref_attach_block_data(T, dec))
     assert want[1].startswith("criteria")
-    calls = counted_pair_tests(monkeypatch)
-    assert decision_bits(cm._attach_block_data(T, dec, 12)) == want
-    assert len(calls) == tries
+    pairs, blocks = counted_tests(monkeypatch)
+    assert decision_bits(cm._attach_block_data(T, dec)) == want
+    assert len(pairs) == tries
+    # block data are built exactly for the scalings whose pairs hold
+    assert len(blocks) == pairs.count(None)
 
 
-# witness coefficients at the edges of the float range: a row t h(t) with
-# a subnormal, or one that scaling by 2^12 would overflow, is evaluated
-# per scaling; each outcome is the scaling loop's
+# witness coefficients at the edges of the float range, where a row t h(t)
+# may hold subnormals or overflow at some scaling 2^j: each outcome is the
+# scaling loop's
 EDGE_COEFFS = [5e-324, 1e-310, 2.2250738585072014e-308, 2.0 ** -980, 1e-300,
                1.0, 2.0 ** 960, 2.0 ** 972, 2.0 ** 973, 1e300, 1.7e308]
 
@@ -439,22 +463,6 @@ def test_block_data_at_the_float_range_edges(c, shape):
             assert (outcome(cm._attach_block_data, decision_bits, T, dec, K)
                     == outcome(ref_attach_block_data, decision_bits, T,
                                dec, K))
-
-
-def test_witness_row_is_the_evaluated_row():
-    # where the row scales exactly it is t h(t) itself, and 2^j times it
-    # is the row of the witness scaled by 2^j
-    pts = cm.dyadic_grid(-40, 40, 1)
-    h = df.make([Seg(0.0, 0.1, (Term(3.0, 0.5, 1.0), Term(0.25))),
-                 Seg(0.1, 2.0, (Term(1.0, 0.5),)),
-                 Seg(2.0, INF, (Term(0.5, 0.75), Term(1e-3, 1.0, -0.5)))])
-    row = cm._witness_row(h, pts)
-    for j in range(cm.SCALINGS):
-        hj = df.scale_fun(h, 2.0 ** j)
-        assert (row * 2.0 ** j).tolist() == [t * hj(t) for t in pts]
-    assert cm._witness_row(df.const(1e-310), pts) is None
-    assert cm._witness_row(df.const(2.0 ** 1000), pts) is None
-    assert cm._witness_row(df.zero(1.0), pts) is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -495,12 +503,22 @@ def certificate_operators(draw):
 
 
 @settings(max_examples=40, deadline=None)
+@given(T=operators())
+def test_phi_table_equals_the_pair_loop(T):
+    # the floats of abs(phi) pair by pair, and the first error it raises
+    assert (outcome(br.phi_table, table_bits, T)
+            == outcome(table_of, table_bits, ref_phi_of(T)))
+
+
+def verified(T, V, cls):
+    return br.verify_certificate(br.phi_table(T), V, cls)
+
+
+@settings(max_examples=40, deadline=None)
 @given(T=operators(), V=certificate_operators())
 def test_verify_certificate_equals_the_pair_loop(T, V):
-    # one F serves both classes, as in member_F
-    F = br.phi_of(T)
     for cls, W in (("F", V), ("G", so.scale_op(V, math.e))):
-        assert (outcome(br.verify_certificate, report_bits, F, W, cls)
+        assert (outcome(verified, report_bits, T, W, cls)
                 == outcome(ref_verify_certificate, report_bits,
                            ref_phi_of(T), W, cls))
 
@@ -527,35 +545,34 @@ def test_verify_certificate_with_nan_inf_and_ties(data, cls, huge):
     with warnings.catch_warnings():
         # both sides warn on overflow in float64 arithmetic
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert (outcome(br.verify_certificate, report_bits, F, V, cls)
+        assert (outcome(br.verify_certificate, report_bits, table_of(F), V,
+                        cls)
                 == outcome(ref_verify_certificate, report_bits, F, V, cls))
 
 
 def test_verify_certificate_on_the_full_grid():
     T = so.from_atoms(balanced([(1.5 - 0.5j, 0.75), (0.2 + 0.9j, 0.4)]))
-    V = br.build_V(T)
-    F = br.phi_of(T)
+    V, lhs = br.build_V(T)
     for cls, W in (("F", V), ("G", so.scale_op(V, math.e))):
-        rep = br.verify_certificate(F, W, cls)
+        rep = br.verify_certificate(lhs, W, cls)
         assert rep["ok"]
         assert report_bits(rep) == report_bits(
             ref_verify_certificate(ref_phi_of(T), W, cls))
 
 
-def test_phi_of_checks_its_arguments_on_every_call():
+def test_phi_checks_its_arguments_on_every_call():
     T = so.from_atoms([(1.0, 1.0)])
-    F = br.phi_of(T)
     for _ in range(2):
-        assert outcome(F, repr, 2.0, 1.0) == outcome(br.phi, repr, T,
-                                                     2.0, 1.0)
-    assert F(0.5, 0.5) == 0.0 + 0.0j
-    assert F(0.5, 2.0) == 1.0 + 0.0j
+        assert outcome(br.phi, repr, T, 2.0, 1.0) == (
+            DomainError, "need 0 < r <= s")
+    assert br.phi(T, 0.5, 0.5) == 0.0 + 0.0j
+    assert br.phi(T, 0.5, 2.0) == 1.0 + 0.0j
 
 
 def test_unknown_class_is_refused():
     V = so.from_atoms([(1.0, 1.0)])
     with pytest.raises(ValueError, match="unknown class 'H'"):
-        br.verify_certificate(lambda r, s: 1.0, V, "H")
+        br.verify_certificate(table_of(lambda r, s: 1.0), V, "H")
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +624,8 @@ def test_member_F_checks_class_F_once(monkeypatch):
     checks = []
     verify = br.verify_certificate
 
-    def recorded(F, V, cls, *args):
-        rep = verify(F, V, cls, *args)
+    def recorded(lhs, V, cls):
+        rep = verify(lhs, V, cls)
         checks.append((cls, rep["ok"]))
         return rep
 
@@ -621,6 +638,29 @@ def test_member_F_checks_class_F_once(monkeypatch):
             verified += 1
             assert checks[-2:] == [("F", True), ("G", True)]
             assert checks.count(("F", True)) == 1
+    assert verified >= 3
+
+
+def test_member_F_integrates_the_probe_bands_in_one_call(monkeypatch):
+    # the 780 probe bands of T go to one integrate_bands call per query,
+    # for both classes, and no band of them to integrate_v alone
+    sizes = []
+    integrate_bands = so.integrate_bands
+
+    def recorded(T, bands):
+        bands = list(bands)
+        sizes.append(len(bands))
+        return integrate_bands(T, bands)
+
+    monkeypatch.setattr(so, "integrate_bands", recorded)
+    verified = 0
+    for atoms in DOCS.values():
+        sizes.clear()
+        dec = br.member_F(so.from_atoms(atoms), md.Lp(1.0))
+        if "certificate verified" in dec.notes:
+            verified += 1
+            assert sizes.count(780) == 1
+            assert sizes.count(1) <= 2  # side_facts' two trace limits
     assert verified >= 3
 
 
@@ -668,8 +708,9 @@ def test_block_data_keep_the_verdict_past_a_float_overflow():
         "member", "criteria", "no block data")
 
 
-def v_bits(V):
-    return V.segs
+def v_bits(V_lhs):
+    V, lhs = V_lhs
+    return V.segs, table_bits(lhs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -690,8 +731,8 @@ def test_build_V_checks_class_F_at_most_twice(monkeypatch):
     checks = []
     verify = br.verify_certificate
 
-    def recorded(F, V, cls, *args):
-        rep = verify(F, V, cls, *args)
+    def recorded(lhs, V, cls):
+        rep = verify(lhs, V, cls)
         checks.append(rep["ok"])
         return rep
 
@@ -719,12 +760,10 @@ def test_class_F_ratios_scale_exactly_with_the_masses(T, atoms, k):
     b = br._class_bound(V, "F")(i, j)
     bk = br._class_bound(Vk, "F")(i, j)
     assert (bk == b * 2.0 ** k).all()
-    F = br.phi_of(T)
-    xs = pts.tolist()
-    lhs = np.array([abs(F(xs[a], xs[c])) for a, c in zip(i, j)])
+    lhs = br.phi_table(T)
     pos = b > 0.0
     assert (lhs[pos] / bk[pos] == lhs[pos] / b[pos] / 2.0 ** k).all()
-    rep, repk = (br.verify_certificate(F, W, "F") for W in (V, Vk))
+    rep, repk = (br.verify_certificate(lhs, W, "F") for W in (V, Vk))
     assert repk["worst_ratio"] == rep["worst_ratio"] / 2.0 ** k
     assert repk["worst_rs"] == rep["worst_rs"]
 
