@@ -272,7 +272,9 @@ def _class_bound(V, cls):
     if cls == "G":
         atoms = brown_of_normal(V).atoms
         masses = np.array([mass for _, mass in atoms])
-        w = np.array([[x * max(0.0, math.log(abs(z) / x)) for z, _ in atoms]
+        # the log only above 1: |z| / x underflows to 0 for tiny atoms
+        w = np.array([[x * math.log(q) if (q := abs(z) / x) > 1.0 else 0.0
+                       for z, _ in atoms]
                       for x in PROBE_PTS]).reshape(len(PROBE_PTS), len(atoms))
 
         def bound(i, j):
@@ -358,6 +360,8 @@ def member_F(T, I):
     carpet, with the band-functional certificate cross-check when the
     module is geometrically stable: one table of |Phi(r, s; T)| per query
     (build_V), checked against class F and then class G."""
+    if T.factor_type != so.II_INF:
+        raise DomainError("member_F needs the semifinite model")
     m = so.mu(T)
     if df.limit_at_inf(m) > 0.0:
         raise DomainError("requires vanishing singular values at infinity")

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from . import brown as br
@@ -103,16 +103,13 @@ def _fmt_complex(z):
 
 
 # the report layout: json.dumps(..., sort_keys=True, indent=2,
-# allow_nan=False); before Python 3.13 its indent runs the pure-Python
-# encoder, so _layout writes the layout and hands the leaves to C
+# allow_nan=False); _layout writes it and leaves the rest to _ENCODER
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
-_C_INDENT = sys.version_info >= (3, 13)
 _STR = json.encoder.encode_basestring_ascii
-_FLOAT = float.__repr__
 
 
 def _float_text(x):
-    text = _FLOAT(x)
+    text = float.__repr__(x)
     if "n" in text:  # inf, -inf or nan: no finite repr has an n
         raise ValueError("Out of range float values are not JSON "
                          "compliant: " + repr(x))
@@ -124,79 +121,69 @@ _LEAF = {str: _STR, int: int.__repr__, float: _float_text,
          type(None): lambda _: "null"}
 
 
-# the cells a record template writes: None as null, the others by repr
-_CELLS = {float, int, type(None)}
+def _rows(items, nl, keys=None):
+    """The items of a run, each on a line starting with the indent nl and
+    written by one %-template, joined by commas; with keys the run is a
+    dict's values and each line leads with its escaped key.
 
-
-def _records_text(recs, nl):
-    """The items of a list of dicts that share one non-empty set of string
-    keys and hold only floats, ints (not bools) and None, each record
-    formatted by one %-template; None for any other list of dicts."""
-    keys = recs[0]
-    if not (keys and all(type(k) is str for k in keys)
-            and set(map(len, recs)) == {len(keys)}):
-        return None
-    keys = sorted(keys)
-    try:
-        columns = [list(map(itemgetter(k), recs)) for k in keys]
-    except KeyError:
+    The run is all leaves, all records with one non-empty set of string
+    keys, or all lists and tuples of one non-zero length, and its every
+    column holds _LEAF types only; any other run gives None.  A refused
+    float raises json's error at json's first bad value, row by row.
+    """
+    types, first = set(map(type, items)), items[0]
+    if types <= _LEAF.keys():
+        columns, frame = [items], None
+    elif types == {dict} and first and set(map(len, items)) == {len(first)} \
+            and all(type(k) is str for k in first):
+        names = sorted(first)
+        try:
+            columns = [list(map(itemgetter(k), items)) for k in names]
+        except KeyError:
+            return None
+        frame, heads = "{}", [_STR(k).replace("%", "%%") + ": " for k in names]
+    elif types <= {list, tuple} and set(map(len, items)) == {len(first)} \
+            and first:
+        columns = list(zip(*items))
+        frame, heads = "[]", [""] * len(columns)
+    else:
         return None
     kinds = [set(map(type, col)) for col in columns]
-    if not _CELLS.issuperset(chain.from_iterable(kinds)):
+    if not _LEAF.keys() >= set().union(*kinds):
         return None
-    floats = [col for col, kind in zip(columns, kinds) if float in kind]
-    if not all(map(math.isfinite, filter(_is_float, chain(*floats)))):
+    if not all(all(map(math.isfinite, col if kind == {float} else
+                       [x for x in col if type(x) is float]))
+               for col, kind in zip(columns, kinds) if float in kind):
         for row in zip(*columns):  # json's message, at json's first bad value
-            for x in filter(_is_float, row):
-                _float_text(x)
+            for x in row:
+                _LEAF[type(x)](x)
     specs = []
     for i, kind in enumerate(kinds):
-        if type(None) in kind:  # a column with nulls is written as text
-            columns[i] = ["null" if x is None else repr(x)
-                          for x in columns[i]]
-            specs.append("%s")
-        else:
+        if kind == {float} or kind == {int}:
             specs.append("%r")
+        else:  # other or mixed leaf types, converted cell by cell
+            columns[i] = [_LEAF[type(x)](x) for x in columns[i]]
+            specs.append("%s")
     inner = nl + "  "
-    template = "{%s%s%s}" % (inner, ("," + inner).join(
-        _STR(k).replace("%", "%%") + ": " + spec
-        for k, spec in zip(keys, specs)), nl)
+    template = specs[0] if frame is None else "%s%s%s%s%s" % (
+        frame[0], inner, ("," + inner).join(map(str.__add__, heads, specs)),
+        nl, frame[1])
+    if keys is not None:
+        template = "%s: " + template
+        columns.insert(0, map(_STR, keys))
     return ("," + nl).join(map(template.__mod__, zip(*columns)))
-
-
-def _is_float(x):
-    return type(x) is float
-
-
-def _pairs_text(value, nl):
-    """The text of a dict whose values are all lists or tuples of two
-    finite floats, each item by one %-template; None for any other dict."""
-    pairs = value.values()
-    if not (set(map(type, pairs)) <= {list, tuple}
-            and set(map(len, pairs)) == {2}):
-        return None
-    cells = list(chain.from_iterable(pairs))
-    if set(map(type, cells)) != {float} or not all(map(math.isfinite, cells)):
-        return None  # _layout's recursion writes or refuses each cell
-    inner, inner2 = nl + "  ", nl + "    "
-    template = "%s: [" + inner2 + "%r," + inner2 + "%r" + inner + "]"
-    keys = sorted(value)
-    firsts, seconds = zip(*map(value.__getitem__, keys))
-    return "{%s%s%s}" % (inner, ("," + inner).join(map(
-        template.__mod__, zip(map(_STR, keys), firsts, seconds))), nl)
 
 
 def _layout(value, nl):
     """The text of value in the report layout, where nl is a newline and
     the indent of the line value starts on.
 
-    Each leaf goes to a C-level call: float.__repr__, int.__repr__ and
-    encode_basestring_ascii, mapped over a list whose items share one
-    type; a list of records of floats, ints and None formats each record
-    with one %-template, and so does a dict of float pairs each item.
-    Whatever else json accepts (subclasses other than of float, non-string
-    keys) and every other error are the stdlib encoder's, indented by
-    replacing newlines, which json never writes inside a string.
+    A list, and a dict's values, are written by _rows where they form a
+    run of one of its shapes, each leaf by a C-level call; any other run
+    is written item by item.  Whatever else json accepts (subclasses,
+    non-string keys) and every other error are the stdlib encoder's,
+    indented by replacing newlines, which json never writes inside a
+    string.
     """
     leaf = _LEAF.get(type(value))
     if leaf is not None:
@@ -205,27 +192,17 @@ def _layout(value, nl):
     if type(value) is dict and all(type(k) is str for k in value):
         if not value:
             return "{}"
-        text = _pairs_text(value, nl)
-        if text is not None:
-            return text
-        return "{%s%s%s}" % (inner, ("," + inner).join(
-            "%s: %s" % (_STR(k), _layout(v, inner))
-            for k, v in sorted(value.items())), nl)
+        keys = sorted(value)
+        body = _rows(list(map(value.__getitem__, keys)), inner, keys)
+        if body is None:
+            body = ("," + inner).join("%s: %s" % (_STR(k),
+                                                  _layout(value[k], inner))
+                                      for k in keys)
+        return "{%s%s%s}" % (inner, body, nl)
     if type(value) is list or type(value) is tuple:
         if not value:
             return "[]"
-        types = set(map(type, value))
-        body = None
-        if len(types) == 1:
-            (kind,) = types
-            if kind is float:
-                body = ("," + inner).join(map(_FLOAT, value))
-                if "n" in body:
-                    body = None  # _float_text names the bad value
-            elif kind in _LEAF:
-                body = ("," + inner).join(map(_LEAF[kind], value))
-            elif kind is dict:
-                body = _records_text(value, inner)
+        body = _rows(value, inner)
         if body is None:
             body = ("," + inner).join(map(_layout, value, repeat(inner)))
         return "[%s%s%s]" % (inner, body, nl)
@@ -236,14 +213,10 @@ def _layout(value, nl):
 
 def _json_bytes(obj):
     """The bytes of json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False) plus a newline: the JSON report contract.
-
-    From Python 3.13 on json's C encoder indents by itself and writes
-    them; before, _layout does.  A cyclic document raises RecursionError
-    in _layout, where json raises ValueError.
-    """
-    text = _ENCODER.encode(obj) if _C_INDENT else _layout(obj, "\n")
-    return (text + "\n").encode("utf-8")
+    allow_nan=False) plus a newline, the JSON report contract, written by
+    _layout on every Python.  A cyclic document raises RecursionError
+    here, where json raises ValueError."""
+    return (_layout(obj, "\n") + "\n").encode("utf-8")
 
 
 def _csv_bytes(header, rows):
@@ -440,7 +413,9 @@ def cmd_brown(args, query):
         nu = br.brown_of_normal(T)
     except DomainError as exc:
         raise CliError("query.operator: %s" % exc)
-    payload = sz.brown_to_json(nu)
+    I = _query_field(query, "module_I", sz.module_from_json)
+    # decided before any output: a failing query writes nothing
+    dec = None if I is None else _decide(br.member_F, T, I)
 
     def text(atoms):
         return "".join("atom %s mass %s\n"
@@ -449,12 +424,10 @@ def cmd_brown(args, query):
                        for a in atoms)
 
     ext = _EXT[args.format]
-    _write(args, "brown." + ext,
-           _emit_payload("brown", payload, args.format, text))
-    I = _query_field(query, "module_I", sz.module_from_json)
-    if I is None:
+    _write(args, "brown." + ext, _emit_payload(
+        "brown", sz.brown_to_json(nu), args.format, text))
+    if dec is None:
         return EXIT_OK
-    dec = _decide(br.member_F, T, I)
     _write(args, "member_F." + ext, emit_report(dec, args.format))
     return _decision_exit(dec)
 

@@ -285,8 +285,9 @@ def member_with_a(T_fs, T_b, I, shared_a=True):
     if "overflows" in (fs_status, b_status):
         return inconclusive("trace overflows a float")
     if shared_a:
-        if fs_status == b_status == "forced" \
-                and abs(a_fs - a_b) > max(fs.noise, b.noise):
+        # a = a_fs below, and side b fails its |a - lim| / t term exactly
+        # where the constants differ by more than its own noise
+        if fs_status == b_status == "forced" and abs(a_fs - a_b) > b.noise:
             return not_member(
                 {"side": "both", "reason":
                  "forced constants disagree: %r vs %r" % (a_fs, a_b)})

@@ -188,8 +188,8 @@ def ref_class_bound(V, nu_V, cls):
     if cls == "G":
         def part(x):
             if x not in parts:
-                parts[x] = [x * max(0.0, math.log(abs(z) / x))
-                            for z, _ in nu_V.atoms]
+                parts[x] = [x * math.log(q) if (q := abs(z) / x) > 1.0
+                            else 0.0 for z, _ in nu_V.atoms]
             return parts[x]
 
         def bound(r, s):
@@ -558,6 +558,31 @@ def test_verify_certificate_on_the_full_grid():
         assert rep["ok"]
         assert report_bits(rep) == report_bits(
             ref_verify_certificate(ref_phi_of(T), W, cls))
+
+
+def test_class_G_bound_of_atoms_far_below_the_probes(tmp_path):
+    # |z| / r underflows to 0 for a 5e-324 atom and r >= 2, where
+    # max(0, log(|z| / r)) raised a math domain error; the term is 0
+    V = so.from_atoms([(5e-324, 1.0), (-5e-324, 1.0)])
+    lhs = table_of(lambda r, s: 1e-300)
+    rep = br.verify_certificate(lhs, V, "G")
+    assert report_bits(rep) == report_bits(
+        ref_verify_certificate(lambda r, s: 1e-300, V, "G"))
+    assert rep["violations"] == 780
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({
+        "schema_version": sz.SCHEMA_VERSION,
+        "operator": sz.op_to_json(so.make_op(
+            [Seg(0.0, 1.0, (Term(5e-324),)),
+             Seg(1.0, 2.0, (Term(5e-324),), -1.0)])),
+        "module_I": sz.module_to_json(md.F())}))
+    out = tmp_path / "out"
+    assert cli.main(["brown", "--input", str(path), "--out", str(out)]) \
+        == cli.EXIT_OK
+    doc = json.loads((out / "member_F.json").read_text())
+    assert doc["decision"]["answer"] == "member"
+    assert doc["decision"]["notes"].endswith(
+        "band-functional certificate verified")
 
 
 def test_phi_checks_its_arguments_on_every_call():

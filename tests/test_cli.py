@@ -373,6 +373,34 @@ class TestBrown:
         assert code == 0
         assert '"answer": "member"' in out
 
+    @pytest.mark.parametrize("factor, module, message", [
+        (so.II_INF, {"kind": "Nope"},
+         "query.module_I.kind: unknown module kind 'Nope'"),
+        (so.II_1, sz.module_to_json(md.F(so.II_1)),
+         "query: member_F needs the semifinite model"),
+    ], ids=["bad_module", "ii1_module"])
+    def test_failing_query_writes_nothing(self, capsys, tmp_path, factor,
+                                          module, message):
+        T = so.from_atoms([(1.0, 0.5), (-1.0, 0.5)], factor)
+        path = write_query(tmp_path, operator=sz.op_to_json(T),
+                           module_I=module)
+        outdir = tmp_path / "b"
+        code, out, err = run(capsys, ["brown", "--input", path,
+                                      "--out", str(outdir)])
+        assert (code, out, err) == (1, "", "commcalc: %s\n" % message)
+        assert not outdir.exists()
+
+    def test_ii1_measure_only(self, capsys, tmp_path):
+        T = so.from_atoms([(1.0, 0.5), (-1.0, 0.5)], so.II_1)
+        path = write_query(tmp_path, operator=sz.op_to_json(T))
+        outdir = tmp_path / "b"
+        code, out, err = run(capsys, ["brown", "--input", path,
+                                      "--out", str(outdir)])
+        assert (code, err) == (0, "")
+        assert os.listdir(outdir) == ["brown.json"]
+        assert (outdir / "brown.json").read_text() == out
+        assert len(json.loads(out)["brown"]) == 2
+
     def test_principal_module_with_log_ends(self, capsys, tmp_path):
         # gen: t^-1 L^-1 on (0, e^-2), a constant up to e^2, then
         # c t^-1 L^-2 (L = |log t|), each half the level before it

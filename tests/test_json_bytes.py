@@ -1,14 +1,15 @@
 """JSON report bytes.
 
 The report contract is json.dumps(doc, sort_keys=True, indent=2,
-allow_nan=False) plus a newline.  cli._layout writes that layout itself,
-with every leaf formatted by a C-level call, a list of same-key records of
-floats, ints and None (the Brown atom list, the block bounds, a PLFun) by
-one %-template per record, and a dict of float pairs (alpha, beta) by one
-%-template per item; from Python 3.13 on cli._json_bytes calls json's C
-encoder, which indents by itself.
-Both are checked against json.dumps on every Python version the tests
-run on, and the pins below hash whole reports.
+allow_nan=False) plus a newline.  cli._json_bytes writes it by
+cli._layout on every Python, with every leaf formatted by a C-level call.
+One row rule, cli._rows, writes a run of leaves, of records that share
+their string keys (the Brown atom list, the block bounds, a PLFun) or of
+lists of one length (the pairs of alpha and beta), one %-template per
+item; a dict's values are such a run, each line led by its key.
+The writer is checked against json.dumps, bytes or the type and message
+of the error, on every Python version the tests run on, and the pins
+below hash whole reports.
 """
 
 import contextlib
@@ -45,23 +46,21 @@ def layout(doc):
     return (cli._layout(doc, "\n") + "\n").encode("utf-8")
 
 
+def outcome(write, doc):
+    """write(doc): bytes, or the type and message of the error."""
+    try:
+        return write(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
 def writers(doc):
-    """What the report writer and the layout writer make of doc: bytes,
-    or the type of the error."""
-    out = []
-    for write in (cli._json_bytes, layout):
-        try:
-            out.append(write(doc))
-        except (ValueError, TypeError) as exc:
-            out.append(type(exc))
-    return out
+    """What the report writer and the layout writer make of doc."""
+    return [outcome(cli._json_bytes, doc), outcome(layout, doc)]
 
 
 def expected(doc):
-    try:
-        return reference(doc)
-    except (ValueError, TypeError) as exc:
-        return type(exc)
+    return outcome(reference, doc)
 
 
 # a record boundary of the atom list, inside a string value
@@ -195,7 +194,9 @@ def test_certificate_layouts_equal_json_dumps():
     for bad in ({"alpha": {"0": [1.0, math.nan]}},
                 {"phi": [{"lo": 1.0, "hi": math.inf},
                          {"lo": 2.0, "hi": None}]}):
-        assert writers(dict(doc, **bad)) == [ValueError] * 2
+        doc_bad = dict(doc, **bad)
+        assert expected(doc_bad)[0] is ValueError
+        assert writers(doc_bad) == [expected(doc_bad)] * 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -204,8 +205,8 @@ def test_out_of_range_float_in_records_is_refused(recs, depth):
     doc = recs
     for _ in range(depth):
         doc = {"brown": doc}
-    assert expected(doc) is ValueError
-    assert writers(doc) == [ValueError] * 2
+    assert expected(doc)[0] is ValueError
+    assert writers(doc) == [expected(doc)] * 2
 
 
 def test_boundary_inside_a_string_is_kept():
@@ -222,8 +223,28 @@ def test_out_of_range_floats_are_refused(bad, where):
            "nested": {"a": [{"b": {"c": bad}}]},
            "top": {"x": bad},
            "floats": {"a": [[1.0, bad]]}}[where]
-    assert expected(doc) is ValueError
-    assert writers(doc) == [ValueError] * 2
+    assert expected(doc)[0] is ValueError
+    assert writers(doc) == [expected(doc)] * 2
+
+
+@pytest.mark.parametrize("doc", [
+    # json names the first bad value in document order: row by row, each
+    # row's columns in key order, not column by column
+    {"brown": [{"im": 1.0, "re": 2.0},
+               {"im": math.nan, "re": 0.5},
+               {"im": 0.5, "re": -math.inf}]},
+    {"brown": [{"im": 1.0, "re": math.inf},
+               {"im": -math.inf, "re": 0.5}]},
+    {"hi": [{"hi": 1.0, "lo": math.nan}, {"hi": None, "lo": 1.0},
+            {"hi": math.inf, "lo": 2.0}]},
+    {"alpha": {"-1": [1.0, -math.inf], "0": [math.nan, 2.0]}},
+    {"alpha": {"-1": [1.0, 2.0], "0": [math.nan, 2.0], "1": [0.5, math.inf]}},
+    {"a": {"x": [1.0, math.inf], "y": [-math.inf, 1.0]},
+     "b": [{"re": math.nan}]},
+])
+def test_first_out_of_range_float_is_named(doc):
+    assert expected(doc)[0] is ValueError
+    assert writers(doc) == [expected(doc)] * 2
 
 
 @pytest.mark.parametrize("doc", [
@@ -233,8 +254,8 @@ def test_out_of_range_floats_are_refused(bad, where):
     object(),
 ])
 def test_unsupported_types_are_refused(doc):
-    assert expected(doc) is TypeError
-    assert writers(doc) == [TypeError] * 2
+    assert expected(doc)[0] is TypeError
+    assert writers(doc) == [expected(doc)] * 2
 
 
 class Text(str):

@@ -436,6 +436,19 @@ def test_shared_constant_on_both_sides():
     assert dec.answer == "member" and dec.certificate.a == 2.0
 
 
+def test_forced_constants_disagree_beyond_the_tail_noise():
+    # the head's trace 1e308 / 2 - 1e308 / 2 = 0 carries noise 1e299, the
+    # tail's -1 only 1e-9: a = a_fs = 0 misses a_b = 1 by more than side
+    # b's noise, which is the disagreement of the two constants
+    T = so.make_op([Seg(0.0, 0.5, (Term(1e308),)),
+                    Seg(0.5, 1.0, (Term(1e308),), -1.0),
+                    Seg(1.0, INF, (Term(1.0, 2.0),), -1.0)])
+    dec = cm.member_IIinf(T, md.Lp(1.0), md.M())
+    assert dec.answer == "not_member"
+    assert dec.obstruction == {"side": "both", "reason":
+                               "forced constants disagree: 0.0 vs (1-0j)"}
+
+
 # ---------------------------------------------------------------------------
 # float overflow is not divergence
 
