@@ -211,10 +211,8 @@ def fk_det(T, mode="I+T", k=1, w=1.0):
         p_need = float(k + 1)
     else:
         raise ValueError("unknown mode %r" % mode)
-    if df.support_hi(m) == INF:
-        dom = df.dominant_at_inf(m)
-        if df._diverges_at_inf(dom, p_need):
-            raise DomainError("log-determinant integral diverges at infinity")
+    if not df.admits(df.integrable(p_need)[1], df.end_keys(m)[1]):
+        raise DomainError("log-determinant integral diverges at infinity")
     total = 0.0
     for seg in T.segs:
         hi = seg.hi if seg.hi < INF \

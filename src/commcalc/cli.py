@@ -305,7 +305,7 @@ def _sample(args, f, name):
     """(t, f(t)) on the dyadic grid of --K and --grid inside f's domain
     (the domain of a II_1 operator is the open interval (0, 1))."""
     samples = []
-    for t in cm.dyadic_grid(-args.K, args.K, args.grid):
+    for t in df.dyadic_grid(-args.K, args.K, args.grid):
         if t < f.domain_hi:
             try:
                 samples.append((t, f(t)))
@@ -459,7 +459,7 @@ def cmd_oracle(args, query):
     tol = _env_tol()
     kwargs = {"seed": args.seed, "dims": tuple(dims), "trials": trials}
     if tol is not None:
-        kwargs.update(tol_rel=tol, tol_abs=tol)
+        kwargs["tol"] = tol
     try:
         cfg = mo.OracleConfig(**kwargs)
         rep = mo.run_property_suite(cfg, suite, N=N)

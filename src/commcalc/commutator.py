@@ -94,14 +94,9 @@ def inconclusive(notes):
 # sampled trace data
 
 
-def dyadic_grid(lo_oct, hi_oct, ppo=GRID_PPO):
-    """The points 2^(j/ppo) from 2^lo_oct to 2^hi_oct, ppo per octave."""
-    return [2.0 ** (j / ppo) for j in range(lo_oct * ppo, hi_oct * ppo + 1)]
-
-
 # the decision grid, built once
-HEAD_GRID = tuple(dyadic_grid(-GRID_K, 0))
-TAIL_GRID = tuple(dyadic_grid(0, GRID_K))
+HEAD_GRID = tuple(df.dyadic_grid(-GRID_K, 0, GRID_PPO))
+TAIL_GRID = tuple(df.dyadic_grid(0, GRID_K, GRID_PPO))
 
 
 def head_values(T):
@@ -126,7 +121,7 @@ class Side:
     part: object
     status: str  # converged | diverges | overflows, with the limit
     limit: complex
-    noise: float  # TRACE_TOL * max(1, int |v|): a trace below it is noise
+    noise: float  # TRACE_TOL * int |v|: a trace below it is noise
     end: tuple  # dominant term of the profile there; None past the support
     reach: float  # inner end of the end segment, on the part's axis
 
@@ -153,10 +148,11 @@ def side_facts(X, name):
         end, reach = df.dominant_at_inf(m), max(0.0, m.segs[-1].lo - lo)
     else:
         raise ValueError("side must be head or tail")
-    if not (T.integrable_at_0 if name == "head" else T.integrable_at_inf):
+    if not T.integrable[name == "tail"]:
         return Side(name, X, "diverges", None, None, end, reach)
     v = so.integrate_v(T, lo, T.domain_hi)
-    noise = TRACE_TOL * max(1.0, df.integral(m, lo, m.domain_hi))
+    # tau's float cancellation is bounded relative to int |v|, at any scale
+    noise = TRACE_TOL * df.integral(m, lo, m.domain_hi)
     if v == 0.0 or abs(v) <= noise < INF:
         status, v = "converged", 0.0
     elif abs(v) < INF and noise < INF:
@@ -468,7 +464,7 @@ def _certificate_table(T, K):
     m = so.mu(T)
     if df.limit_at_inf(m) > 0.0:
         raise DomainError("certificate requires vanishing singular values")
-    pts = dyadic_grid(-K, K, 1)
+    pts = df.dyadic_grid(-K, K, 1)
     edges = list(so.edges(m, pts))
     bands = list(zip(edges, edges[1:]))
     ints = so.integrate_bands(T, bands)

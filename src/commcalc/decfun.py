@@ -2,8 +2,11 @@
 
 Functions live on (0, oo) or (0, 1) and are finite sums, per segment, of
 terms coeff*(t/scale)^(-pow)*|log(t/scale)|^(-logpow).  The class is closed
-under sum, product, and dyadic dilation, and supports exact integral
-divergence tests from the exponents.
+under sum, product, and dyadic dilation.
+
+The order of end terms is kept here alone: end_keys reads the keys of f's
+end terms at 0 and at oo, admits tests a key against a threshold, and
+integrable(p) gives the thresholds at which |f|^p is integrable.
 """
 
 import bisect
@@ -352,6 +355,11 @@ def step_fun(pairs, domain_hi=INF):
 # evaluation helpers
 
 
+def dyadic_grid(lo_oct, hi_oct, ppo):
+    """The points 2^(j/ppo) from 2^lo_oct to 2^hi_oct, ppo per octave."""
+    return [2.0 ** (j / ppo) for j in range(lo_oct * ppo, hi_oct * ppo + 1)]
+
+
 def support_hi(f):
     """Supremum of the support; INF when the function never vanishes."""
     end = 0.0
@@ -380,15 +388,17 @@ def limit_at_inf(f):
     return float(right_limit(f.segs[-1], INF))
 
 
+def _nonzero(x, c):
+    """x, a product or quotient of c != 0, or the least positive float with
+    c's sign where it underflowed: an end term never vanishes by rounding."""
+    return x if x else math.copysign(math.ulp(0.0), c)
+
+
 def _dominant(terms, at_zero):
     """The asymptotically dominant (pow, logpow, limit-coefficient) triple."""
     if not terms:
         return None
-    if at_zero:
-        key = lambda tm: (tm.pow, -tm.logpow)
-    else:
-        key = lambda tm: (-tm.pow, -tm.logpow)
-    best = max(terms, key=key)
+    best = max(terms, key=lambda tm: end_key(tm.pow, tm.logpow, at_zero))
     # effective coefficient once the scale is absorbed: (t/s)^-g ~ s^g t^-g
     coeff = best.coeff * best.scale ** best.pow
     total = sum(
@@ -396,14 +406,11 @@ def _dominant(terms, at_zero):
         for tm in terms
         if (tm.pow, tm.logpow) == (best.pow, best.logpow)
     )
-    return best.pow, best.logpow, total if total else coeff
+    return best.pow, best.logpow, _nonzero(total or coeff, best.coeff)
 
 
 def dominant_at_0(f):
-    for seg in f.segs:
-        if seg.lo == 0.0:
-            return _dominant(seg.terms, at_zero=True)
-    return None
+    return _dominant(f.segs[0].terms, at_zero=True)
 
 
 def dominant_at_inf(f):
@@ -411,6 +418,47 @@ def dominant_at_inf(f):
     if seg.hi < INF:
         return None
     return _dominant(seg.terms, at_zero=False)
+
+
+# ---------------------------------------------------------------------------
+# the order of end terms
+#
+# The end term c t^-p L^-q (L = |log t|) is the key (p, -q) at 0 and
+# (-p, -q) at oo, in lexicographic order: the larger the key, the larger
+# the function at that end; BOTTOM where it vanishes (at oo: also on the
+# (0, 1) domain).  A threshold (a, b, attained, s) admits (x, y) when
+# (s x, s y, 0) < (a, b, attained): s is 1.0 except for integrable(p),
+# where s = p.
+
+BOTTOM = (-INF, -INF)
+
+
+def end_key(p, q, at_zero):
+    """The key of an end term c t^-p L^-q at 0 (at_zero) or at oo."""
+    return (p, -q) if at_zero else (-p, -q)
+
+
+def end_keys(f):
+    """The keys of f's end terms at 0 and at oo, from the exponents of the
+    terms there: a term's coefficient is never 0 (_merge_terms)."""
+    head, tail = f.segs[0].terms, f.segs[-1]
+    tail = tail.terms if tail.hi == INF else ()
+    return (max(end_key(tm.pow, tm.logpow, True) for tm in head)
+            if head else BOTTOM,
+            max(end_key(tm.pow, tm.logpow, False) for tm in tail)
+            if tail else BOTTOM)
+
+
+def admits(t, key):
+    """Whether the threshold t admits the end key."""
+    a, b, attained, s = t
+    return (key[0] * s, key[1] * s, 0) < (a, b, attained)
+
+
+def integrable(p):
+    """The thresholds (at 0, at oo) at which |f|^p is integrable: p times
+    f's key lies below (1, -1) at 0 and below (-1, -1) at oo."""
+    return (1.0, -1.0, 0, p), (-1.0, -1.0, 0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -512,26 +560,6 @@ def clip(f, a, b):
 # integration
 
 
-def _diverges_at_0(dom, p):
-    if dom is None:
-        return False
-    g, d, c = dom
-    if c == 0.0:
-        return False
-    gp, dp = g * p, d * p
-    return gp > 1.0 or (gp == 1.0 and dp <= 1.0)
-
-
-def _diverges_at_inf(dom, p):
-    if dom is None:
-        return False
-    g, d, c = dom
-    if c == 0.0:
-        return False
-    gp, dp = g * p, d * p
-    return not (gp > 1.0 or (gp == 1.0 and dp > 1.0))
-
-
 def mean_term(dom):
     """Exact class of |integral of f from the end to t| / t (or from a fixed
     point to t, where f is not integrable at the end) for the end term
@@ -543,9 +571,9 @@ def mean_term(dom):
     """
     p, q, c = dom
     if p != 1.0:
-        return Term(c / abs(1.0 - p), p, q)
+        return Term(_nonzero(c / abs(1.0 - p), c), p, q)
     if q != 1.0:
-        return Term(c / abs(1.0 - q), 1.0, q - 1.0)
+        return Term(_nonzero(c / abs(1.0 - q), c), 1.0, q - 1.0)
     return None
 
 
@@ -631,8 +659,8 @@ def integral(f, a, b):
     if not (0.0 <= a < b <= INF):
         raise DomainError("bad interval")
     b = min(b, f.domain_hi)
-    if (a == 0.0 and _diverges_at_0(dominant_at_0(f), 1.0)) \
-            or (b == INF and _diverges_at_inf(dominant_at_inf(f), 1.0)):
+    at_0, at_inf = map(admits, integrable(1.0), end_keys(f))
+    if (a == 0.0 and not at_0) or (b == INF and not at_inf):
         return INF
     total = 0.0
     for seg in f.segs:
@@ -662,20 +690,18 @@ def dominated_by(f, g):
             continue
         if not tg:
             return None
-        if lo == 0.0:
-            df = _dominant(tf, at_zero=True)
-            dg = _dominant(tg, at_zero=True)
-            if (df[0], -df[1]) > (dg[0], -dg[1]):
+        for at_zero, at_end in ((True, lo == 0.0), (False, hi == INF)):
+            if not at_end:
+                continue
+            # f's end key may not pass g's; equal keys bound C by the
+            # ratio of the coefficients
+            (pf, qf, cf), (pg, qg, cg) = (_dominant(tf, at_zero),
+                                          _dominant(tg, at_zero))
+            kf, kg = end_key(pf, qf, at_zero), end_key(pg, qg, at_zero)
+            if kf > kg:
                 return None
-            if (df[0], df[1]) == (dg[0], dg[1]):
-                best = max(best, df[2] / dg[2])
-        if hi == INF:
-            df = _dominant(tf, at_zero=False)
-            dg = _dominant(tg, at_zero=False)
-            if (-df[0], -df[1]) > (-dg[0], -dg[1]):
-                return None
-            if (df[0], df[1]) == (dg[0], dg[1]):
-                best = max(best, df[2] / dg[2])
+            if kf == kg:
+                best = max(best, cf / cg)
 
         def ratio(t):
             num = sum(tm.value(t) for tm in tf)

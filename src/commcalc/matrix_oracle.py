@@ -37,14 +37,13 @@ class OracleConfig:
     seed: int = 0
     dims: tuple = (2, 4, 8, 16, 32, 64)
     trials: int = 100
-    tol_rel: float = 1e-9
-    tol_abs: float = 1e-9
+    tol: float = 1e-9  # each margin's absolute slack and its relative one
 
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
-        if self.tol_rel <= 0.0 or self.tol_abs <= 0.0:
-            raise DomainError("tolerances must be positive")
+        if self.tol <= 0.0:
+            raise DomainError("tolerance must be positive")
         object.__setattr__(self, "dims", tuple(self.dims))
 
 
@@ -204,15 +203,6 @@ def _mu_at(sig, t):
     return float(sig[min(k, n - 1)])
 
 
-def _dyadic_masses(n):
-    ms = [1.0]
-    m = 0.5
-    while m >= 1.0 / (2 * n):
-        ms.append(m)
-        m *= 0.5
-    return ms
-
-
 def _snumb_trial(rng, n, cfg):
     S = _draw(rng, n, _KINDS[int(rng.integers(3))])
     T = _draw(rng, n, _KINDS[int(rng.integers(3))])
@@ -226,8 +216,8 @@ def _snumb_trial(rng, n, cfg):
                 continue
             lhs = _mu_at(sST, s + t)
             rhs = _mu_at(sS, s) + _mu_at(sT, t)
-            worst = min(worst, rhs - lhs + cfg.tol_abs
-                        + cfg.tol_rel * (float(sS[0]) + float(sT[0])))
+            worst = min(worst, rhs - lhs + cfg.tol
+                        + cfg.tol * (float(sS[0]) + float(sT[0])))
     return worst
 
 
@@ -248,7 +238,7 @@ def _soplus_trial(rng, n, cfg):
             b, c = i / n, (k - i) / n
             best = min(best, max(_mu_at(sS, b), _mu_at(sT, c)))
         err = abs(_mu_at(sD, a) - best)
-        worst = min(worst, cfg.tol_abs + cfg.tol_rel * float(sD[0]) - err)
+        worst = min(worst, cfg.tol + cfg.tol * float(sD[0]) - err)
     return worst
 
 
@@ -274,7 +264,8 @@ def _lemma_nec_trial(rng, n, cfg, N):
         return acc
 
     _, sig, vh = np.linalg.svd(T)
-    masses = _dyadic_masses(n)
+    # the dyadic masses 1, 1/2, ... down to the last one >= 1 / (2n)
+    masses = df.dyadic_grid(-((2 * n).bit_length() - 1), 0, 1)[::-1]
     worst = math.inf
     for r in masses:
         for s in masses:
@@ -283,8 +274,8 @@ def _lemma_nec_trial(rng, n, cfg, N):
             E = _band_projection(sig, vh, _mu_at(sT, s), _mu_at(sT, r))
             lhs = abs(np.trace(T @ E)) / n
             rhs = r * h(r) + s * h(s)
-            worst = min(worst, rhs - lhs + cfg.tol_abs
-                        + cfg.tol_rel * float(sT[0]))
+            worst = min(worst, rhs - lhs + cfg.tol
+                        + cfg.tol * float(sT[0]))
     return worst
 
 
@@ -301,7 +292,7 @@ def _pluri_trial(rng, n, cfg):
     # the even angles are the 128-point rule's, bit for bit
     m128 = float(np.mean(vals[::2]))
     quad_err = abs(m256 - m128)
-    return m256 - lhs + quad_err + cfg.tol_abs
+    return m256 - lhs + quad_err + cfg.tol
 
 
 def _brown_phi_trial(rng, n, cfg):

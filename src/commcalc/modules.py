@@ -5,8 +5,10 @@ compact, bounded, principal) with sum, product, finite-support part,
 bounded part, and vanishing-tail nodes.  Every nonzero module contains F,
 which leaves the middle scales free, so within the power-log class
 membership depends only on the end terms at 0 and at oo: contains compares
-them with the descriptor's two thresholds (ModuleExpr.ends).  "yes"
-answers are sound outright, "no" answers are sound within the class.
+their keys (decfun.end_keys) with the descriptor's two thresholds
+(ModuleExpr.ends) by decfun.admits.  An L_p leaf's thresholds are those at
+which |f|^p is integrable (decfun.integrable).  "yes" answers are sound
+outright, "no" answers are sound within the class.
 """
 
 import functools
@@ -19,18 +21,12 @@ from .specop import II_1, II_INF
 
 CLASS_NOTE = "verdict quantifies over the power-log class"
 
-# The end term c t^-p L^-q (L = |log t|) is the key (p, -q) at 0 and
-# (-p, -q) at oo, in lexicographic order: the larger the key, the larger
-# the function at that end; _BOTTOM where it vanishes (at oo: also on the
-# (0, 1) domain).  A threshold (a, b, attained, s) admits (x, y) when
-# (s x, s y, 0) < (a, b, attained): s is 1.0 except at an L_p leaf, where
-# s = p keeps the float products of df._diverges_at_0 and _at_inf.
-_BOTTOM = (-INF, -INF)
+# thresholds (a, b, attained, s) on the end keys of decfun.end_keys
 _EVERYTHING = (INF, INF, 1, 1.0)
 
 # (end, threshold, why a function fails it): the bounds on a kind's ends
 _AT_0 = 0, (0.0, 0.0, 1, 1.0), "unbounded at 0"
-_FS = 1, _BOTTOM + (1, 1.0), "infinite support"
+_FS = 1, df.BOTTOM + (1, 1.0), "infinite support"
 _VANISH = 1, (0.0, 0.0, 0, 1.0), "does not vanish at infinity"
 _BOUNDS = {"M": (_AT_0, (1, _AT_0[1], "unbounded at infinity")),
            "F": (_AT_0, _FS), "K": (_AT_0, _VANISH),
@@ -43,27 +39,15 @@ def _level(t):
     return a / s, b / s, attained
 
 
-def _admits(t, key):
-    a, b, attained, s = t
-    return (key[0] * s, key[1] * s, 0) < (a, b, attained)
-
-
 def _times(t, u):
-    """Threshold of a product at one end: the keys add.  _BOTTOM absorbs
-    the other operand, and so does the key above every key."""
+    """Threshold of a product at one end: the keys add.  decfun.BOTTOM
+    absorbs the other operand, and so does the key above every key."""
     lo, hi = sorted(map(_level, (t, u)))
     if lo[0] == -INF:
         return lo + (1.0,)
     if hi[0] == INF:
         return hi + (1.0,)
     return lo[0] + hi[0], lo[1] + hi[1], lo[2] & hi[2], 1.0
-
-
-def _end_keys(f):
-    """The keys of f's end terms at 0 and at oo."""
-    d0, dinf = df.dominant_at_0(f), df.dominant_at_inf(f)
-    return ((d0[0], -d0[1]) if d0 and d0[2] else _BOTTOM,
-            (-dinf[0], -dinf[1]) if dinf and dinf[2] else _BOTTOM)
 
 
 @dataclass(frozen=True)
@@ -83,12 +67,12 @@ class ModuleExpr:
         """The thresholds (at 0, at oo) of the characteristic set."""
         k = self.kind
         if k == "Lp":
-            return (1.0, -1.0, 0, self.p), (-1.0, -1.0, 0, self.p)
+            return df.integrable(self.p)
         if k == "Llog":
-            return _EVERYTHING, (-1.0, -1.0, 0, 1.0)
+            return _EVERYTHING, df.integrable(1.0)[1]
         if k == "Principal":  # g's own end keys; none for g = 0
             att = 0 if self.gen.is_zero() else 1
-            return tuple(key + (att, 1.0) for key in _end_keys(self.gen))
+            return tuple(key + (att, 1.0) for key in df.end_keys(self.gen))
         if k in _BOUNDS:
             ends = list(self.children[0].ends if self.children
                         else (_EVERYTHING, _EVERYTHING))
@@ -193,8 +177,8 @@ def contains(I, f):
         raise DomainError("domain mismatch between module and function")
     if f.is_zero():
         return yes(f, "zero function")
-    keys = _end_keys(f)
-    if not all(map(_admits, I.ends, keys)):
+    keys = df.end_keys(f)
+    if not all(map(df.admits, I.ends, keys)):
         return no(_refusal(I, keys))
     if I.kind != "Principal":
         return yes(f, "end terms within the module's thresholds")
@@ -209,11 +193,13 @@ def loglog_eps(I, end, eps):
     """The ε of a bracket t^-1 L^ε / (e ε), key (±1, ε), that I admits at
     end 0 or 1 (oo) exactly when it holds t^-1 log L (L = |log t|), whose
     key lies just above (±1, 0): a threshold (a, b, attained, s) admits it
-    when (±s, 0) < (a, b).  eps, or half the room b / s if eps is too big."""
-    t = I.ends[end]
-    x = (1.0, -1.0)[end]
-    if (x * t[3], 0.0) < t[:2] and not _admits(t, (x, eps)):
-        return t[1] / t[3] / 2.0
+    when it admits (±1, 0) unattained.  eps, or half the room b / s if eps
+    is too big."""
+    a, b, _, s = I.ends[end]
+    at_zero = end == 0
+    if df.admits((a, b, 0, s), df.end_key(1.0, 0.0, at_zero)) \
+            and not df.admits(I.ends[end], df.end_key(1.0, -eps, at_zero)):
+        return b / s / 2.0
     return eps
 
 
@@ -221,7 +207,7 @@ def _refusal(I, keys):
     """Why I refuses a function with these end keys."""
     k = I.kind
     for end, bound, why in _BOUNDS.get(k, ()):
-        if not _admits(bound, keys[end]):
+        if not df.admits(bound, keys[end]):
             return why
     if k in _BOUNDS:
         return _refusal(I.children[0], keys)
@@ -230,7 +216,7 @@ def _refusal(I, keys):
         if norm.kind != "Product":
             return _refusal(norm, keys)
     if k in ("Sum", "Product"):
-        end = "tail" if _admits(I.ends[0], keys[0]) else "head"
+        end = "tail" if df.admits(I.ends[0], keys[0]) else "head"
         return end + (" part fails both summands" if k == "Sum"
                       else " part fails the product")
     if k == "Lp":
@@ -345,7 +331,8 @@ def geometrically_stable(I):
     "no" when log(1 + h) is not integrable at oo, "yes" otherwise.  That
     is h's end key at oo against L_1's threshold there: log(1 + h) ~ h
     where h tends to 0, and is not integrable where h has a positive
-    limit.
+    limit.  On the (0, 1) domain the key at oo is decfun.BOTTOM, which
+    every threshold admits.
     """
     k = I.kind
     if k in STABLE_KINDS:
@@ -354,11 +341,8 @@ def geometrically_stable(I):
         stable = all(geometrically_stable(c) == "yes" for c in I.children)
         return "yes" if stable else "no"
     if k == "Principal":
-        h = I.gen
-        at_inf = _end_keys(h)[1]
-        if h.domain_hi == INF and not _admits(Lp(1.0).ends[1], at_inf):
-            return "no"
-        return "yes"
+        at_inf = df.end_keys(I.gen)[1]
+        return "yes" if df.admits(df.integrable(1.0)[1], at_inf) else "no"
     raise ValueError("unknown module kind %r" % k)
 
 

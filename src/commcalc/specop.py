@@ -71,16 +71,12 @@ class NormalOp:
         return SegIntegrals(self.segs)
 
     @functools.cached_property
-    def integrable_at_0(self):
-        """Whether |v| is integrable at 0, decided on first use."""
-        return not df._diverges_at_0(df.dominant_at_0(self.profile), 1.0)
-
-    @functools.cached_property
-    def integrable_at_inf(self):
-        """Whether |v| is integrable at infinity, decided on first use.  A
-        finite support is: its last profile segment is zero, so it has no
-        dominant term."""
-        return not df._diverges_at_inf(df.dominant_at_inf(self.profile), 1.0)
+    def integrable(self):
+        """Whether |v| is integrable (at 0, at infinity), decided on first
+        use from the end keys of the profile.  A profile that fails to
+        build raises here, and again on the next use."""
+        return tuple(map(df.admits, df.integrable(1.0),
+                         df.end_keys(self.profile)))
 
     def value(self, t):
         for seg in self.segs:
@@ -264,14 +260,11 @@ def _level_cross(seg, hi, x):
 def _check_band_integrable(T, u, w):
     """Refuse a band that reaches an end where |v| is not integrable.
 
-    Every call builds the profile or fails as building it does.  Each end
-    is decided once per operator (NormalOp.integrable_at_0/_inf); a
-    decision that raises is not kept, so it raises again on the next call.
+    Every call reads NormalOp.integrable, which builds the profile or
+    fails as building it does; the ends are decided once per operator.
     """
-    T.profile  # an operator whose profile fails has no band
-    if u == 0.0 and not T.integrable_at_0:
-        raise DomainError("non-integrable band")
-    if w == INF and T.domain_hi == INF and not T.integrable_at_inf:
+    at_0, at_inf = T.integrable
+    if (u == 0.0 and not at_0) or (w == INF and not at_inf):
         raise DomainError("non-integrable band")
 
 
@@ -295,7 +288,7 @@ def integrate_bands(T, bands):
     checked = False
     for u, w in bands:
         w = min(w, hi_dom)
-        if not checked or u == 0.0 or (w == INF and not T.integrable_at_inf):
+        if not checked or u == 0.0 or (w == INF and not T.integrable[1]):
             _check_band_integrable(T, u, w)
             checked = True
         if first is None or u <= first:

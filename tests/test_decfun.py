@@ -321,3 +321,12 @@ def test_majorant_property(pairs):
         assert m(t) >= v - 1e-12
     vals = [m(t) for t in np.geomspace(0.005, 200.0, 50)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_an_underflowing_end_coefficient_is_the_least_float():
+    # 1e-300 (t/1e-10)^-30: its coefficient 1e-300 * 1e-10^30 at 0
+    # underflows, yet the end term is there, and so is its mean
+    f = df.power_fun(1e-300, 30.0, hi=1e-20, scale=1e-10)
+    assert df.dominant_at_0(f) == (30.0, 0.0, 5e-324)
+    assert df.end_keys(f) == ((30.0, 0.0), df.BOTTOM)
+    assert df.mean_term((4.0, 0.0, -5e-324)) == df.Term(-5e-324, 4.0, 0.0)

@@ -24,7 +24,7 @@ class TestDenseMatrix:
         with pytest.raises(df.DomainError):
             mo.OracleConfig(trials=0)
         with pytest.raises(df.DomainError):
-            mo.OracleConfig(tol_abs=0.0)
+            mo.OracleConfig(tol=0.0)
 
 
 class TestSingularProfile:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from commcalc import cli
+from commcalc import commutator as cm
 from commcalc import decfun as df
 from commcalc import modules as md
+from commcalc import serialize as sz
+from commcalc import specop as so
+from commcalc.decfun import DomainError
 from commcalc.specop import II_1, II_INF
 
 
@@ -337,6 +343,22 @@ def bounded_tail(f):
     return df.make(segs)
 
 
+def diverges_at_0(dom, s):
+    """The float-product rule for c t^-p L^-q, dom = (p, q, c), at 0."""
+    if dom is None or dom[2] == 0.0:
+        return False
+    ps, qs = dom[0] * s, dom[1] * s
+    return ps > 1.0 or (ps == 1.0 and qs <= 1.0)
+
+
+def diverges_at_inf(dom, s):
+    """The float-product rule at infinity."""
+    if dom is None or dom[2] == 0.0:
+        return False
+    ps, qs = dom[0] * s, dom[1] * s
+    return not (ps > 1.0 or (ps == 1.0 and qs > 1.0))
+
+
 class TestEndThresholds:
     @settings(max_examples=300, deadline=None)
     @given(heads(), tails(), st.sampled_from(["free", "head", "tail"]),
@@ -355,9 +377,9 @@ class TestEndThresholds:
         if ii1:
             f = on_unit_interval(f)
         v = md.contains(md.Lp(p, II_1 if ii1 else II_INF), f)
-        diverges = df._diverges_at_0(df.dominant_at_0(f), p) \
+        diverges = diverges_at_0(df.dominant_at_0(f), p) \
             or f.domain_hi == df.INF \
-            and df._diverges_at_inf(df.dominant_at_inf(f), p)
+            and diverges_at_inf(df.dominant_at_inf(f), p)
         assert (v.answer == "yes") == (not diverges)
 
     @settings(max_examples=300, deadline=None)
@@ -375,7 +397,7 @@ class TestEndThresholds:
             h = on_unit_interval(h)
         dom = df.dominant_at_inf(h)
         log1p_diverges = h.domain_hi == df.INF and dom is not None \
-            and dom[2] > 0.0 and df._diverges_at_inf(dom, 1.0)
+            and dom[2] > 0.0 and diverges_at_inf(dom, 1.0)
         assert md.geometrically_stable(md.Principal(h)) \
             == ("no" if log1p_diverges else "yes")
 
@@ -452,3 +474,70 @@ def test_a_module_holding_a_nonvanishing_profile_holds_one(I, f):
     assert df.limit_at_inf(f) > 0.0
     if md.contains(I, f).answer == "yes":
         assert md.contains(I, df.const(1.0)).answer == "yes"
+
+
+# ---------------------------------------------------------------------------
+# [I, J] and F + [I, M] are linear spaces, and modules are closed under
+# positive scalars: T and 2^k T get the same answer
+
+
+def decided(run, *args):
+    """run(*args).answer, or None where it is inconclusive or refuses its
+    input (a domain or float-range error, as the CLI reads them)."""
+    try:
+        answer = run(*args).answer
+    except (DomainError, OverflowError):
+        return None
+    return None if answer == "inconclusive" else answer
+
+
+@settings(max_examples=100, deadline=None)
+@given(heads(), tails(), modules(), modules(), st.integers(-1074, 1023))
+@example((0.0, -1.0), "zero", md.Lp(0.4), md.Lp(0.4), -33)
+def test_a_positive_multiple_keeps_its_answer(head, tail, I, J, k):
+    T = so.make_op(grid_generator(*head, tail).segs)
+    S = so.scale_op(T, 2.0 ** k)
+    for run, mods in ((cm.member_IIinf, (I, J)), (cm.member_F_plus, (I,))):
+        answers = decided(run, T, *mods), decided(run, S, *mods)
+        if None not in answers:
+            assert answers[0] == answers[1], run.__name__
+
+
+def one_term_op(hi, coeff, pow, logpow=0.0, scale=1.0):
+    return so.make_op([df.Seg(0.0, hi, (df.Term(coeff, pow, logpow, scale),))])
+
+
+# each answered member before an end coefficient that underflowed read as
+# no end term (A, B), or before a trace below 1e-9 read as 0 (C)
+SCALED_QUERIES = {
+    # 1e-300 (t/1e-10)^-30 on (0, 1e-20): unbounded and not integrable
+    # at 0, although 1e-300 * 1e-10^30 underflows
+    "A_L1": (one_term_op(1e-20, 1e-300, 30.0, scale=1e-10), md.Lp(1.0),
+             "F_plus"),
+    "A_M": (one_term_op(1e-20, 1e-300, 30.0, scale=1e-10), md.M(),
+            "F_plus"),
+    # 1e-300 (t/1e-30)^-1 |log(t/1e-30)|^-1.5 on (0, 1e-40) against
+    # [L_1, M]: tau(T) != 0 is forced on the head, 0 on the tail
+    "B": (one_term_op(1e-40, 1e-300, 1.0, 1.5, 1e-30), md.Lp(1.0),
+          "commutator"),
+    # 1e-10 on (0, 1) against [F, M] = F cap ker tau: tau(T) = 1e-10
+    "C": (one_term_op(1.0, 1e-10, 0.0), md.F(), "commutator"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_QUERIES))
+def test_a_tiny_multiple_is_not_a_member(tmp_path, capsys, name):
+    T, I, relation = SCALED_QUERIES[name]
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({"schema_version": sz.SCHEMA_VERSION,
+                                "operator": sz.op_to_json(T),
+                                "module_I": sz.module_to_json(I),
+                                "relation": relation}))
+    assert cli.main(["member", "--input", str(path)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["decision"]["answer"] \
+        == "not_member"
+    # and so is 2^200 T
+    S = so.scale_op(T, 2.0 ** 200)
+    dec = cm.member_F_plus(S, I) if relation == "F_plus" \
+        else cm.member_IIinf(S, I, md.M())
+    assert dec.answer == "not_member"

@@ -257,9 +257,9 @@ def log_log_queries(where, q):
 def _assert_bracket_admitted(I, end, h):
     # the witness's end key lies above that of log L / t, (±1, 0), and
     # within I's threshold there
-    key = md._end_keys(h)[end]
+    key = df.end_keys(h)[end]
     assert key[0] == (1.0, -1.0)[end] and key[1] > 0.0
-    assert md._admits(I.ends[end], key)
+    assert df.admits(I.ends[end], key)
 
 
 @settings(max_examples=60, deadline=None)
@@ -475,8 +475,8 @@ def test_overflowing_L2_integral_is_finite():
     assert md.contains(md.Lp(2.0), m).answer == "yes"
     # mu(T)^2 passes the float range: the end exponents decide L_2
     assert m(0.5) * m(0.5) == INF
-    assert not df._diverges_at_0(df.dominant_at_0(m), 2.0)
-    assert not df._diverges_at_inf(df.dominant_at_inf(m), 2.0)
+    (p0, q0, _), (p1, q1, _) = df.dominant_at_0(m), df.dominant_at_inf(m)
+    assert in_Ls_at_0(p0, q0, 2.0) and in_Ls_at_inf(p1, q1, 2.0)
     assert cm.member_IIinf(T, md.Lp(2.0), md.M()).answer == "member"
     assert br.member_F(T, md.Lp(2.0)).answer == "member"
 
