@@ -2,7 +2,8 @@
 
 Functions live on (0, oo) or (0, 1) and are finite sums, per segment, of
 terms coeff*(t/scale)^(-pow)*|log(t/scale)|^(-logpow).  The class is closed
-under sum, product, and dyadic dilation.
+under sum, product, and dyadic dilation, and every band integral of a term
+is in closed form: a power, a log or an incomplete Gamma (DLMF 8).
 
 The order of end terms is kept here alone: end_keys reads the keys of f's
 end terms at 0 and at oo, admits tests a key against a threshold, and
@@ -14,15 +15,13 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 INF = math.inf
 
-# segments carrying a log factor must keep |log(t/scale)| >= LOG_GUARD
-LOG_GUARD = 1.0
 MONOTONE_RTOL = 1e-9  # a rise _check_monotone forgives as float noise
 
 
@@ -578,7 +577,9 @@ def mean_term(dom):
 
 
 def _term_integral(tm, lo, hi):
-    """Integral of coeff*(t/s)^-g*|log(t/s)|^-d over (lo, hi), finite case."""
+    """Integral of coeff*(t/s)^-g*|log(t/s)|^-d over (lo, hi), a band on one
+    side of s, for every term in closed form: a power, a log or an
+    incomplete Gamma (DLMF 8).  Past the float range: OverflowError."""
     c, g, d, s = tm.coeff, tm.pow, tm.logpow, tm.scale
     if d == 0.0:
         # c * s^g * t^-g
@@ -610,47 +611,96 @@ def _term_integral(tm, lo, hi):
             return math.copysign(abs(u) ** e, u) / e
 
         return c * (F(u2) - F(u1))
-    return None  # no closed form
+    # t = s e^-+w: c s e^(-k w) w^-d dw, k = 1 - g below s and g - 1 above;
+    # x = |k| w: c s |k|^-a int e^(-+x) x^(a-1) dx with a = 1 - d, in logs
+    k, a = (1.0 - g if hi <= s else g - 1.0), 1.0 - d
+    x1, x2 = sorted(abs(k * _log_ratio(t, s)) if 0.0 < t < INF else INF
+                    for t in (lo, hi))
+    if x1 == x2:
+        return 0.0
+    if (x1 == 0.0 and a <= 0.0) or (x2 == INF and k < 0.0):
+        return math.copysign(INF, c)  # divergent at t = s, or at 0 or oo
+    pre = math.log(abs(c)) + math.log(s) - a * math.log(abs(k))
+    # decaying (k > 0): a series below x0 (of positive terms for a > 1) and
+    # the continued fraction above; growing: a positive series, whose value
+    # overflows once a term passes e^(710 - pre)
+    x0, parts = (max(1.0, a + 1.0) if k > 0.0 else INF), []
+    if x1 < x0:
+        x = min(x2, x0)
+        parts.append(_log_sub(_log_lower(a, x), _log_lower(a, x1))
+                     if a > 1.0 and k > 0.0 else _log_series(
+                         a, x1, x, 1.0 if k < 0.0 else -1.0, 710 - pre))
+    if x2 > x0:
+        parts.append(_log_sub(_log_upper(a, max(x1, x0)), _log_upper(a, x2)))
+    return math.copysign(math.exp(pre + np.logaddexp.reduce(parts)), c)
+
+
+def _log_ratio(t, s):
+    """log(t/s), from the two logs where t/s is not a normal float."""
+    r = t / s
+    return math.log(r) if 2 ** -1022 <= r < INF else math.log(t) - math.log(s)
+
+
+def _log_sub(l1, l2):
+    """log(e^l1 - e^l2), -inf where rounding leaves e^l2 >= e^l1."""
+    return l1 + math.log(-math.expm1(l2 - l1)) if l2 < l1 else -INF
+
+
+def _log_series(a, x1, x2, sign, cap):
+    """log of sum_n sign^n int_x1^x2 x^(a+n-1) / n! dx, the integral of
+    e^(sign x) x^(a-1) term by term, and OverflowError for sign 1 once a
+    term passes e^cap.  Past n = 2 x2 each term is at most half the one
+    before; for sign -1 the sum is >= e^-2x2 of the largest."""
+    lx1 = math.log(x1) if x1 > 0.0 else -INF
+    lx2, L = math.log(x2), math.log1p((x2 - x1) / x1) if x1 > 0.0 else INF
+    top, tot = -INF, 0.0
+    for n in count():
+        m = a + n
+        # log((x2^m - x1^m) / m), or log(L) where m = 0
+        lt = -math.lgamma(n + 1.0) + (
+            math.log(L) if m == 0.0 else
+            m * lx2 + math.log(-math.expm1(-m * L)) - math.log(m) if m > 0
+            else m * lx1 + math.log(-math.expm1(m * L)) - math.log(-m))
+        if lt > top:
+            if sign > 0.0 and lt > cap:
+                raise OverflowError("band integral past the float range")
+            tot, top = tot * math.exp(top - lt), lt
+        tot += sign ** n * math.exp(lt - top)
+        if n >= 2.0 * x2 and not lt > top - 45.0:
+            return top + math.log(tot)
+
+
+def _log_lower(a, x):
+    """log gamma(a, x) for a > 1 and x <= a + 1 by its series of positive
+    terms (DLMF 8.7.1), -inf at x = 0."""
+    term = tot = 1.0 / a
+    for n in count(1):
+        term *= x / (a + n)
+        tot += term
+        if not term > tot * 2.0 ** -54:
+            return -x + a * math.log(x) + math.log(tot) if x else -INF
+
+
+def _log_upper(a, x):
+    """log Gamma(a, x) for x >= max(1, a + 1), -inf at x = oo: Legendre's
+    continued fraction (DLMF 8.9.2) by Lentz's method, which never reads
+    Gamma(a) and so has no pole at a = 0, -1, ..."""
+    if x == INF:
+        return -INF
+    b, c = x + 1.0 - a, INF
+    h = d = 1.0 / b
+    for i in count(1):
+        # a_i = -i (i - a), multiplied in an order that stays finite
+        b += 2.0
+        d = 1.0 / (b - i * ((i - a) * d))
+        c = b - i * ((i - a) / c)
+        h *= d * c
+        if not abs(d * c - 1.0) > 2.0 ** -52:
+            return -x + a * math.log(x) + math.log(h)
 
 
 def _seg_integral(terms, lo, hi):
-    if not terms:
-        return 0.0
-    if len(terms) == 1:
-        val = _term_integral(terms[0], lo, hi)
-        return _log_quad(terms, lo, hi) if val is None else val
-    vals = [_term_integral(tm, lo, hi) for tm in terms]
-    if None in vals:
-        return _log_quad(terms, lo, hi)
-    return sum(vals)
-
-
-def _log_quad(terms, lo, hi):
-    """Quadrature of the sum of the terms over (lo, hi) in u = log(t/s),
-    s the first term's scale, where dt = t du.  Each term times t is
-    c e^(-(g - 1) u) |w|^-d up to constants, w = log(t/s_k), and its log is
-    taken in that form, so the integrand is smooth, free of cancellation
-    between g u and u, and in the float range where t^-g is not."""
-    log_s = math.log(terms[0].scale)
-    shifts = [log_s - math.log(tm.scale) for tm in terms]
-
-    def fn(u):
-        # log of t times each term at t = s e^u, with its sign
-        logs = [(math.log(abs(tm.coeff)) - (tm.pow - 1.0) * u - tm.pow * sh
-                 + log_s
-                 - (tm.logpow * math.log(abs(u + sh)) if tm.logpow else 0.0),
-                 tm.coeff) for tm, sh in zip(terms, shifts) if tm.coeff]
-        top = max(lv for lv, _ in logs)
-        tot = sum(math.copysign(math.exp(lv - top), c) for lv, c in logs)
-        if tot <= 0.0:
-            return 0.0
-        return math.exp(top + math.log(tot))
-
-    val, _ = integrate.quad(
-        fn, math.log(lo) - log_s if lo > 0.0 else -INF,
-        math.log(hi) - log_s if hi < INF else INF,
-        epsabs=0.0, epsrel=1e-12, limit=500)
-    return val
+    return sum(_term_integral(tm, lo, hi) for tm in terms)
 
 
 def integral(f, a, b):

@@ -50,9 +50,9 @@ II_1 = "II_1"
 @dataclass(frozen=True)
 class NormalOp:
     """Multiplication by v on (0, domain_hi).  segs come out of
-    decfun.normalize less the segments without terms (make_op, scale_op),
-    or are T's own with only the phase changed (adjoint) or the last one
-    clipped (truncate)."""
+    decfun.normalize less the segments without terms (make_op), or are T's
+    own with each coefficient scaled (scale_op), only the phase changed
+    (adjoint) or the last one clipped (truncate)."""
     factor_type: str
     segs: tuple
 
@@ -387,12 +387,12 @@ def scale_op(T, alpha):
         return zero_op(T.factor_type)
     m = abs(alpha)
     ph = _phase(alpha)
-    segs = [Seg(s.lo, s.hi, tuple(replace(tm, coeff=tm.coeff * m)
-                                  for tm in s.terms), s.phase * ph)
-            for s in T.segs]
-    # a coefficient that underflows to 0.0 is dropped, as in the profile
-    return NormalOp(T.factor_type,
-                    tuple(s for s in df.normalize(segs) if s.terms))
+    # an underflowing coefficient is the least float with its sign, as an
+    # end term is (decfun._nonzero): no term or segment is dropped
+    segs = tuple(Seg(s.lo, s.hi, tuple(
+        replace(tm, coeff=df._nonzero(tm.coeff * m, tm.coeff))
+        for tm in s.terms), s.phase * ph) for s in T.segs)
+    return NormalOp(T.factor_type, segs)
 
 
 def adjoint(T):

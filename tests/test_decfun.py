@@ -1,9 +1,10 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from commcalc import decfun as df
 
@@ -140,23 +141,12 @@ class TestIntegral:
         parts = df.integral(f, 0.1, 1.3) + df.integral(f, 1.3, 10.0)
         assert abs(whole - parts) < 1e-10
 
-    # references: mpmath.quad at 30 digits in x = log t
-    @pytest.mark.parametrize("terms, lo, hi, ref", [
-        # two terms, one with no closed form
-        ((df.Term(1.0, 0.5, 2.0), df.Term(0.5, 0.25)), 0.0, math.exp(-3.0),
-         0.094633078554069842),
-    ])
-    def test_quadrature_in_log_t(self, terms, lo, hi, ref):
-        f = df.make([df.Seg(lo, hi, terms)], validate=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v = df.integral(f, lo, hi)
-        assert abs(v - ref) <= 1e-12 * ref
-
     # float.hex of integral(f, lo, hi) and _seg_integral(terms, lo, hi),
     # f the profile of the terms on (lo, hi), pinned when integral still
     # took a power p and a log1p switch: dropping them (p = 1 only) keeps
-    # every bit on each branch of _term_integral and _log_quad
+    # every bit on each branch of _term_integral.  The cases with a log
+    # term and g != 1 are pinned on the incomplete Gamma, each within
+    # 2.8e-15 of mpmath at 60 digits
     @pytest.mark.parametrize("terms, lo, hi, whole, seg", [
         # d = 0, g = 1
         ((df.Term(2.0, 1.0),), 0.5, 3.0,
@@ -186,23 +176,24 @@ class TestIntegral:
          "0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bcdp-1"),
         ((df.Term(1.0, 1.0, -1.0),), 1e-6, 0.25,
          "0x1.79e49e425822ap+6", "0x1.79e49e425822ap+6"),
-        # a log term with g != 1: _log_quad
+        # a log term with g != 1: an incomplete Gamma
         ((df.Term(1.0, 0.5, 2.0),), 0.0, math.exp(-3.0),
-         "0x1.8f3a4e9fe2cb6p-6", "0x1.8f3a4e9fe2cb6p-6"),
+         "0x1.8f3a4e9fe2cb2p-6", "0x1.8f3a4e9fe2cb2p-6"),
         ((df.Term(2.0, 1.5, -1.0),), math.e, df.INF,
          "0x1.d1d0c7aa7610ep+2", "0x1.d1d0c7aa7610ep+2"),
         # several terms
         ((df.Term(1.0, 0.5, 2.0), df.Term(0.5, 0.25)), 0.0, math.exp(-3.0),
-         "0x1.839df9982707ep-4", "0x1.839df9982707ep-4"),
+         "0x1.839df9982707cp-4", "0x1.839df9982707cp-4"),
         ((df.Term(0.5, 0.5), df.Term(0.25)), 0.1, 10.0,
          "0x1.548c14daf0f7fp+2", "0x1.548c14daf0f7fp+2"),
         ((df.Term(1.0, 2.0, 1.0), df.Term(1.0, 1.5), df.Term(0.5, 3.0)),
-         math.e, df.INF, "0x1.775e10c05840cp+0", "0x1.775e10c05840cp+0"),
-        # two scales (make sorts the terms, so the two orders differ)
+         math.e, df.INF, "0x1.775e10c058408p+0", "0x1.775e10c058408p+0"),
+        # two scales (make sorts the terms; two addends sum alike in
+        # either order)
         ((df.Term(1.0, 0.5, 2.0), df.Term(1.0, 0.5, 2.0, 0.5)), 0.0, 0.1,
-         "0x1.d1a2dc7fcdf09p-4", "0x1.d1a2dc7fcdf08p-4"),
+         "0x1.d1a2dc7fcdeefp-4", "0x1.d1a2dc7fcdeefp-4"),
         ((df.Term(1.0, 1.2, 2.0, 2.0), df.Term(3.0, 1.1, 0.0, 5.0)), 8.0,
-         df.INF, "0x1.1fa41a7ae0b80p+7", "0x1.1fa41a7ae0b80p+7"),
+         df.INF, "0x1.1fa41a7ae0b7fp+7", "0x1.1fa41a7ae0b7fp+7"),
     ])
     def test_integral_keeps_its_bits(self, terms, lo, hi, whole, seg):
         f = df.make([df.Seg(lo, hi, terms)], validate=False)
@@ -227,6 +218,89 @@ class TestIntegral:
             ref = float((top - mpmath.mpf(lo) ** e) / e)
         v = df._term_integral(df.Term(1.0, g), lo, hi)
         assert abs(v - ref) <= 1e-15 * ref
+
+
+def band_integral_ref(tm, lo, hi):
+    """mpmath.quad at 60 digits of the term over (lo, hi), on one side of
+    its scale s: c s int e^phi(v) dv, phi(v) = a v - k e^v in v = log w,
+    w = |log(t/s)|, a = 1 - d, k = 1 - g below s and g - 1 above.  phi
+    moves by at most 32 on each piece and is shifted by its largest value
+    there, as quad's tolerance is absolute; an end band stops 120 / k past
+    the integrand's peak, where its rest is below e^-100 of it."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        c, g, d, s = map(mpmath.mpf, (tm.coeff, tm.pow, tm.logpow, tm.scale))
+        k, a = (1 - g if hi <= tm.scale else g - 1), 1 - d
+        w1, w2 = sorted(abs(mpmath.log(t / s)) if 0 < t < df.INF
+                        else mpmath.inf for t in map(mpmath.mpf, (lo, hi)))
+        if w2 == mpmath.inf:
+            w2 = max(w1, a / k) + 120 / k
+        pts = [mpmath.log(w1)]
+        while pts[-1] < mpmath.log(w2):
+            pts.append(pts[-1] + 32 / (abs(a) + abs(k) * w1 + 1))
+            w1 = mpmath.exp(pts[-1])
+        pts[-1] = mpmath.log(w2)
+
+        def phi(v):
+            return a * v - k * mpmath.exp(v)
+
+        top = max(map(phi, pts))
+        return c * s * mpmath.exp(top) * mpmath.quad(
+            lambda v: mpmath.exp(phi(v) - top), pts)
+
+
+@st.composite
+def power_log_bands(draw):
+    """A term c (t/s)^-g |log(t/s)|^-d with g != 1 and d != 0, and a band
+    on one side of s, its near edge at |log(t/s)| = w: an integrable end
+    band, a band at least a quarter octave wide, or a narrower one."""
+    g = draw(st.sampled_from([1.0 - 1e-5, 1.0 + 1e-5]) | st.floats(0.01, 2.99))
+    d = draw(st.floats(-3.0, 3.0) | st.floats(-60.0, 10.0))
+    assume(g != 1.0 and d != 0.0)
+    tm = df.Term(draw(st.floats(5e-324, 1e300)), g, d,
+                 draw(st.floats(1e-3, 1e3)))
+    below, w = draw(st.booleans()), draw(st.floats(1e-3, 700.0))
+    width = draw(st.sampled_from([df.INF]) | st.floats(0.25, 50.0)
+                 | st.floats(1e-4, 0.25))
+    if below:
+        hi = tm.scale * math.exp(-w)
+        lo = hi * math.exp(-width)
+    else:
+        lo = tm.scale * math.exp(w)
+        hi = lo * math.exp(width)
+    # an end band (drawn, or where exp leaves the float range) is integrable
+    assume(lo < hi and (lo > 0.0 or g < 1.0) and (hi < df.INF or g > 1.0))
+    return tm, lo, hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(power_log_bands())
+# t^-1/2 |log t|^-2 on (0, e^-3): with 0.5 t^-0.25 its integral is
+# 0.094633078554069842 (mpmath.quad at 30 digits in x = log t)
+@example((df.Term(1.0, 0.5, 2.0), 0.0, math.exp(-3.0)))
+# t^-0.99999 |log t|^-0.5 on (0, e^-2): 557.67, which scipy's quad read as
+# -2.7426
+@example((df.Term(1.0, 0.99999, 0.5), 0.0, math.exp(-2.0)))
+# t^-0.99999 |log t| on (0, e^-2), where quad saw "roundoff error"
+@example((df.Term(1.0, 0.99999, -1.0), 0.0, math.exp(-2.0)))
+def test_band_integral_against_mpmath(band):
+    # |error| <= 1e-11 |I'| + 2^-1074, I' the integral over the band
+    # widened, on its side of s, to a ratio hi/lo of 2^(1/4) at least
+    tm, lo, hi = band
+    ref = band_integral_ref(tm, lo, hi)
+    wide = ref
+    if lo > 0.0 and hi < df.INF and hi / lo < 2.0 ** 0.25:
+        wide = band_integral_ref(*((tm, hi * 2.0 ** -0.25, hi)
+                                   if hi <= tm.scale else
+                                   (tm, lo, lo * 2.0 ** 0.25)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            v = df._term_integral(tm, lo, hi)
+        except OverflowError:
+            assert ref > sys.float_info.max * (1.0 - 1e-11)
+            return
+    assert abs(v - ref) <= 1e-11 * abs(wide) + 2.0 ** -1074
 
 
 class TestDominatedBy:

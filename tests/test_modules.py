@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -494,6 +497,11 @@ def decided(run, *args):
 @settings(max_examples=100, deadline=None)
 @given(heads(), tails(), modules(), modules(), st.integers(-1074, 1023))
 @example((0.0, -1.0), "zero", md.Lp(0.4), md.Lp(0.4), -33)
+# band integrals of t^-p L^-q heads with p != 1 that scipy's quad got wrong,
+# and a constant tail that an underflowing coefficient once deleted
+@example((0.99999, -1.0), "zero", md.Lp(0.4), md.Lp(0.4), 0)
+@example((0.5, -1.0), "zero", md.Lp(0.4), md.Lp(0.4), -1074)
+@example((0.0, -1.0), "const", md.Lp(0.4), md.Lp(0.4), -1074)
 def test_a_positive_multiple_keeps_its_answer(head, tail, I, J, k):
     T = so.make_op(grid_generator(*head, tail).segs)
     S = so.scale_op(T, 2.0 ** k)
@@ -501,6 +509,34 @@ def test_a_positive_multiple_keeps_its_answer(head, tail, I, J, k):
         answers = decided(run, T, *mods), decided(run, S, *mods)
         if None not in answers:
             assert answers[0] == answers[1], run.__name__
+
+
+@pytest.mark.parametrize("warn", [None, "error"], ids=["default", "error"])
+def test_a_log_head_of_large_trace_is_not_a_member(tmp_path, warn):
+    # t^-0.99999 |log t|^-0.5 on (0, e^-2), whose integral is 557.67, then
+    # 1 on a band of length 2.7426: T >= 0 lies in L_1 with tau(T) ~ 560,
+    # so T is not in [L_1, M] = L_1 cap ker tau.  A head integral of
+    # -2.7426 (scipy's quad gave it) would read tau(T) = 0.  One fresh
+    # process, with and without warnings as errors
+    lo = math.exp(-2.0)
+    T = so.make_op([df.Seg(0.0, lo, (df.Term(1.0, 0.99999, 0.5),)),
+                    df.Seg(lo, lo + 2.7425545509844866, (df.Term(1.0),))])
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({"schema_version": sz.SCHEMA_VERSION,
+                                "operator": sz.op_to_json(T),
+                                "module_I": sz.module_to_json(md.Lp(1.0)),
+                                "relation": "commutator"}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if warn:
+        env["PYTHONWARNINGS"] = warn
+    proc = subprocess.run([sys.executable, "-m", "commcalc.cli", "member",
+                           "--input", str(path)], capture_output=True,
+                          env=env)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
+    assert json.loads(proc.stdout)["decision"]["answer"] == "not_member"
 
 
 def one_term_op(hi, coeff, pow, logpow=0.0, scale=1.0):

@@ -480,20 +480,26 @@ def test_from_atoms_refuses_atoms_past_the_II_1_domain():
 
 
 class TestScaleUnderflow:
-    def test_underflowing_term_is_dropped(self):
-        # 1e-30 * 1e-300 is 0.0: a zero t^-1.5 term kept in the profile
-        # would be the dominant term at 0 and hide that 1e-300/t diverges
+    # a coefficient that underflows becomes the least float with its sign,
+    # as an end term does: scaling never deletes a term or a segment
+
+    def test_underflowing_term_is_the_least_float(self):
+        # 1e-30 * 1e-300 is 0.0: the least float keeps t^-1.5 the dominant
+        # term at 0, where 1e-300/t alone diverges too
         T = so.make_op([Seg(0.0, 1.0, (Term(1.0, 1.0), Term(1e-30, 1.5)))])
         S = so.scale_op(T, 1e-300)
-        assert S.segs == (Seg(0.0, 1.0, (Term(1e-300, 1.0),)),)
-        assert df.dominant_at_0(S.profile) == (1.0, 0.0, 1e-300)
+        assert S.segs == (Seg(0.0, 1.0, (Term(1e-300, 1.0),
+                                         Term(5e-324, 1.5))),)
+        assert df.dominant_at_0(S.profile) == (1.5, 0.0, 5e-324)
         assert S.integrable == (False, True)
 
-    def test_underflowing_segment_is_dropped(self):
+    def test_underflowing_segment_is_kept(self):
         T = so.from_atoms([(2.0, 1.0), (1e-30, 1.0)])
         S = so.scale_op(T, -1e-300)
-        assert S.segs == (Seg(0.0, 1.0, (Term(2e-300),), -1.0),)
-        assert so.scale_op(so.from_atoms([(1e-30, 1.0)]), 1e-300).is_zero()
+        assert S.segs == (Seg(0.0, 1.0, (Term(2e-300),), -1.0),
+                          Seg(1.0, 2.0, (Term(5e-324),), -1.0))
+        assert so.scale_op(so.from_atoms([(1e-30, 1.0)]), 1e-300).segs \
+            == (Seg(0.0, 1.0, (Term(5e-324),)),)
 
 
 class TestSubnormalPhase:
@@ -510,10 +516,14 @@ class TestSubnormalPhase:
     def test_scaling_by_a_subnormal(self):
         T = so.from_atoms([(1.0, 0.5), (-0.5j, 0.5)])
         S = so.scale_op(T, 5e-324 + 5e-324j)
-        # the second coefficient underflows and its segment is dropped
-        (seg,) = S.segs
-        assert abs(abs(seg.phase) - 1.0) <= 1e-15
-        assert seg.phase.real == seg.phase.imag > 0.0
+        # the second coefficient underflows to the least float, and its
+        # segment keeps the phase -1j (1 + 1j) / |1 + 1j|
+        a, b = S.segs
+        assert a.terms == b.terms == (Term(5e-324),)
+        for seg in S.segs:
+            assert abs(abs(seg.phase) - 1.0) <= 1e-15
+        assert a.phase.real == a.phase.imag > 0.0
+        assert b.phase.real == -b.phase.imag > 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(z=st.complex_numbers(min_magnitude=2.3e-308, max_magnitude=1e300,
