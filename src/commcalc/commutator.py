@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from . import decfun as df
 from . import modules as md
@@ -582,81 +581,3 @@ def _attach_block_data(T, dec, K=40):
                                        for k in pair):
             return dec
     return dec
-
-
-# ---------------------------------------------------------------------------
-# auxiliary criteria
-
-
-def dfww_discrete_test(lambdas, I_d, tail=None, K=40):
-    """Cesaro-mean test for sequences against a discrete module.
-
-    A cross-check used only by tests: the discrete (type I) form of the
-    criterion, the Dykema-Figiel-Weiss-Wodzicki theorem that a normal
-    diag(lambda) in I lies in [I, B(H)] exactly when the Cesaro means
-    (lambda_1 + ... + lambda_n) / n stay within I.
-
-    lambdas: finite list of complex values with nonincreasing modulus;
-    tail: optional (coeff, gamma) continuing |lambda_k| = coeff*k^-gamma
-    beyond the list (positive reals assumed for the tail).  The tail's
-    block sums at mid scale are integral estimates; past the samples the
-    means follow their exact class (mean_term, plus |S_oo| / k with the
-    series sum S_oo, a Hurwitz zeta value, counted as 0 at float noise).
-    """
-    n0 = len(lambdas)
-    mods = [abs(z) for z in lambdas]
-    if any(b > a + 1e-12 for a, b in zip(mods, mods[1:])):
-        raise DomainError("sequence modulus must be nonincreasing")
-    S = 0.0
-    samples = []
-    for k, z in enumerate(lambdas, start=1):
-        S += z
-        req = max(0.0, abs(S) / k - abs(z))
-        samples.append((float(k), req))
-    if tail is None:
-        # past the list the means are S / k exactly
-        ends = (Term(abs(S), 1.0),) if S else ()
-    else:
-        c, g = tail
-        Sn = S
-        prev = float(n0)
-        for i in range(1, K + 1):
-            ell = float(n0) * 2.0 ** i
-            # integral midpoint estimate of the block sum
-            if g == 1.0:
-                Sn += c * math.log(ell / prev)
-            else:
-                Sn += c * (ell ** (1 - g) - prev ** (1 - g)) / (1 - g)
-            lam_ell = c * ell ** -g
-            samples.append((ell, max(0.0, abs(Sn) / ell - lam_ell)))
-            prev = ell
-        # |S + sum_{k > n0} c k^-g|, float noise flushed to 0
-        S_oo = _clean_samples([(1.0, -c * special.zeta(g, n0 + 1))], S)[0][1] \
-            if g > 1.0 else 0.0
-        ends = ((Term(S_oo, 1.0),) if S_oo else ()) \
-            + (df.mean_term((g, 0.0, c)),)
-    if not ends and all(v == 0.0 for _, v in samples):
-        return member(WitnessCertificate(h_b=df.zero()), "Cesaro means vanish")
-    h = df.envelope_majorant(samples, INF, tail=ends)
-    v = md.contains(I_d, h)
-    if v.answer == "yes":
-        return member(WitnessCertificate(h_b=h), v.reason)
-    worst = max(samples, key=lambda tv: tv[1])
-    return not_member({"side": "b", "r": worst[0],
-                       "required": worst[1], "reason": v.reason})
-
-
-def necessary_h(T, parts):
-    """The explicit necessary bound from an N-term decomposition.
-
-    A cross-check used only by tests of the necessity half of the paper's
-    characterization of [I, J]: T = sum of N commutators [A_j, B_j] obeys
-    |tau(T E(mu_s, mu_r])| <= r h(r) + s h(s) with this h, which lies in
-    mu(IJ); parts lists the pairs (mu(A_j), mu(B_j)).
-    """
-    N = len(parts)
-    h = df.scale_fun(so.mu(T), 8.0 * N + 2.0)
-    for muA, muB in parts:
-        prod = df.combine(muA, muB, "product")
-        h = df.combine(h, df.scale_fun(prod, 16.0 * N + 4.0), "sum")
-    return h

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from itertools import count, repeat
 
 import numpy as np
-from scipy import optimize
 
 INF = math.inf
 
@@ -118,9 +117,11 @@ def _check_log_guard(seg):
     for term in seg.terms:
         # log(t/scale) must keep one sign on [lo, hi)
         if term.logpow and seg.lo / term.scale < 1.0 < seg.hi / term.scale:
-            raise DomainError(
-                "log-power segment [%g, %g) straddles its scale %g"
-                % (seg.lo, seg.hi, term.scale))
+            raise DomainError("log-power segment [%g, %g) straddles its"
+                              " scale %g" % (seg.lo, seg.hi, term.scale))
+        if term.logpow > 0.0 and term.scale in (seg.lo, seg.hi):
+            raise DomainError("log-power segment [%g, %g) has a pole at its"
+                              " scale %g" % (seg.lo, seg.hi, term.scale))
 
 
 @dataclass(frozen=True)
@@ -577,8 +578,8 @@ def mean_term(dom):
 
 
 def _term_integral(tm, lo, hi):
-    """Integral of coeff*(t/s)^-g*|log(t/s)|^-d over (lo, hi), a band on one
-    side of s, for every term in closed form: a power, a log or an
+    """Integral of coeff*(t/s)^-g*|log(t/s)|^-d over (lo, hi) in closed
+    form, a log band across s by its two sides: a power, a log or an
     incomplete Gamma (DLMF 8).  Past the float range: OverflowError."""
     c, g, d, s = tm.coeff, tm.pow, tm.logpow, tm.scale
     if d == 0.0:
@@ -594,7 +595,11 @@ def _term_integral(tm, lo, hi):
             return cc * lo ** e * math.expm1(e * L) / e
         hi_part = 0.0 if (hi == INF and e < 0.0) else hi ** e
         return cc * (hi_part - lo ** e) / e
+    if lo < s < hi:
+        return _term_integral(tm, lo, s) + _term_integral(tm, s, hi)
     if g == 1.0:
+        if d >= 1.0 and s in (lo, hi):
+            return math.copysign(INF, c)  # divergent at t = s
         # substitute u = log(t/s); u keeps constant sign on the segment
         u1 = math.log(lo / s) if lo > 0.0 else -INF
         u2 = math.log(hi / s) if hi < INF else INF
@@ -730,6 +735,7 @@ def integral(f, a, b):
 
 def dominated_by(f, g):
     """Least C with f <= C*g pointwise, or None when no finite C exists."""
+    from scipy import optimize
     if f.domain_hi != g.domain_hi:
         raise DomainError("mixed domains")
     if f.is_zero():

@@ -38,8 +38,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import decfun as df
 from .decfun import INF, DomainError, Seg, Term
 
@@ -350,38 +348,6 @@ def trace(T):
 # structural operations
 
 
-def _discretize_seg(seg):
-    """Left-endpoint steps, 16 per octave, majorizing a segment."""
-    if seg.is_const():
-        return [seg]
-    lo = seg.lo
-    hi = seg.hi
-    if lo == 0.0:
-        lo = min(hi, 1.0) * 2.0 ** -60
-    if hi == INF:
-        hi = max(lo, 1.0) * 2.0 ** 60
-    n = max(2, int(math.ceil(math.log2(hi / lo) * 16)) + 1)
-    cuts = list(np.geomspace(lo, hi, n))
-    cuts[0], cuts[-1] = seg.lo, seg.hi
-    out = []
-    for a_, b_ in zip(cuts, cuts[1:]):
-        t_ref = a_ if a_ > 0 else b_ / 2.0
-        v = seg.value(t_ref)
-        out.append(Seg(a_, b_, (Term(v),), seg.phase))
-    return out
-
-
-def oplus(S, T):
-    """Direct sum: decreasing rearrangement of the disjoint union."""
-    if S.factor_type != T.factor_type:
-        raise DomainError("mixed factor types")
-    atoms = [(p.phase * sum(tm.coeff for tm in p.terms), p.hi - p.lo)
-             for op in (S, T) for seg in op.segs
-             for p in _discretize_seg(seg)]
-    # the ambient semifinite model hosts both summands
-    return from_atoms(atoms, II_INF) if atoms else zero_op(II_INF)
-
-
 def scale_op(T, alpha):
     if alpha == 0:
         return zero_op(T.factor_type)
@@ -451,21 +417,3 @@ def split_fs_b(T):
         raise DomainError("split_fs_b needs the semifinite model")
     cut = edge(mu(T), 1.0)
     return truncate(T, cut), BoundedPart(T, cut)
-
-
-def re_im(T):
-    """Profiles of the real and imaginary parts (phases +-1)."""
-    parts = []
-    for pick in (lambda z: z.real, lambda z: z.imag):
-        atoms = []
-        for seg in T.segs:
-            coef = pick(seg.phase)
-            if coef == 0.0:
-                continue
-            for p in _discretize_seg(seg):
-                v = abs(coef) * sum(tm.coeff for tm in p.terms)
-                if v:
-                    atoms.append((math.copysign(1.0, coef) * v, p.hi - p.lo))
-        parts.append(from_atoms(atoms, T.factor_type) if atoms
-                     else zero_op(T.factor_type))
-    return parts[0], parts[1]

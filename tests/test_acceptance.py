@@ -13,6 +13,7 @@ from commcalc import commutator as cm
 from commcalc import decfun as df
 from commcalc import matrix_oracle as mo
 from commcalc import modules as md
+from commcalc import paperchecks as pc
 from commcalc import specop as so
 from commcalc.decfun import INF, Seg, Term
 
@@ -48,7 +49,7 @@ class TestDirectSumFormula:
                                exact_phase=True)
             T = random_step_op(rng, int(rng.integers(2, 6)),
                                exact_phase=True)
-            R = so.oplus(S, T)
+            R = pc.oplus(S, T)
             mR, mS, mT = so.mu(R), so.mu(S), so.mu(T)
             total = df.support_hi(mR)
             for a in rng.uniform(0.05, 1.3 * total, size=5):
@@ -248,7 +249,7 @@ class TestBumpMachinery:
 
     @pytest.mark.parametrize("r,s", [(1.0, 4.0), (0.1, 10.0), (2.0, 100.0)])
     def test_bump_pair(self, r, s):
-        rep = br.bump_suite(r, s, grid=400)
+        rep = pc.bump_suite(r, s, grid=400)
         assert rep["pass"]
         assert rep["phi_range_margin"] >= -1e-12
         assert rep["phi_plateau_err"] <= 1e-9
@@ -262,7 +263,7 @@ class TestBumpMachinery:
         assert rep["laplacian_min"] >= -1e-6
 
     def test_c0_reproducible(self):
-        vals = [br.BumpSpec().C0 for _ in range(2)]
+        vals = [pc.BumpSpec().C0 for _ in range(2)]
         assert abs(vals[0] - vals[1]) <= 1e-8
         assert math.isfinite(vals[0])
         assert abs(vals[0] - self.C0_PINNED) <= 1e-8

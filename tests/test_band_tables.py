@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from commcalc import cli
 from commcalc import commutator as cm
 from commcalc import decfun as df
+from commcalc import paperchecks as pc
 from commcalc import serialize as sz
 from commcalc import specop as so
 from commcalc.decfun import INF, DomainError, Seg, Term
@@ -34,7 +35,7 @@ ROADMAP_OP = [Seg(0.0, 1.0, (Term(1.0, 0.5),)),
               Seg(1.0, INF, (Term(1.0, 0.6),))]
 # 1,280 left-endpoint steps of t^-0.6 on (0, 2^20), then t^-0.6 itself:
 # the many-segment operator that the explicit bands run over
-STAIRCASE = so._discretize_seg(Seg(0.0, 2.0 ** 20, (Term(1.0, 0.6),))) \
+STAIRCASE = pc._discretize_seg(Seg(0.0, 2.0 ** 20, (Term(1.0, 0.6),))) \
     + [Seg(2.0 ** 20, INF, (Term(1.0, 0.6),))]
 BY_SCALE = [(2.0 ** -20, 1.0), (0.5, 2.0), (1.0, 2.0 ** 10),
             (2.0 ** -3, 2.0 ** 40), (3.0, 7.5), (2.0 ** -10, 2.0 ** 59)]

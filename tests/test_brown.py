@@ -7,6 +7,7 @@ from commcalc import brown as br
 from commcalc import commutator as cm
 from commcalc import decfun as df
 from commcalc import modules as md
+from commcalc import paperchecks as pc
 from commcalc import specop as so
 
 
@@ -138,23 +139,23 @@ class TestPhi:
 
 class TestFkDet:
     def test_zero_operator(self):
-        assert br.fk_det(so.zero_op()) == 1.0
+        assert pc.fk_det(so.zero_op()) == 1.0
 
     def test_single_atom(self):
         T = so.from_atoms([(1.0, 1.0)])
-        assert abs(br.fk_det(T) - 2.0) < 1e-12
+        assert abs(pc.fk_det(T) - 2.0) < 1e-12
         T2 = so.from_atoms([(-0.5, 2.0)])
-        assert abs(br.fk_det(T2) - 0.25) < 1e-12
+        assert abs(pc.fk_det(T2) - 0.25) < 1e-12
 
     def test_eigenvalue_minus_one(self):
         T = so.from_atoms([(-1.0, 1.0), (0.5, 1.0)])
-        assert br.fk_det(T) == 0.0
+        assert pc.fk_det(T) == 0.0
 
     def test_divergent_tail(self):
         T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0, 0.5),))],
                        validate=False)
         with pytest.raises(df.DomainError):
-            br.fk_det(T)
+            pc.fk_det(T)
 
     @pytest.mark.filterwarnings(
         "ignore::scipy.integrate.IntegrationWarning")
@@ -163,8 +164,8 @@ class TestFkDet:
         T = so.make_op([df.Seg(0.0, df.INF, (df.Term(1.0, 0.75),))],
                        validate=False)
         with pytest.raises(df.DomainError):
-            br.fk_det(T, mode="I+T")
-        v = br.fk_det(T, mode="g_k", k=1)
+            pc.fk_det(T, mode="I+T")
+        v = pc.fk_det(T, mode="g_k", k=1)
         assert math.isfinite(v) and v > 0.0
 
     def test_gk_matches_direct_value(self):
@@ -172,7 +173,7 @@ class TestFkDet:
         z = 0.3 + 0.4j
         T = so.from_atoms([(z, 1.5)])
         want = abs((1.0 - z) * np.exp(z)) ** 1.5
-        assert abs(br.fk_det(T, mode="g_k", k=1) - want) < 1e-10
+        assert abs(pc.fk_det(T, mode="g_k", k=1) - want) < 1e-10
 
     def test_log_additivity_disjoint_blocks(self):
         # profiles on disjoint scale blocks: log-determinants add
@@ -183,10 +184,10 @@ class TestFkDet:
             s1 = df.Seg(0.0, cut, (df.Term(h1),))
             s2 = df.Seg(cut, cut + 1.0, (df.Term(h2),), -1.0)
             both = so.make_op([s1, s2])
-            d1 = br.fk_det(so.make_op([s1]))
-            d2 = br.fk_det(so.make_op(
+            d1 = pc.fk_det(so.make_op([s1]))
+            d2 = pc.fk_det(so.make_op(
                 [df.Seg(0.0, 1.0, (df.Term(h2),), -1.0)]))
-            assert abs(br.fk_det(both) - d1 * d2) < 1e-9
+            assert abs(pc.fk_det(both) - d1 * d2) < 1e-9
 
 
 class TestCertificates:
@@ -263,29 +264,29 @@ class TestMemberF:
 
 class TestApproxNilpotent:
     def test_vanishing_measure_member(self):
-        dec = br.approx_nilpotent(br.BrownMeasure(((0.0, 5.0),)), md.Lp(1.0))
+        dec = pc.approx_nilpotent(br.BrownMeasure(((0.0, 5.0),)), md.Lp(1.0))
         assert dec.answer == "member"
 
     def test_unstable_module_inconclusive(self):
         I = md.Principal(df.const(1.0))
-        dec = br.approx_nilpotent(br.BrownMeasure(), I)
+        dec = pc.approx_nilpotent(br.BrownMeasure(), I)
         assert dec.answer == "inconclusive"
 
     def test_nonzero_measure_rejected(self):
         with pytest.raises(df.DomainError):
-            br.approx_nilpotent(br.BrownMeasure(((1.0, 1.0),)), md.Lp(1.0))
+            pc.approx_nilpotent(br.BrownMeasure(((1.0, 1.0),)), md.Lp(1.0))
 
 
 class TestBasicProps:
     def test_cancelling_pair(self):
         T = so.from_atoms([(2.0, 0.5), (1.0, 1.0)])
-        rep = br.basicprops_check([T, so.scale_op(T, -1.0)], 0.5, 4.0)
+        rep = pc.basicprops_check([T, so.scale_op(T, -1.0)], 0.5, 4.0)
         assert rep["qadditive"] is not None and rep["qadditive"] >= 0.0
         assert all(m >= -1e-12 for m in rep["qmult"])
 
     def test_self_adjoint_real_part(self):
         T = so.from_atoms([(2.0, 0.5), (-1.0, 1.0)])
-        rep = br.basicprops_check([T], 0.25, 8.0)
+        rep = pc.basicprops_check([T], 0.25, 8.0)
         assert all(m >= -1e-12 for m in rep["realpart"])
         assert all(m >= -1e-12 for m in rep["imagpart"])
 
@@ -294,7 +295,7 @@ class TestBasicProps:
         for _ in range(10):
             nu = random_atomic(rng, n=3)
             T = br.normal_model(nu)
-            rep = br.basicprops_check([T], 0.5, 4.0)
+            rep = pc.basicprops_check([T], 0.5, 4.0)
             for key in ("qmult", "realpart", "imagpart"):
                 assert all(m >= -1e-9 for m in rep[key])
 
@@ -304,21 +305,21 @@ C0_PINNED = 26.815544003268467
 
 class TestBump:
     def test_c0_regression(self):
-        assert abs(br.default_bump().C0 - C0_PINNED) < 1e-8
+        assert abs(pc.default_bump().C0 - C0_PINNED) < 1e-8
 
     def test_requires_separated_scales(self):
         with pytest.raises(df.DomainError):
-            br.BumpFunctions(1.0, 2.0)
+            pc.BumpFunctions(1.0, 2.0)
 
     def test_psi_vanishes_below_r(self):
-        bf = br.BumpFunctions(1.0, 4.0)
+        bf = pc.BumpFunctions(1.0, 4.0)
         for rad in (0.1, 0.5, 0.99):
             for th in (0.0, 1.0, 3.0):
                 assert abs(float(bf.psi(rad * math.cos(th),
                                         rad * math.sin(th)))) < 1e-15
 
     def test_plateau(self):
-        bf = br.BumpFunctions(1.0, 4.0)
+        bf = pc.BumpFunctions(1.0, 4.0)
         taus = np.linspace(0.5, math.log(4.0), 50)
         assert np.max(np.abs(bf.phi(taus) - 1.0)) < 1e-12
         outside = np.concatenate([np.linspace(-3.0, -1e-9, 20),
@@ -327,14 +328,14 @@ class TestBump:
         assert np.max(np.abs(bf.phi(outside))) < 1e-12
 
     def test_psi_upper_on_axis(self):
-        bf = br.BumpFunctions(1.0, 4.0)
+        bf = pc.BumpFunctions(1.0, 4.0)
         x = 16.0
         v = float(bf.psi(x, 0.0))
         assert 0.0 <= v <= C0_PINNED * (math.log(16.0) + 4.0 * math.log(4.0))
 
     @pytest.mark.parametrize("r,s", [(1.0, 4.0), (0.1, 10.0), (2.0, 100.0)])
     def test_suite_passes(self, r, s):
-        rep = br.bump_suite(r, s, grid=200)
+        rep = pc.bump_suite(r, s, grid=200)
         assert rep["pass"], rep
         assert rep["laplacian_min"] >= -1e-6
         assert rep["psi_lower_margin"] >= -1e-9

@@ -86,6 +86,27 @@ class TestInputErrors:
         assert err.startswith("commcalc: query.module_I.gen[0].logscale:")
         assert "Traceback" not in err and err.count("\n") == 1
 
+    # a log term whose scale is a segment end has a pole there, which the
+    # monotonicity probes inside the segment never reach
+    @pytest.mark.parametrize("segs, p, command", [
+        (((0.0, 1.0, 2.0, 0.0, 0.0), (1.0, 2.0, 1.0, 0.0, 0.001)), 1.0,
+         cmd) for cmd in ("mu", "member")] + [
+        (((0.0, 1.0, 5e-324, 1.5, 1.0), (1.0, 3.0, 5e-324, -0.5, 0.5)), 0.5,
+         cmd) for cmd in ("member", "witness")])
+    def test_log_pole_at_a_segment_end(self, capsys, tmp_path, segs, p,
+                                       command):
+        op = {"factor_type": "II_inf", "segments": [
+            {"lo": lo, "hi": hi, "coeff": c, "pow": g, "logpow": d,
+             "phase_re": 1.0, "phase_im": 0.0} for lo, hi, c, g, d in segs]}
+        path = write_query(tmp_path, operator=op,
+                           module_I=sz.module_to_json(md.Lp(p)))
+        code, out, err = run(capsys, [command, "--input", path,
+                                      "--out", str(tmp_path / "out")])
+        assert code == 1 and out == ""
+        assert err.startswith("commcalc: query.operator: log-power segment")
+        assert "has a pole at its scale 1" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_zero_coefficient_record_is_validated(self, capsys, tmp_path):
         op = sz.op_to_json(pair_op())
         op["segments"].append({"lo": 5.0, "hi": 6.0, "phase_re": 1.0,

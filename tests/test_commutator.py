@@ -9,6 +9,7 @@ from commcalc import cli
 from commcalc import commutator as cm
 from commcalc import decfun as df
 from commcalc import modules as md
+from commcalc import paperchecks as pc
 from commcalc import specop as so
 
 
@@ -419,28 +420,28 @@ class TestFdhCertificate:
 
 class TestDiscreteTest:
     def test_alternating_pair(self):
-        dec = cm.dfww_discrete_test([1.0, -1.0], md.Lp(1.0))
+        dec = pc.dfww_discrete_test([1.0, -1.0], md.Lp(1.0))
         assert dec.answer == "member"
 
     def test_harmonic_not_member(self):
-        dec = cm.dfww_discrete_test([1.0], md.Lp(1.0), tail=(1.0, 1.0))
+        dec = pc.dfww_discrete_test([1.0], md.Lp(1.0), tail=(1.0, 1.0))
         assert dec.answer == "not_member"
 
     def test_harmonic_in_L2(self):
-        dec = cm.dfww_discrete_test([1.0], md.Lp(2.0), tail=(1.0, 1.0))
+        dec = pc.dfww_discrete_test([1.0], md.Lp(2.0), tail=(1.0, 1.0))
         assert dec.answer == "member"
 
     def test_monotonicity_guard(self):
         with pytest.raises(df.DomainError):
-            cm.dfww_discrete_test([0.5, 1.0], md.Lp(1.0))
+            pc.dfww_discrete_test([0.5, 1.0], md.Lp(1.0))
 
     def test_balanced_tail(self):
         # lambda_1 = 1 - zeta(2) cancels the tail k^-2, k >= 2: the sums
         # tend to 0, the means are ~ 1/k^2 and lie in l^1
         lam = 1.0 - math.pi ** 2 / 6.0
-        dec = cm.dfww_discrete_test([lam], md.Lp(1.0), tail=(1.0, 2.0))
+        dec = pc.dfww_discrete_test([lam], md.Lp(1.0), tail=(1.0, 2.0))
         assert dec.answer == "member"
-        dec = cm.dfww_discrete_test([lam - 1e-3], md.Lp(1.0), tail=(1.0, 2.0))
+        dec = pc.dfww_discrete_test([lam - 1e-3], md.Lp(1.0), tail=(1.0, 2.0))
         assert dec.answer == "not_member"
 
 
@@ -449,7 +450,7 @@ class TestNecessaryH:
         T = so.from_atoms([(1.0, 1.0)])
         muA = df.step_fun([(1.0, 2.0)])
         muB = df.step_fun([(1.0, 3.0)])
-        h = cm.necessary_h(T, [(muA, muB)])
+        h = pc.necessary_h(T, [(muA, muB)])
         # 10*mu(T) + 20*muA*muB on (0,1)
         assert abs(h(0.5) - (10.0 + 120.0)) < 1e-12
         assert h(2.0) == 0.0
@@ -457,7 +458,7 @@ class TestNecessaryH:
     def test_two_parts(self):
         T = so.from_atoms([(1.0, 1.0)])
         muA = df.step_fun([(1.0, 1.0)])
-        h = cm.necessary_h(T, [(muA, muA), (muA, muA)])
+        h = pc.necessary_h(T, [(muA, muA), (muA, muA)])
         assert abs(h(0.5) - (18.0 + 2 * 36.0)) < 1e-12
 
 

@@ -202,6 +202,30 @@ class TestIntegral:
             assert df.integral(f, lo, hi).hex() == whole
             assert df._seg_integral(terms, lo, hi).hex() == seg
 
+    # a log band across its scale is its two sides; it read 0.0 when one
+    # side's closed form took the whole band
+    @pytest.mark.parametrize("g", [0.5, 0.0, 1.0])
+    def test_log_band_across_its_scale(self, g):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.quad(
+                lambda t: t ** -g * abs(mpmath.log(t)) ** -0.5, [0.5, 1, 2]))
+        tm = df.Term(1.0, g, 0.5)
+        f = df.make([df.Seg(0.5, 2.0, (tm,))], validate=False)
+        for v in (df._term_integral(tm, 0.5, 2.0), df.integral(f, 0.5, 2.0)):
+            assert abs(v - ref) <= 1e-15 * ref
+
+    # |log(t/s)|^-d with d >= 1 is not integrable at t = s: a band across
+    # s or with an edge on it is infinite, with c's sign (for g = 1 such a
+    # band read a finite value or raised)
+    @pytest.mark.parametrize("c, g, d, lo, hi", [
+        (c, g, d, lo, hi) for c in (1.0, -1.0) for g in (1.0, 0.5)
+        for d in (1.0, 1.5)
+        for lo, hi in ((0.5, 2.0), (0.5, 1.0), (1.0, 2.0))])
+    def test_log_band_divergent_at_its_scale(self, c, g, d, lo, hi):
+        v = df._term_integral(df.Term(c, g, d), lo, hi)
+        assert v == math.copysign(df.INF, c)
+
     NEAR_ONE = [1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-6]
 
     @pytest.mark.parametrize("g, lo, hi", [

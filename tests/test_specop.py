@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commcalc import decfun as df
+from commcalc import paperchecks as pc
 from commcalc import specop as so
 from commcalc.decfun import INF, DomainError, Seg, Term
 
@@ -157,20 +158,20 @@ class TestOplus:
     def test_concat(self):
         S = so.from_atoms([(3.0, 1.0)])
         T = so.from_atoms([(2j, 2.0)])
-        R = so.oplus(S, T)
+        R = pc.oplus(S, T)
         m = so.mu(R)
         assert m(0.5) == 3.0 and m(2.0) == 2.0
 
     def test_same_atom(self):
         S = so.from_atoms([(1.0, 1.0)])
-        R = so.oplus(S, S)
+        R = pc.oplus(S, S)
         assert so.mu(R)(1.5) == 1.0 and so.mu(R)(2.5) == 0.0
 
     def test_trace_additivity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             S, T = random_step_op(rng), random_step_op(rng)
-            assert abs(so.trace(so.oplus(S, T)) -
+            assert abs(so.trace(pc.oplus(S, T)) -
                        (so.trace(S) + so.trace(T))) < 1e-9
 
     def test_direct_sum_formula(self):
@@ -178,7 +179,7 @@ class TestOplus:
         rng = np.random.default_rng(4)
         for _ in range(20):
             S, T = random_step_op(rng), random_step_op(rng)
-            R = so.oplus(S, T)
+            R = pc.oplus(S, T)
             mS, mT, mR = so.mu(S), so.mu(T), so.mu(R)
             for a in np.linspace(0.05, 6.0, 8):
                 grid = set(np.linspace(0.0, a, 129))
@@ -267,21 +268,21 @@ class TestSplit:
 class TestReIm:
     def test_self_adjoint(self):
         T = so.from_atoms([(1.0, 1.0), (-2.0, 1.0)])
-        re, im = so.re_im(T)
+        re, im = pc.re_im(T)
         assert im.is_zero()
         assert so.mu(re)(0.5) == 2.0
 
     def test_complex_atom(self):
         z = 3.0 + 4.0j
         T = so.from_atoms([(z, 1.0)])
-        re, im = so.re_im(T)
+        re, im = pc.re_im(T)
         # phase (3+4i)/5: real coeff 3/5 of modulus 5
         assert close(so.mu(re)(0.5), 3.0)
         assert close(so.mu(im)(0.5), 4.0)
 
     def test_orthogonal_atoms(self):
         T = so.from_atoms([(1.0, 1.0), (1j, 1.0)])
-        re, im = so.re_im(T)
+        re, im = pc.re_im(T)
         assert so.mu(re)(0.5) == 1.0 and so.mu(re)(1.5) == 0.0
         assert so.mu(im)(0.5) == 1.0 and so.mu(im)(1.5) == 0.0
 
@@ -289,7 +290,7 @@ class TestReIm:
         rng = np.random.default_rng(6)
         for _ in range(10):
             T = random_step_op(rng)
-            re, im = so.re_im(T)
+            re, im = pc.re_im(T)
             tr = so.trace(T)
             assert close(so.trace(re).real, tr.real, tol=1e-9)
             assert close(so.trace(im).real, tr.imag, tol=1e-9)
