@@ -27,8 +27,11 @@ A member of [I, J] in II_inf carries the alpha/beta block data of the
 first witness scaling 2^j, j < SCALINGS, that passes (_attach_block_data).
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -384,56 +387,78 @@ def member_F_plus(T, I):
 # the beta construction
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_masks(n):
+    """The n x n masks of the pairs k < ell and of the others, read-only,
+    built once per n."""
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    lower = ~upper
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
+@functools.lru_cache(maxsize=8)
+def _dyadic_points(K):
+    """2^n for -K <= n <= K, at index n + K: the floats of
+    df.dyadic_grid(-K, K, 1), built once per K."""
+    return tuple(2.0 ** n for n in range(-K, K + 1))
+
+
 def beta_sequence(alpha, phi, K):
     """Feasible beta_0 interval and a beta sequence from real alpha data.
 
     alpha: map n -> real for -K <= n <= K; phi: decreasing positive PLFun.
-    Raises when the summed-block hypothesis fails.
+    Raises when the summed-block hypothesis fails.  The data for n are at
+    list index n + K.
     """
-    idx = list(range(-K, K + 1))
-    a = {n: float(alpha.get(n, 0.0)) for n in idx}
-    phival = {n: phi(2.0 ** n) for n in idx}
-    # prefix sums P[m] = sum_{j=-K}^{m-1} 2^j a_j
-    P = {-K: 0.0}
-    for n in idx:
-        P[n + 1] = P[n] + 2.0 ** n * a[n]
-    # |P[ell] - P[k]| <= 2^k phi(2^k) + 2^ell phi(2^ell) for all k < ell,
-    # at [k + K, ell + K]; float64 ops are the scalar ones, and numpy's
-    # overflow and nan warnings are silenced as float arithmetic's are
-    Pn = np.array([P[n] for n in idx])
-    w = np.array([2.0 ** n * phival[n] for n in idx])
+    idx = range(-K, K + 1)
+    two = _dyadic_points(K)
+    a = [float(alpha.get(n, 0.0)) for n in idx]
+    phival = list(map(phi, two))
+    # prefix sums P[m + K] = sum_{j=-K}^{m-1} 2^j a_j, and w_n = 2^n phi(2^n)
+    P = list(accumulate(map(operator.mul, two, a), initial=0.0))
+    w = list(map(operator.mul, two, phival))
+    # |P[ell] - P[k]| <= w_k + w_ell for all k < ell, at [k + K, ell + K];
+    # float64 ops are the scalar ones, and numpy's overflow and nan
+    # warnings are silenced as float arithmetic's are
+    Pn, wn = np.array(P[:-1]), np.array(w)
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = np.triu(np.abs(Pn[None, :] - Pn[:, None])
-                      > (w[:, None] + w[None, :]) * (1.0 + 1e-9) + 1e-300, 1)
+        bad = (np.abs(Pn[None, :] - Pn[:, None])
+               > (wn[:, None] + wn[None, :]) * (1.0 + 1e-9) + 1e-300)
+    bad &= _pair_masks(len(idx))[0]
     if bad.any():
         k, ell = divmod(int(np.argmax(bad)), len(idx))  # row-major first
         raise DomainError(
             "summed-block bound violated at (%d, %d)" % (idx[k], idx[ell]))
-    lo, hi = -INF, INF
-    for mpos in range(1, K + 1):
-        S = 0.5 * (P[mpos + 1] - P[1])
-        w = 2.0 ** mpos * phival[mpos]
-        lo, hi = max(lo, S - w), min(hi, S + w)
-    for mneg in range(0, K + 1):
-        R = 0.5 * (P[1] - P[-mneg + 1])
-        w = 2.0 ** -mneg * phival[-mneg]
-        lo, hi = max(lo, -R - w), min(hi, -R + w)
+    # beta_0 within w_m of the block sums S_m (m = 1..K) and of -R_m
+    # (m = 0..K), in that order: max and min keep the first of equals and
+    # pass over a NaN as the running max(lo, x) and min(hi, x) do
+    P1 = P[K + 1]
+    S = [0.5 * (p - P1) for p in P[K + 2:]]
+    R = [0.5 * (P1 - p) for p in P[K + 1:0:-1]]
+    lo = max([-INF] + [x - y for x, y in zip(S, w[K + 1:])]
+             + [-x - y for x, y in zip(R, w[K::-1])])
+    hi = min([INF] + [x + y for x, y in zip(S, w[K + 1:])]
+             + [-x + y for x, y in zip(R, w[K::-1])])
     if lo > hi:
         if lo - hi <= 1e-9 * max(1.0, abs(lo), abs(hi)):
             lo = hi = 0.5 * (lo + hi)
         else:
             raise DomainError("empty feasible interval despite the "
                               "hypothesis; data inconsistent")
-    beta0 = 0.5 * (lo + hi)
-    beta = {0: beta0}
-    for n in range(1, K + 1):
-        beta[n] = 0.5 * (beta[n - 1] - a[n])
-    for n in range(0, -K, -1):
-        beta[n - 1] = 2.0 * beta[n] + a[n]
-    for n in beta:
-        if abs(beta[n]) > phival.get(n, INF) * (1.0 + 1e-9) + 1e-12:
+    # beta_n at index n + K, from beta_0 up to beta_K and down to beta_-K
+    beta = [0.0] * len(idx)
+    beta[K] = 0.5 * (lo + hi)
+    for i in range(K + 1, 2 * K + 1):
+        beta[i] = 0.5 * (beta[i - 1] - a[i])
+    for i in range(K, 0, -1):
+        beta[i - 1] = 2.0 * beta[i] + a[i]
+    # in the order beta_0, ..., beta_K, beta_-1, ..., beta_-K
+    order = [*range(0, K + 1), *range(-1, -K - 1, -1)]
+    for n in order:
+        if abs(beta[n + K]) > phival[n + K] * (1.0 + 1e-9) + 1e-12:
             raise DomainError("beta bound violated at n=%d" % n)
-    return (lo, hi), beta
+    return (lo, hi), {n: beta[n + K] for n in order}
 
 
 def fdh_certificate(T, h, K=40):
@@ -463,22 +488,21 @@ def _certificate_table(T, K):
     m = so.mu(T)
     if df.limit_at_inf(m) > 0.0:
         raise DomainError("certificate requires vanishing singular values")
-    pts = df.dyadic_grid(-K, K, 1)
+    pts = _dyadic_points(K)
     edges = list(so.edges(m, pts))
     bands = list(zip(edges, edges[1:]))
     ints = so.integrate_bands(T, bands)
-    cumul = [0.0 + 0.0j]
-    for v in ints:
-        cumul.append(cumul[-1] + v)
-    # abs(cj - ci) for every pair: the libm hypot that abs() calls (numpy's
-    # complex abs rounds differently), and abs()'s error where it overflows
-    c = np.array(cumul)
+    # abs(cj - ci) for every pair of running sums: the libm hypot that
+    # abs() calls (numpy's complex abs rounds differently), and abs()'s
+    # error where it overflows
+    c = np.array(list(accumulate(ints, initial=0.0 + 0.0j)))
     with np.errstate(over="ignore", invalid="ignore"):
         diff = c[None, :] - c[:, None]
         lhs = np.hypot(diff.real, diff.imag)
-    if np.isinf(lhs[np.isfinite(diff)]).any():
+    inf = np.isinf(lhs)
+    if inf.any() and (inf & np.isfinite(diff)).any():
         raise OverflowError("absolute value too large")
-    lhs[np.tril_indices(len(cumul))] = -INF
+    lhs[_pair_masks(len(c))[1]] = -INF
     # a block band is its edge band where both edges are its own scales:
     # the same pair of floats, so the same integral
     blocks = list(zip(pts, pts[1:]))

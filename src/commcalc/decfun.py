@@ -22,6 +22,8 @@ import numpy as np
 INF = math.inf
 
 MONOTONE_RTOL = 1e-9  # a rise _check_monotone forgives as float noise
+MONOTONE_ATOL = 4 * math.ulp(0.0)  # and the rounding of subnormal sums
+PROBE_CACHE = 256  # probe ranges _probe_points keeps
 
 
 class DomainError(ValueError):
@@ -79,16 +81,8 @@ class Seg:
         return sum(term.value(t) for term in self.terms)
 
     def values(self, ts):
-        """[self.value(t) for t in ts], each term evaluated on all of ts at
-        once (Term.values); where a term fails or overflows, the list
-        above raises Term.value's error at the first such t."""
-        try:
-            cols = [term.values(ts) for term in self.terms]
-        except (ArithmeticError, ValueError):
-            cols = None
-        if cols is None or any(INF in map(abs, col) for col in cols):
-            return [self.value(t) for t in ts]
-        return list(map(sum, zip(*cols))) if cols else [0] * len(ts)
+        """[self.value(t) for t in ts] (_terms_values)."""
+        return _terms_values(self.terms, ts)
 
     def is_zero(self):
         return not self.terms
@@ -100,7 +94,24 @@ class Seg:
         return sum(term.coeff for term in self.terms)
 
 
+def _terms_values(terms, ts):
+    """[sum(tm.value(t) for tm in terms) for t in ts], each term evaluated
+    on all of ts at once (Term.values); where a term fails or overflows,
+    the list above raises Term.value's error at the first such t."""
+    try:
+        cols = [term.values(ts) for term in terms]
+    except (ArithmeticError, ValueError):
+        cols = None
+    if cols is None or any(INF in map(abs, col) for col in cols):
+        return [sum(tm.value(t) for tm in terms) for t in ts]
+    return list(map(sum, zip(*cols))) if cols else [0] * len(ts)
+
+
 def _merge_terms(terms):
+    """The terms with equal (pow, logpow, scale) summed, zero sums dropped,
+    in key order; terms already so come back as they are (_merged)."""
+    if _merged(terms):
+        return tuple(terms)
     out = {}
     for term in terms:
         if term.coeff == 0.0:
@@ -111,6 +122,22 @@ def _merge_terms(terms):
         Term(c, p, lp, s) for (p, lp, s), c in sorted(out.items()) if c != 0.0
     )
     return merged
+
+
+def _merged(terms):
+    """Whether _merge_terms leaves the terms as they are: Terms with float
+    coefficients, none 0 or NaN (0.0 + c is then c itself), in strictly
+    ascending key order (so no two merge and sorting moves none)."""
+    prev = None
+    for tm in terms:
+        c = tm.coeff
+        if type(tm) is not Term or type(c) is not float or not c or c != c:
+            return False
+        key = (tm.pow, tm.logpow, tm.scale)
+        if prev is not None and not prev < key:
+            return False
+        prev = key
+    return True
 
 
 def _check_log_guard(seg):
@@ -231,10 +258,16 @@ def make(segs, domain_hi=INF, validate=True):
 
 def normalize(segs):
     """Sorted by lo, empty intervals dropped, each segment's terms merged
-    and its phase kept: the pass that specop.make_op shares."""
-    return [Seg(seg.lo, seg.hi, _merge_terms(seg.terms), seg.phase)
-            for seg in sorted(segs, key=lambda s: s.lo)
-            if not seg.hi <= seg.lo]
+    and its phase kept: the pass that specop.make_op shares.  A segment
+    whose terms are already merged is kept as it is."""
+    out = []
+    for seg in sorted(segs, key=lambda s: s.lo):
+        if seg.hi <= seg.lo:
+            continue
+        terms = _merge_terms(seg.terms)
+        out.append(seg if terms is seg.terms and type(seg) is Seg
+                   else Seg(seg.lo, seg.hi, terms, seg.phase))
+    return out
 
 
 def tile(segs, domain_hi=INF, validate=True):
@@ -278,12 +311,16 @@ def _probe_ends(lo, hi):
     return None if a >= b else (a, b)
 
 
+@functools.lru_cache(maxsize=PROBE_CACHE)
 def _probe_points(lo, hi, n=17):
+    """n points spaced geometrically inside the probe range, as a tuple:
+    a profile and the profiles derived from it share segment ends, so a
+    range is probed again and again."""
     ends = _probe_ends(lo, hi)
     if ends is None:
-        return []
+        return ()
     a, b = ends
-    return np.geomspace(a * (1 + 1e-12), b * (1 - 1e-12), n).tolist()
+    return tuple(np.geomspace(a * (1 + 1e-12), b * (1 - 1e-12), n).tolist())
 
 
 def _value_or_inf(seg, t):
@@ -294,7 +331,20 @@ def _value_or_inf(seg, t):
         return INF
 
 
+def _ceiling(prev):
+    """The most a value may rise above prev and still count as no rise:
+    float noise relative to prev, and the rounding of a subnormal sum."""
+    return prev * (1 + MONOTONE_RTOL) + MONOTONE_ATOL
+
+
 def _check_monotone(f):
+    """Refuse f where a probe value rises above the value before it
+    (_ceiling) or lies below 0, naming the first such probe point.
+
+    A non-constant segment is evaluated at its probe points at once
+    (Seg.values); where that raises, the points are read one at a time, so
+    a probe that fails comes before a later one that raises, and a value
+    past the float range reads +inf."""
     prev = INF
     for seg in f.segs:
         hi = min(seg.hi, f.domain_hi)
@@ -302,20 +352,21 @@ def _check_monotone(f):
             ends = _probe_ends(seg.lo, hi)
             if ends is not None:
                 # every probe point sees v: the first compares it with
-                # prev, the others with v itself (fails when v < 0)
+                # prev, the second finds it below 0
                 v = seg.value(ends[0])
-                for i, ref in enumerate((prev, v)):
-                    if v > ref * (1 + MONOTONE_RTOL) + 1e-300:
+                for i, fails in enumerate((v > _ceiling(prev), v < 0.0)):
+                    if fails:
                         raise DomainError("not nonincreasing near t=%g"
                                           % _probe_points(seg.lo, hi)[i])
                 prev = v
         else:
-            # v against prev, then against itself as the constant branch
-            # compares it: a value below 0 fails
-            for t in _probe_points(seg.lo, hi):
-                v = _value_or_inf(seg, t)
-                if v > prev * (1 + MONOTONE_RTOL) + 1e-300 \
-                        or v > v * (1 + MONOTONE_RTOL) + 1e-300:
+            ts = _probe_points(seg.lo, hi)
+            try:
+                vs = seg.values(ts)
+            except Exception:
+                vs = map(functools.partial(_value_or_inf, seg), ts)
+            for t, v in zip(ts, vs):
+                if v > _ceiling(prev) or v < 0.0:
                     raise DomainError("not nonincreasing near t=%g" % t)
                 prev = v
         # junction: compare right limit of next seg against left value here
@@ -525,7 +576,8 @@ def scale_fun(f, c):
     if c < 0:
         raise DomainError("negative scalar")
     segs = [
-        Seg(s.lo, s.hi, tuple(replace(tm, coeff=tm.coeff * c) for tm in s.terms))
+        Seg(s.lo, s.hi, tuple(Term(tm.coeff * c, tm.pow, tm.logpow, tm.scale)
+                              for tm in s.terms))
         for s in f.segs
     ]
     return make(segs, f.domain_hi, validate=False)
@@ -705,6 +757,8 @@ def _log_upper(a, x):
 
 
 def _seg_integral(terms, lo, hi):
+    if len(terms) == 1:
+        return 0 + _term_integral(terms[0], lo, hi)  # sum() of one term
     return sum(_term_integral(tm, lo, hi) for tm in terms)
 
 
@@ -805,7 +859,10 @@ def least_decreasing_majorant(samples, domain_hi=INF, tail="hold"):
         run = max(run, v)
         sups.append(run)
     sups.reverse()
-    segs = [Seg(0.0, ts[0], (Term(sups[0]),) if sups[0] else ())]
+    # the segments as normalize leaves them, once the empty ones are
+    # dropped: ascending, each with the coefficient _merge_terms makes of
+    # its value; scales that do not ascend (a NaN) go through make
+    segs = [Seg(0.0, ts[0], (Term(0.0 + sups[0]),) if sups[0] else ())]
     for i in range(len(samples)):
         v = sups[i]
         if i + 1 < len(samples):
@@ -815,18 +872,20 @@ def least_decreasing_majorant(samples, domain_hi=INF, tail="hold"):
         else:
             # last sample still needs cover at its own point
             hi = min(ts[i] * (1 + 1e-9), domain_hi)
-        segs.append(Seg(ts[i], hi, (Term(v),) if v else ()))
-    return make(segs, domain_hi, validate=False)
+        segs.append(Seg(ts[i], hi, (Term(0.0 + v),) if v else ()))
+    if not all(map(operator.lt, ts, ts[1:])):
+        return make(segs, domain_hi, validate=False)
+    return tile([s for s in segs if not s.hi <= s.lo], domain_hi, False)
 
 
 def _scaled(terms, pairs):
     """The terms times the least c >= 1 keeping them >= v at each (t, v)."""
     c = 1.0
-    for t, v in pairs:
-        tv = sum(tm.value(t) for tm in terms)
+    for (t, v), tv in zip(pairs, _terms_values(terms, [t for t, _ in pairs])):
         if v > c * tv and tv > 0.0:
             c = v / tv
-    return tuple(replace(tm, coeff=tm.coeff * c) for tm in terms)
+    return tuple(Term(tm.coeff * c, tm.pow, tm.logpow, tm.scale)
+                 for tm in terms)
 
 
 def envelope_majorant(samples, domain_hi=INF, head=(), tail=(), reach=None,
@@ -852,12 +911,16 @@ def envelope_majorant(samples, domain_hi=INF, head=(), tail=(), reach=None,
     if head:
         steps = least_decreasing_majorant(samples[k:], domain_hi, mode)
         ends = _scaled(ends, samples[:k] + [(t, steps(t))])
-        segs = [Seg(0.0, t, ends)] + [replace(s, lo=max(s.lo, t))
-                                      for s in steps.segs if s.hi > t]
+        # replace(s, lo=max(s.lo, t)), and below replace(s, hi=min(s.hi,
+        # t)), built only where the segment changes
+        segs = [Seg(0.0, t, ends)] + [
+            Seg(t, s.hi, s.terms, s.phase) if t > s.lo else s
+            for s in steps.segs if s.hi > t]
     else:
         ends = _scaled(ends, samples[k:])
         top = (t, sum(tm.value(t) for tm in ends))
         steps = least_decreasing_majorant(samples[:k] + [top], domain_hi)
-        segs = [replace(s, hi=min(s.hi, t)) for s in steps.segs if s.lo < t]
+        segs = [Seg(s.lo, t, s.terms, s.phase) if t < s.hi else s
+                for s in steps.segs if s.lo < t]
         segs.append(Seg(t, domain_hi, ends))
     return make(segs, domain_hi, validate=False)

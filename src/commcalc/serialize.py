@@ -2,7 +2,9 @@
 spectral measures, and decisions.
 
 Every top-level document carries a mandatory schema_version field; parse
-errors name the offending path ("segments[2].coeff").
+errors name the offending path ("segments[2].coeff").  A path is a string,
+or a (list path, index) pair for a record in a list; its string is built
+only for an error (_at).
 """
 
 import math
@@ -22,25 +24,35 @@ class SchemaError(ValueError):
         super().__init__("%s: %s" % (path, msg))
 
 
-def _num(obj, path, allow_null_inf=False):
+def _at(path, key=None):
+    """The string of path, or of its field key: "segments[2].coeff"."""
+    if isinstance(path, tuple):
+        path = "%s[%d]" % path
+    return path if key is None else path + "." + key
+
+
+def _num(obj, path, key=None, allow_null_inf=False):
+    """The number obj at path (field key) as a float."""
     if obj is None and allow_null_inf:
         return INF
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise SchemaError(path, "expected a number, got %r" % (obj,))
+        raise SchemaError(_at(path, key), "expected a number, got %r"
+                          % (obj,))
     if not math.isfinite(obj):
-        raise SchemaError(path, "expected a finite number")
+        raise SchemaError(_at(path, key), "expected a finite number")
     return float(obj)
 
 
 def _record(obj, path, required, optional=()):
     if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object, got %r" % type(obj))
+        raise SchemaError(_at(path), "expected an object, got %r"
+                          % type(obj))
     for key in required:
         if key not in obj:
-            raise SchemaError(path + "." + key, "missing required field")
+            raise SchemaError(_at(path, key), "missing required field")
     for key in obj:
         if key not in required and key not in optional:
-            raise SchemaError(path + "." + key, "unknown field")
+            raise SchemaError(_at(path, key), "unknown field")
     return obj
 
 
@@ -79,12 +91,12 @@ def _group_records(data, path, fields):
         raise SchemaError(path, "expected an array of segment records")
     groups = []
     for i, rec in enumerate(data):
-        p = "%s[%d]" % (path, i)
+        p = (path, i)
         _record(rec, p, ("lo", "hi", "coeff") + fields[0], fields[1])
-        lo = _num(rec["lo"], p + ".lo")
-        hi = _num(rec["hi"], p + ".hi", allow_null_inf=True)
+        lo = _num(rec["lo"], p, "lo")
+        hi = _num(rec["hi"], p, "hi", allow_null_inf=True)
         if hi <= lo:
-            raise SchemaError(p + ".hi", "hi must exceed lo")
+            raise SchemaError(_at(p, "hi"), "hi must exceed lo")
         if groups and groups[-1][0] == (lo, hi):
             groups[-1][1].append((p, rec))
         else:
@@ -93,12 +105,12 @@ def _group_records(data, path, fields):
 
 
 def _term_of(rec, p):
-    tm = df.Term(_num(rec["coeff"], p + ".coeff"),
-                 _num(rec.get("pow", 0.0), p + ".pow"),
-                 _num(rec.get("logpow", 0.0), p + ".logpow"),
-                 _num(rec.get("logscale", 1.0), p + ".logscale"))
+    tm = df.Term(_num(rec["coeff"], p, "coeff"),
+                 _num(rec.get("pow", 0.0), p, "pow"),
+                 _num(rec.get("logpow", 0.0), p, "logpow"),
+                 _num(rec.get("logscale", 1.0), p, "logscale"))
     if tm.scale <= 0.0:
-        raise SchemaError(p + ".logscale", "expected a positive number")
+        raise SchemaError(_at(p, "logscale"), "expected a positive number")
     return tm
 
 
@@ -133,13 +145,13 @@ def op_from_json(obj, path="operator"):
     segs = []
     for (lo, hi), recs in groups:
         p0, rec0 = recs[0]
-        phase = complex(_num(rec0["phase_re"], p0 + ".phase_re"),
-                        _num(rec0["phase_im"], p0 + ".phase_im"))
+        phase = complex(_num(rec0["phase_re"], p0, "phase_re"),
+                        _num(rec0["phase_im"], p0, "phase_im"))
         for p, rec in recs[1:]:
-            other = complex(_num(rec["phase_re"], p + ".phase_re"),
-                            _num(rec["phase_im"], p + ".phase_im"))
+            other = complex(_num(rec["phase_re"], p, "phase_re"),
+                            _num(rec["phase_im"], p, "phase_im"))
             if other != phase:
-                raise SchemaError(p + ".phase_re",
+                raise SchemaError(_at(p, "phase_re"),
                                   "phase differs within one segment")
         terms = tuple(_term_of(rec, p) for p, rec in recs)
         segs.append(df.Seg(lo, hi, terms, phase))
@@ -177,7 +189,7 @@ def module_from_json(obj, path="module"):
         raise SchemaError(path + ".factor_type", "unknown factor type")
     try:
         if kind == "Lp":
-            return md.Lp(_num(obj.get("p"), path + ".p"), ft)
+            return md.Lp(_num(obj.get("p"), path, "p"), ft)
         if kind in _LEAF_KINDS:
             return getattr(md, kind)(ft)
         if kind == "Principal":
@@ -217,13 +229,13 @@ def brown_from_json(data, path="brown"):
         raise SchemaError(path, "expected an array of atoms")
     atoms = []
     for i, rec in enumerate(data):
-        p = "%s[%d]" % (path, i)
+        p = (path, i)
         _record(rec, p, ("re", "im", "mass"))
-        mass = _num(rec["mass"], p + ".mass")
+        mass = _num(rec["mass"], p, "mass")
         if mass < 0.0:
-            raise SchemaError(p + ".mass", "mass must be nonnegative")
-        atoms.append((complex(_num(rec["re"], p + ".re"),
-                              _num(rec["im"], p + ".im")), mass))
+            raise SchemaError(_at(p, "mass"), "mass must be nonnegative")
+        atoms.append((complex(_num(rec["re"], p, "re"),
+                              _num(rec["im"], p, "im")), mass))
     return br.BrownMeasure(tuple(atoms))
 
 

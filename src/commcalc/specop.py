@@ -278,25 +278,35 @@ def integrate_bands(T, bands):
     segments where it starts at the first, then each segment it meets.
     The first band is checked as _check_band_integrable says, and so is
     each later one that reaches 0, or infinity where |v| is not integrable
-    there: the others pass that check."""
+    there: the others pass that check.  A band equal to the one before
+    it is that band's float again: no segment starts below 0 once the
+    first band is checked (the profile tiles), so an end at 0 meets only
+    comparisons, where its sign cannot tell two equal bands apart."""
     segs, tab, hi_dom = T.segs, T.integrals, T.domain_hi
     his, whole, n = tab.his, tab.whole, len(segs)
+    bisect_right, seg_integral = bisect.bisect_right, df._seg_integral
     first = segs[0].lo if segs else None
     out = []
-    checked = False
+    at_inf = None  # T.integrable[1], read once the first band is checked
+    lu = lw = None
     for u, w in bands:
-        w = min(w, hi_dom)
-        if not checked or u == 0.0 or (w == INF and not T.integrable[1]):
+        if hi_dom < w:
+            w = hi_dom  # min(w, hi_dom)
+        if u == lu and w == lw:
+            out.append(out[-1])
+            continue
+        lu, lw = u, w
+        if at_inf is None or u == 0.0 or (w == INF and not at_inf):
             _check_band_integrable(T, u, w)
-            checked = True
+            at_inf = T.integrable[1]
         if first is None or u <= first:
             # segments ending by w are whole: their running sum, then the
             # rest
-            k = bisect.bisect_right(his, w)
+            k = bisect_right(his, w)
             total = tab.head_sum(k)
         else:
             # segments ending by u lie outside the band
-            k = bisect.bisect_right(his, u)
+            k = bisect_right(his, u)
             total = 0.0 + 0.0j
         while k < n:
             seg = segs[k]
@@ -307,7 +317,7 @@ def integrate_bands(T, bands):
             a, b = (u if u > lo else lo), (w if w < hi else hi)
             if a < b:
                 total += whole(k) if a == lo and b == hi else \
-                    seg.phase * df._seg_integral(seg.terms, a, b)
+                    seg.phase * seg_integral(seg.terms, a, b)
             k += 1
         out.append(total)
     return out
