@@ -879,9 +879,18 @@ def least_decreasing_majorant(samples, domain_hi=INF, tail="hold"):
 
 
 def _scaled(terms, pairs):
-    """The terms times the least c >= 1 keeping them >= v at each (t, v)."""
+    """The terms times the least c >= 1 keeping them >= v at each (t, v).
+
+    The terms are evaluated at all samples at once (_terms_values); where
+    that raises, one sample at a time, so that a comparison that fails
+    comes before a later error."""
+    ts = [t for t, _ in pairs]
+    try:
+        tvs = _terms_values(terms, ts)
+    except Exception:
+        tvs = (sum(tm.value(t) for tm in terms) for t in ts)
     c = 1.0
-    for (t, v), tv in zip(pairs, _terms_values(terms, [t for t, _ in pairs])):
+    for (t, v), tv in zip(pairs, tvs):
         if v > c * tv and tv > 0.0:
             c = v / tv
     return tuple(Term(tm.coeff * c, tm.pow, tm.logpow, tm.scale)

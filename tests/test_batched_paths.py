@@ -373,6 +373,15 @@ def test_scaled_equals_the_per_point_sums(terms, ts, data):
             == outcome(ref_scaled, term_bits, tuple(terms), pairs))
 
 
+def test_scaled_reports_a_failed_comparison_before_a_later_error():
+    # t^-1/2 at -2 is complex, which no comparison accepts (TypeError),
+    # before 0 raises ZeroDivisionError in the batch
+    pairs = [(-2.0, 0.0), (0.0, 0.0)]
+    got = outcome(df._scaled, term_bits, (Term(1.0, 0.5),), pairs)
+    assert got == outcome(ref_scaled, term_bits, (Term(1.0, 0.5),), pairs)
+    assert got[0] is TypeError
+
+
 # ---------------------------------------------------------------------------
 # band integrals with repeated bands
 
