@@ -249,9 +249,10 @@ def build_V(T, h=None):
 
     Four copies of |T| (and of the witness profile h when given), their
     masses amplified once, by the least 2^k at or above the worst class-F
-    ratio on the probe grid: the 2^k scales each ratio down exactly.  This
-    keeps mu(V) in the same module class.  An infinite ratio cannot be
-    mended; it raises DomainError naming the probe pair.
+    ratio on the probe grid: the 2^k scales each ratio down, exactly where
+    the ratio stays a normal float.  This keeps mu(V) in the same module
+    class.  An infinite ratio cannot be mended; it raises DomainError
+    naming the probe pair.
     """
     atoms = [(z, 4.0 * mass)
              for z, mass in brown_of_normal(_abs_op(T)).atoms]

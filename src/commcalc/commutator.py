@@ -27,7 +27,6 @@ A member of [I, J] in II_inf carries the alpha/beta block data of the
 first witness scaling 2^j, j < SCALINGS, that passes (_attach_block_data).
 """
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -50,6 +49,10 @@ LOGLOG_EPS = 0.125
 ONE = df.const(1.0)
 # _attach_block_data tries the witness scaled by 2^j, j < SCALINGS
 SCALINGS = 13
+# the slack of every certificate inequality: a bound b holds a value x
+# where x <= b (1 + CERT_RTOL) + CERT_ATOL (_failing_pair, beta_sequence)
+CERT_RTOL = 1e-9
+CERT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -387,21 +390,41 @@ def member_F_plus(T, I):
 # the beta construction
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_masks(n):
-    """The n x n masks of the pairs k < ell and of the others, read-only,
-    built once per n."""
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    lower = ~upper
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
+def _pair_table(xs):
+    """|x_ell - x_k| at [k, ell] for every pair k < ell of the xs, as
+    float64; -inf on and below the diagonal, where no bound fails.
+
+    On complex xs the libm hypot that abs() calls (numpy's complex abs
+    rounds differently); on reals hypot(d, 0) is |d|, which np.abs gives
+    at a tenth of hypot's cost.  Raises abs()'s OverflowError where a
+    finite difference has no finite modulus."""
+    x = np.array(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x[None, :] - x[:, None]
+        lhs = (np.hypot(diff.real, diff.imag) if np.iscomplexobj(diff)
+               else np.abs(diff))
+    inf = np.isinf(lhs)
+    if inf.any() and (inf & np.isfinite(diff)).any():
+        raise OverflowError("absolute value too large")
+    lhs[np.tri(len(x), dtype=bool)] = -INF  # the entries k >= ell
+    return lhs
 
 
-@functools.lru_cache(maxsize=8)
-def _dyadic_points(K):
-    """2^n for -K <= n <= K, at index n + K: the floats of
-    df.dyadic_grid(-K, K, 1), built once per K."""
-    return tuple(2.0 ** n for n in range(-K, K + 1))
+def _failing_pair(lhs, row):
+    """The first pair (k, ell), row-major as the pair loop meets them,
+    where lhs[k, ell] exceeds row[k] + row[ell] beyond the slack (CERT_RTOL,
+    CERT_ATOL); None when every pair holds.
+
+    The one rule of the certificate: the two-variable bound (lhs from
+    _certificate_table, row t h(t)) and the summed-block hypothesis (lhs
+    the block sums, row t phi(t)) are both decided here."""
+    w = np.asarray(row)
+    # overflow to inf and inf - inf are silent in float arithmetic too
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = lhs > (w[:, None] + w[None, :]) * (1.0 + CERT_RTOL) + CERT_ATOL
+    if not bad.any():
+        return None
+    return divmod(int(np.argmax(bad)), len(w))
 
 
 def beta_sequence(alpha, phi, K):
@@ -412,24 +435,17 @@ def beta_sequence(alpha, phi, K):
     list index n + K.
     """
     idx = range(-K, K + 1)
-    two = _dyadic_points(K)
+    two = df.dyadic_grid(-K, K, 1)
     a = [float(alpha.get(n, 0.0)) for n in idx]
     phival = list(map(phi, two))
     # prefix sums P[m + K] = sum_{j=-K}^{m-1} 2^j a_j, and w_n = 2^n phi(2^n)
     P = list(accumulate(map(operator.mul, two, a), initial=0.0))
     w = list(map(operator.mul, two, phival))
-    # |P[ell] - P[k]| <= w_k + w_ell for all k < ell, at [k + K, ell + K];
-    # float64 ops are the scalar ones, and numpy's overflow and nan
-    # warnings are silenced as float arithmetic's are
-    Pn, wn = np.array(P[:-1]), np.array(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = (np.abs(Pn[None, :] - Pn[:, None])
-               > (wn[:, None] + wn[None, :]) * (1.0 + 1e-9) + 1e-300)
-    bad &= _pair_masks(len(idx))[0]
-    if bad.any():
-        k, ell = divmod(int(np.argmax(bad)), len(idx))  # row-major first
-        raise DomainError(
-            "summed-block bound violated at (%d, %d)" % (idx[k], idx[ell]))
+    # |P[ell] - P[k]| <= w_k + w_ell for all k < ell, by the pair test
+    pair = _failing_pair(_pair_table(P[:-1]), w)
+    if pair is not None:
+        raise DomainError("summed-block bound violated at (%d, %d)"
+                          % (idx[pair[0]], idx[pair[1]]))
     # beta_0 within w_m of the block sums S_m (m = 1..K) and of -R_m
     # (m = 0..K), in that order: max and min keep the first of equals and
     # pass over a NaN as the running max(lo, x) and min(hi, x) do
@@ -456,7 +472,7 @@ def beta_sequence(alpha, phi, K):
     # in the order beta_0, ..., beta_K, beta_-1, ..., beta_-K
     order = [*range(0, K + 1), *range(-1, -K - 1, -1)]
     for n in order:
-        if abs(beta[n + K]) > phival[n + K] * (1.0 + 1e-9) + 1e-12:
+        if abs(beta[n + K]) > phival[n + K] * (1.0 + CERT_RTOL) + CERT_ATOL:
             raise DomainError("beta bound violated at n=%d" % n)
     return (lo, hi), {n: beta[n + K] for n in order}
 
@@ -467,14 +483,20 @@ def fdh_certificate(T, h, K=40):
 
     T's side of the two-variable bound does not depend on h, so it is
     tabled once (_certificate_table) and h is read at the 2K + 1 dyadic
-    points only (_certificate_for).  The bits are unchanged: the array
-    comparison makes the products, sums and slacks of the pair loop in
-    float64, which is IEEE arithmetic as Python floats are, and the first
-    failing (r, s) is the first the row-major loop met.  An error of T's
-    own side (a nonvanishing tail, an out-of-domain level) and a failing
-    pair now come before one from combine(h, mu(T)).
+    points only.  The array comparison makes the products, sums and
+    slacks of the pair loop in float64, which is IEEE arithmetic as Python
+    floats are, and the first failing (r, s) is the first the row-major
+    loop meets.  An error of T's own side (a nonvanishing tail, an
+    out-of-domain level) and a failing pair come before one from
+    combine(h, mu(T)).
     """
-    return _certificate_for(_certificate_table(T, K), h)
+    table = _certificate_table(T, K)
+    pts = table[1]
+    pair = _failing_pair(table[3], _row(h, pts))
+    if pair is not None:
+        raise DomainError("criterion bound fails at (r, s)=(%g, %g)"
+                          % (pts[pair[0]], pts[pair[1]]))
+    return _block_data(table, h)
 
 
 def _certificate_table(T, K):
@@ -482,27 +504,17 @@ def _certificate_table(T, K):
 
     The dyadic levels 2^-K..2^K, their band edges, the running band
     integrals between them, |tau(T E(mu_s, mu_r])| for each pair r < s
-    (at [i + K, j + K] for r = 2^i, s = 2^j; -inf on and below the
-    diagonal, where no bound fails), and the block averages alpha.
+    (_pair_table of the running integrals, at [i + K, j + K] for r = 2^i,
+    s = 2^j), and the block averages alpha.
     """
     m = so.mu(T)
     if df.limit_at_inf(m) > 0.0:
         raise DomainError("certificate requires vanishing singular values")
-    pts = _dyadic_points(K)
+    pts = df.dyadic_grid(-K, K, 1)
     edges = list(so.edges(m, pts))
     bands = list(zip(edges, edges[1:]))
     ints = so.integrate_bands(T, bands)
-    # abs(cj - ci) for every pair of running sums: the libm hypot that
-    # abs() calls (numpy's complex abs rounds differently), and abs()'s
-    # error where it overflows
-    c = np.array(list(accumulate(ints, initial=0.0 + 0.0j)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = c[None, :] - c[:, None]
-        lhs = np.hypot(diff.real, diff.imag)
-    inf = np.isinf(lhs)
-    if inf.any() and (inf & np.isfinite(diff)).any():
-        raise OverflowError("absolute value too large")
-    lhs[_pair_masks(len(c))[1]] = -INF
+    lhs = _pair_table(list(accumulate(ints, initial=0.0 + 0.0j)))
     # a block band is its edge band where both edges are its own scales:
     # the same pair of floats, so the same integral
     blocks = list(zip(pts, pts[1:]))
@@ -513,35 +525,10 @@ def _certificate_table(T, K):
     return K, pts, m, lhs, alpha
 
 
-def _certificate_for(table, h):
-    """The h half of fdh_certificate: h at the 2K + 1 dyadic points, the
-    two-variable bound on every pair as one float64 array comparison, then
-    the beta sequences and the block bounds."""
-    pts = table[1]
-    pair = _failing_pair(table, _row(h, pts))
-    if pair is not None:
-        raise DomainError("criterion bound fails at (r, s)=(%g, %g)"
-                          % (pts[pair[0]], pts[pair[1]]))
-    return _block_data(table, h)
-
-
 def _row(h, pts):
-    """t h(t) at each of the ascending pts as a float64 array, h read a
-    segment at a time (PLFun.values): h(t)'s floats and first error."""
-    return np.array([t * v for t, v in zip(pts, h.values(pts))])
-
-
-def _failing_pair(table, rh):
-    """The first pair (i, j), row-major as the pair loop meets them, where
-    |tau(T E(mu_s, mu_r])| exceeds the bound of the witness row rh[k] =
-    t_k h(t_k); None when every pair holds."""
-    lhs = table[3]
-    # overflow to inf and inf - inf are silent in float arithmetic too
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = lhs > (rh[:, None] + rh[None, :]) * (1.0 + 1e-9) + 1e-12
-    if not bad.any():
-        return None
-    return divmod(int(np.argmax(bad)), len(rh))
+    """t h(t) at each of the ascending pts, h read a segment at a time
+    (PLFun.values): h(t)'s floats and first error."""
+    return [t * v for t, v in zip(pts, h.values(pts))]
 
 
 def _block_data(table, h):
@@ -593,7 +580,7 @@ def _attach_block_data(T, dec, K=40):
         pair = None
         try:
             hj = df.scale_fun(h, 2.0 ** j)
-            pair = _failing_pair(table, _row(hj, pts))
+            pair = _failing_pair(table[3], _row(hj, pts))
             if pair is None:
                 full = replace(_block_data(table, hj), a=cert.a,
                                h_fs=cert.h_fs, h_b=cert.h_b)

@@ -38,9 +38,14 @@ def _num(obj, path, key=None, allow_null_inf=False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(_at(path, key), "expected a number, got %r"
                           % (obj,))
-    if not math.isfinite(obj):
+    try:
+        x = float(obj)
+    except OverflowError:  # an int past the float range
+        raise SchemaError(_at(path, key), "expected a number within the "
+                          "float range") from None
+    if not math.isfinite(x):
         raise SchemaError(_at(path, key), "expected a finite number")
-    return float(obj)
+    return x
 
 
 def _record(obj, path, required, optional=()):

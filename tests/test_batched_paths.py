@@ -130,9 +130,13 @@ def ref_num(obj, path, allow_null_inf=False):
         return INF
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise sz.SchemaError(path, "expected a number, got %r" % (obj,))
-    if not math.isfinite(obj):
+    try:
+        x = float(obj)
+    except OverflowError:
+        raise sz.SchemaError(path, "expected a number within the float range")
+    if not math.isfinite(x):
         raise sz.SchemaError(path, "expected a finite number")
-    return float(obj)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +458,7 @@ def test_a_repeated_band_is_its_float_again(monkeypatch):
                                  3, -0.0, 2.5])
 @pytest.mark.parametrize("allow_null_inf", [False, True])
 def test_num_raises_as_the_string_path_did(obj, allow_null_inf):
-    # a huge int overflows float() with no path, as it did
+    # a huge int is a SchemaError naming its field, as NaN and inf are
 
     def num(fn, *args):
         try:

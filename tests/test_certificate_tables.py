@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from commcalc import brown as br
@@ -50,7 +50,7 @@ def ref_beta_sequence(alpha, phi, K):
         for ell in range(k + 1, K + 1):
             lhs = abs(P[ell] - P[k])
             rhs = 2.0 ** k * phival[k] + 2.0 ** ell * phival[ell]
-            if lhs > rhs * (1.0 + 1e-9) + 1e-300:
+            if lhs > rhs * (1.0 + 1e-9) + 1e-12:
                 raise DomainError(
                     "summed-block bound violated at (%d, %d)" % (k, ell))
     lo, hi = -INF, INF
@@ -389,18 +389,26 @@ HOPELESS = df.make([Seg(0.0, 0.3, (Term(1.0, 1.0),)), Seg(0.3, INF, ())])
 
 
 def counted_tests(monkeypatch):
-    """The results of the pair tests and the witnesses of the block data
-    runs of _attach_block_data, recorded as they happen."""
-    pairs, blocks = [], []
+    """The results of the pair tests of the witness scalings and the
+    witnesses of the block data runs of _attach_block_data, recorded as
+    they happen; the summed-block tests inside a block data run are the
+    same pair test and are not counted."""
+    pairs, blocks, inside = [], [], []
     failing_pair, block_data = cm._failing_pair, cm._block_data
 
-    def counted_pair(table, rh):
-        pairs.append(failing_pair(table, rh))
-        return pairs[-1]
+    def counted_pair(lhs, row):
+        pair = failing_pair(lhs, row)
+        if not inside:
+            pairs.append(pair)
+        return pair
 
     def counted_block(table, h):
         blocks.append(h)
-        return block_data(table, h)
+        inside.append(h)
+        try:
+            return block_data(table, h)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(cm, "_failing_pair", counted_pair)
     monkeypatch.setattr(cm, "_block_data", counted_block)
@@ -415,8 +423,8 @@ def counted_tests(monkeypatch):
     # is moved by scaling, so the search goes on
     (PAIR_AND_HALF, df.make([Seg(0.0, 1.0, ()), Seg(1.0, INF, (Term(0.1),))],
                             validate=False), 13),
-    # every pair holds, and the summed blocks fail at (-40, 1) on float
-    # noise: the zero witness is the same at every scaling, so one try
+    # every pair holds, and the summed blocks at (-40, 1) tie with their
+    # bound: the one rule's slack takes the tie, so block data at one try
     ([(1.37, 1.0), (-1.37, 1.0)], df.zero(), 1),
 ])
 def test_block_data_stop_where_no_scaling_helps(monkeypatch, atoms, h,
@@ -484,11 +492,46 @@ def test_beta_sequence_equals_the_pair_loop(data, K):
 
 def test_summed_block_slack_absorbs_a_subnormal_sum():
     # phi vanishes from 1 on, so the block sum 4e-305 at (2, 3) meets only
-    # the 1e-300 slack
+    # the absolute slack of the one rule, the pair test's 1e-12
     phi = df.make([Seg(0.0, 1.0, (Term(1.0),)), Seg(1.0, INF, ())])
     got = outcome(cm.beta_sequence, repr, {2: 1e-305}, phi, 4)
     assert got[0] == "ok"
     assert got == outcome(ref_beta_sequence, repr, {2: 1e-305}, phi, 4)
+
+
+# the modules of the golden rows whose +-1 pair met the summed-block
+# bound with equality: f_zero_trace_pair, lp_half_b_zero, lp_two_fs_zero
+# and example_ii_zero
+TIE_MODULES = [md.F(), md.BPart(md.Lp(0.5)), md.FsPart(md.Lp(2.0)),
+               md.Sum(md.FsPart(md.Lp(2.0)), md.BPart(md.Lp(0.5)))]
+
+
+def assert_pair_has_block_data(s, u, I):
+    T = so.from_atoms([(s * u, 1.0), (-s * u, 1.0)])
+    dec = cm.member_IIinf(T, I, md.M())
+    assert dec.answer == "member"
+    cert = dec.certificate
+    assert None not in (cert.alpha, cert.beta, cert.phi), dec.notes
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(-60.0, 12.0).map(lambda e: 2.0 ** e),
+       u=st.sampled_from([1.0, -1.0, 1j, -1j]))
+@example(s=1.37, u=1.0)
+def test_a_zero_trace_pair_carries_block_data(s, u):
+    # the summed blocks of the zero witness tie with their bound at
+    # (-40, 1) in exact arithmetic; the pair test's slack takes the tie
+    # whichever way it rounds
+    for I in TIE_MODULES:
+        assert_pair_has_block_data(s, u, I)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the absolute slack "
+                   "1e-12 does not grow with s, nor does beta_0's snap "
+                   "tolerance 1e-9 max(1, |lo|, |hi|)")
+@pytest.mark.parametrize("I", TIE_MODULES)
+def test_a_large_zero_trace_pair_loses_its_block_data(I):
+    assert_pair_has_block_data(1.37 * 2.0 ** 14, 1.0, I)
 
 
 @st.composite
@@ -771,11 +814,21 @@ def test_build_V_checks_class_F_at_most_twice(monkeypatch):
     assert amplified >= 1
 
 
+# 2 on (0, 3/4), phase 1j, then 3/2 on (3/4, 7/4), phase -5e-324 - 1j: the
+# band sums cancel to subnormals, whose ratios a 2^k moves off bit
+SUBNORMAL_SUMS = [Seg(0.0, 0.75, (Term(2.0),), 1j),
+                  Seg(0.75, 1.75, (Term(1.5),), -5e-324 - 1j)]
+TINY = np.finfo(float).tiny  # the least normal float
+
+
 @settings(max_examples=60, deadline=None)
 @given(T=operators(), atoms=atom_lists, k=st.integers(-40, 60))
+@example(T=so.make_op(SUBNORMAL_SUMS), atoms=[((1 + 0j), 1.0)], k=1)
+@example(T=so.make_op(SUBNORMAL_SUMS), atoms=[((2 + 0j), 1.0)], k=22)
 def test_class_F_ratios_scale_exactly_with_the_masses(T, atoms, k):
-    # every atom mass times 2^k: each class-F bound times 2^k, each ratio
-    # divided by 2^k, bit for bit
+    # every atom mass times 2^k: each class-F bound times 2^k, and each
+    # ratio divided by 2^k bit for bit where it stays a normal float
+    # before and after; a subnormal quotient is rounded apart
     atoms = [(z, m) for z, m in atoms if z != 0.0]
     assume(atoms)
     V = so.from_atoms(atoms)
@@ -787,10 +840,18 @@ def test_class_F_ratios_scale_exactly_with_the_masses(T, atoms, k):
     assert (bk == b * 2.0 ** k).all()
     lhs = br.phi_table(T)
     pos = b > 0.0
-    assert (lhs[pos] / bk[pos] == lhs[pos] / b[pos] / 2.0 ** k).all()
+    ratio, ratio_k = lhs[pos] / b[pos], lhs[pos] / bk[pos]
+    normal = (ratio >= TINY) & (ratio_k >= TINY)
+    assert (ratio_k[normal] == ratio[normal] / 2.0 ** k).all()
     rep, repk = (br.verify_certificate(lhs, W, "F") for W in (V, Vk))
-    assert repk["worst_ratio"] == rep["worst_ratio"] / 2.0 ** k
-    assert repk["worst_rs"] == rep["worst_rs"]
+    # a violation is a ratio above 1 (or infinite), never a subnormal
+    # one, so the counts follow the scaled ratios on every draw
+    violations = (np.count_nonzero(lhs[~pos] != 0.0)
+                  + np.count_nonzero(ratio / 2.0 ** k > 1.0 + 1e-9))
+    assert (repk["ok"], repk["violations"]) == (violations == 0, violations)
+    if min(rep["worst_ratio"], repk["worst_ratio"]) >= TINY:
+        assert repk["worst_ratio"] == rep["worst_ratio"] / 2.0 ** k
+        assert repk["worst_rs"] == rep["worst_rs"]
 
 
 # t^-0.1 on (0, 1), then -1 on (1, 1 + 1/0.9), so that tau = 0; the probe

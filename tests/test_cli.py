@@ -64,6 +64,16 @@ class TestInputErrors:
         assert code == 1
         assert "query.operator.segments[0].coeff" in err
 
+    def test_integer_past_the_float_range(self, capsys, tmp_path):
+        op = sz.op_to_json(pair_op())
+        op["segments"][0]["coeff"] = 10 ** 400
+        path = write_query(tmp_path, operator=op,
+                           module_I=sz.module_to_json(md.F()))
+        code, out, err = run(capsys, ["member", "--input", path])
+        assert code == 1 and out == ""
+        assert err == ("commcalc: query.operator.segments[0].coeff: expected"
+                       " a number within the float range\n")
+
     @pytest.mark.parametrize("logscale", [0, -1])
     def test_nonpositive_operator_logscale(self, capsys, tmp_path, logscale):
         op = sz.op_to_json(pair_op())
