@@ -16,6 +16,8 @@ from .decfun import DomainError
 SHODA_SWEEPS = 400
 SHODA_TOL = 1e-12
 SHODA_TRACE_TOL = 1e-9  # the largest |trace| / (n max(||T||, 1)) accepted
+PLURI_BLOCK = 16  # angles per batched SVD: larger blocks raise peak RSS
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -62,14 +64,17 @@ def singular_profile(M):
                        domain_hi=1.0)
 
 
+def _fk_det(sig, n):
+    """|det|^(1/n) from the n descending singular values; 0 when singular."""
+    if sig[-1] <= n * _EPS * sig[0]:
+        return 0.0
+    return math.exp(np.log(sig).sum() / n)
+
+
 def fk_det_matrix(M):
     """|det M|^(1/n) by the log-sum of singular values; 0 when singular."""
     a = _arr(M)
-    n = a.shape[0]
-    sig = np.linalg.svd(a, compute_uv=False)
-    if sig[-1] <= n * np.finfo(float).eps * sig[0]:
-        return 0.0
-    return float(math.exp(np.log(sig).sum() / n))
+    return _fk_det(np.linalg.svd(a, compute_uv=False), a.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +197,18 @@ def _mu_values(a):
 
 
 def _mu_at(sig, t):
-    """mu_t for a step profile of n singular values on (0,1)."""
+    """mu_t for a step profile of n singular values on (0,1), at each point
+    of the array t."""
     n = len(sig)
-    if t >= 1.0:
-        return 0.0
     x = t * n
-    k = int(x)
-    if x - k > 1.0 - 1e-9:  # t*n landed just below an integer breakpoint
-        k += 1
-    return float(sig[min(k, n - 1)])
+    k = x.astype(np.int64)
+    k += x - k > 1.0 - 1e-9  # t*n landed just below an integer breakpoint
+    return np.where(t >= 1.0, 0.0, sig[np.minimum(k, n - 1)])
+
+
+# The trials table their margins with the float operations of a loop over
+# the points, in its order.  ndarray.min is that loop's min only because no
+# margin is NaN: finite Gaussian draws have finite singular values.
 
 
 def _snumb_trial(rng, n, cfg):
@@ -208,17 +216,13 @@ def _snumb_trial(rng, n, cfg):
     T = _draw(rng, n, _KINDS[int(rng.integers(3))])
     sS, sT = _mu_values(S), _mu_values(T)
     sST = _mu_values(S + T)
-    worst = math.inf
-    for i in range(n):
-        for j in range(n):
-            s, t = i / n, j / n
-            if s + t >= 1.0:
-                continue
-            lhs = _mu_at(sST, s + t)
-            rhs = _mu_at(sS, s) + _mu_at(sT, t)
-            worst = min(worst, rhs - lhs + cfg.tol
-                        + cfg.tol * (float(sS[0]) + float(sT[0])))
-    return worst
+    s = np.arange(n) / n
+    st = s[:, None] + s[None, :]
+    inside = st < 1.0
+    lhs = _mu_at(sST, st[inside])
+    rhs = (_mu_at(sS, s)[:, None] + _mu_at(sT, s)[None, :])[inside]
+    return float((rhs - lhs + cfg.tol
+                  + cfg.tol * (float(sS[0]) + float(sT[0]))).min())
 
 
 def _soplus_trial(rng, n, cfg):
@@ -229,17 +233,15 @@ def _soplus_trial(rng, n, cfg):
     D[n:, n:] = T
     sS, sT = _mu_values(S), _mu_values(T)
     sD = _mu_values(D)
-    # mu_a(S (+) T) = inf over b+c=2a of max(mu_b(S), mu_c(T))
-    worst = math.inf
-    for k in range(2 * n):
-        a = k / (2 * n)
-        best = math.inf
-        for i in range(k + 1):
-            b, c = i / n, (k - i) / n
-            best = min(best, max(_mu_at(sS, b), _mu_at(sT, c)))
-        err = abs(_mu_at(sD, a) - best)
-        worst = min(worst, cfg.tol + cfg.tol * float(sD[0]) - err)
-    return worst
+    # mu_a(S (+) T) = inf over b+c=2a of max(mu_b(S), mu_c(T)): row k is
+    # a = k/(2n), column i <= k is b = i/n and c = (k-i)/n
+    k = np.arange(2 * n)
+    d = k[:, None] - k[None, :]
+    pair = np.maximum(_mu_at(sS, k / n)[None, :],
+                      _mu_at(sT, k / n)[np.maximum(d, 0)])
+    best = pair.min(axis=1, initial=np.inf, where=d >= 0)
+    err = np.abs(_mu_at(sD, k / (2 * n)) - best)
+    return float((cfg.tol + cfg.tol * float(sD[0]) - err).min())
 
 
 def _band_projection(sig, vh, lo, hi):
@@ -257,37 +259,34 @@ def _lemma_nec_trial(rng, n, cfg, N):
     sT = _mu_values(T)
     sAB = [( _mu_values(A), _mu_values(B)) for A, B in parts]
 
-    def h(t):
-        acc = (8 * N + 2) * _mu_at(sT, t)
-        for sA, sB in sAB:
-            acc += (16 * N + 4) * _mu_at(sA, t) * _mu_at(sB, t)
-        return acc
-
     _, sig, vh = np.linalg.svd(T)
     # the dyadic masses 1, 1/2, ... down to the last one >= 1 / (2n)
-    masses = df.dyadic_grid(-((2 * n).bit_length() - 1), 0, 1)[::-1]
-    worst = math.inf
-    for r in masses:
-        for s in masses:
-            if s <= r:
-                continue
-            E = _band_projection(sig, vh, _mu_at(sT, s), _mu_at(sT, r))
-            lhs = abs(np.trace(T @ E)) / n
-            rhs = r * h(r) + s * h(s)
-            worst = min(worst, rhs - lhs + cfg.tol
-                        + cfg.tol * float(sT[0]))
-    return worst
+    masses = np.array(df.dyadic_grid(-((2 * n).bit_length() - 1), 0, 1)[::-1])
+    muT = _mu_at(sT, masses)
+    h = (8 * N + 2) * muT
+    for sA, sB in sAB:
+        h = h + (16 * N + 4) * _mu_at(sA, masses) * _mu_at(sB, masses)
+    rh = masses * h
+    # r = masses[i] < s = masses[j] for j < i (the masses descend), r outer
+    i, j = np.tril_indices(len(masses), -1)
+    lhs = [abs(np.trace(T @ _band_projection(sig, vh, muT[b], muT[a]))) / n
+           for a, b in zip(i, j)]
+    return float((rh[i] + rh[j] - lhs + cfg.tol
+                  + cfg.tol * float(sT[0])).min())
 
 
 def _pluri_trial(rng, n, cfg):
     S = _draw(rng, n, _KINDS[int(rng.integers(3))])
     T = _draw(rng, n, _KINDS[int(rng.integers(3))])
-    eye = np.eye(n)
-    lhs = math.log(max(fk_det_matrix(eye + S), 1e-300))
+    base = np.eye(n) + S
+    lhs = math.log(max(fk_det_matrix(base), 1e-300))
 
-    thetas = 2.0 * np.pi * np.arange(256) / 256
-    vals = [math.log(max(fk_det_matrix(
-        eye + S + np.exp(1j * th) * T), 1e-300)) for th in thetas]
+    rot = np.exp(1j * (2.0 * np.pi * np.arange(256) / 256))
+    vals = []
+    for k in range(0, 256, PLURI_BLOCK):
+        sig = np.linalg.svd(base + rot[k:k + PLURI_BLOCK, None, None] * T,
+                            compute_uv=False)
+        vals += [math.log(max(_fk_det(row, n), 1e-300)) for row in sig]
     m256 = float(np.mean(vals))
     # the even angles are the 128-point rule's, bit for bit
     m128 = float(np.mean(vals[::2]))

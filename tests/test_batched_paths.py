@@ -5,10 +5,12 @@ decfun._check_monotone evaluates a segment's probe points at once
 (Seg.values) from a cached _probe_points, _scaled reads its samples the
 same way, least_decreasing_majorant tiles its steps without normalize,
 specop.integrate_bands reuses the float of a band equal to the one before
-it, and serialize._num builds its error path only when it raises.  The
-ref_* functions below are the per-point definitions; every outcome must
-equal theirs bit for bit, errors included.  (beta_sequence and the
-certificate table are compared in test_certificate_tables.)
+it, serialize._num builds its error path only when it raises, and the
+matrix oracle's trials table mu_t over arrays and take their determinants
+from batched SVDs.  The ref_* functions below are the per-point
+definitions; every outcome must equal theirs bit for bit, errors included.
+(beta_sequence and the certificate table are compared in
+test_certificate_tables.)
 """
 
 import math
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commcalc import decfun as df
+from commcalc import matrix_oracle as mo
 from commcalc import serialize as sz
 from commcalc import specop as so
 from commcalc.decfun import INF, DomainError, Seg, Term
@@ -137,6 +140,106 @@ def ref_num(obj, path, allow_null_inf=False):
     if not math.isfinite(x):
         raise sz.SchemaError(path, "expected a finite number")
     return x
+
+
+def ref_mu_at(sig, t):
+    n = len(sig)
+    if t >= 1.0:
+        return 0.0
+    x = t * n
+    k = int(x)
+    if x - k > 1.0 - 1e-9:
+        k += 1
+    return float(sig[min(k, n - 1)])
+
+
+def ref_fk_det_matrix(a):
+    n = a.shape[0]
+    sig = np.linalg.svd(a, compute_uv=False)
+    if sig[-1] <= n * np.finfo(float).eps * sig[0]:
+        return 0.0
+    return float(math.exp(np.log(sig).sum() / n))
+
+
+def ref_snumb_trial(rng, n, cfg):
+    S = mo._draw(rng, n, mo._KINDS[int(rng.integers(3))])
+    T = mo._draw(rng, n, mo._KINDS[int(rng.integers(3))])
+    sS, sT = mo._mu_values(S), mo._mu_values(T)
+    sST = mo._mu_values(S + T)
+    worst = math.inf
+    for i in range(n):
+        for j in range(n):
+            s, t = i / n, j / n
+            if s + t >= 1.0:
+                continue
+            lhs = ref_mu_at(sST, s + t)
+            rhs = ref_mu_at(sS, s) + ref_mu_at(sT, t)
+            worst = min(worst, rhs - lhs + cfg.tol
+                        + cfg.tol * (float(sS[0]) + float(sT[0])))
+    return worst
+
+
+def ref_soplus_trial(rng, n, cfg):
+    S = mo._draw(rng, n, mo._KINDS[int(rng.integers(3))])
+    T = mo._draw(rng, n, mo._KINDS[int(rng.integers(3))])
+    D = np.zeros((2 * n, 2 * n), dtype=complex)
+    D[:n, :n] = S
+    D[n:, n:] = T
+    sS, sT = mo._mu_values(S), mo._mu_values(T)
+    sD = mo._mu_values(D)
+    worst = math.inf
+    for k in range(2 * n):
+        a = k / (2 * n)
+        best = math.inf
+        for i in range(k + 1):
+            b, c = i / n, (k - i) / n
+            best = min(best, max(ref_mu_at(sS, b), ref_mu_at(sT, c)))
+        err = abs(ref_mu_at(sD, a) - best)
+        worst = min(worst, cfg.tol + cfg.tol * float(sD[0]) - err)
+    return worst
+
+
+def ref_lemma_nec_trial(rng, n, cfg, N):
+    parts = [(mo._draw(rng, n, "gaussian"), mo._draw(rng, n, "gaussian"))
+             for _ in range(N)]
+    T = sum(A @ B - B @ A for A, B in parts)
+    sT = mo._mu_values(T)
+    sAB = [(mo._mu_values(A), mo._mu_values(B)) for A, B in parts]
+
+    def h(t):
+        acc = (8 * N + 2) * ref_mu_at(sT, t)
+        for sA, sB in sAB:
+            acc += (16 * N + 4) * ref_mu_at(sA, t) * ref_mu_at(sB, t)
+        return acc
+
+    _, sig, vh = np.linalg.svd(T)
+    masses = df.dyadic_grid(-((2 * n).bit_length() - 1), 0, 1)[::-1]
+    worst = math.inf
+    for r in masses:
+        for s in masses:
+            if s <= r:
+                continue
+            E = mo._band_projection(sig, vh, ref_mu_at(sT, s),
+                                    ref_mu_at(sT, r))
+            lhs = abs(np.trace(T @ E)) / n
+            rhs = r * h(r) + s * h(s)
+            worst = min(worst, rhs - lhs + cfg.tol
+                        + cfg.tol * float(sT[0]))
+    return worst
+
+
+def ref_pluri_trial(rng, n, cfg):
+    S = mo._draw(rng, n, mo._KINDS[int(rng.integers(3))])
+    T = mo._draw(rng, n, mo._KINDS[int(rng.integers(3))])
+    eye = np.eye(n)
+    lhs = math.log(max(ref_fk_det_matrix(eye + S), 1e-300))
+    thetas = 2.0 * np.pi * np.arange(256) / 256
+    vals = [math.log(max(ref_fk_det_matrix(
+        eye + S + np.exp(1j * th) * T), 1e-300)) for th in thetas]
+    m256 = float(np.mean(vals))
+    m128 = float(np.mean(vals[::2]))
+    quad_err = abs(m256 - m128)
+    return m256 - lhs + quad_err + cfg.tol
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +588,45 @@ def test_op_from_json_names_the_record_path(field, value, path):
     with pytest.raises(sz.SchemaError) as err:
         sz.op_from_json({"factor_type": so.II_INF, "segments": recs})
     assert err.value.path == path
+
+
+# ---------------------------------------------------------------------------
+# the matrix oracle: mu_t on arrays, tabled margins, batched determinants
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_mu_at_on_an_array_is_the_scalar_rule(n):
+    sig = np.arange(n, 0, -1, dtype=float)
+    ts = [0.0, 0.5, 1.0, 1.5, 2.0, 1.0 - 1e-12]
+    for k in range(1, n + 1):
+        # just below the breakpoint k/n: within the 1e-9 nudge and past it
+        ts += [k / n, (k - 1e-11) / n, (k - 2e-9) / n]
+    got = mo._mu_at(sig, np.array(ts))
+    assert [_hex(v) for v in got] == [_hex(ref_mu_at(sig, t)) for t in ts]
+
+
+@pytest.mark.parametrize("t, want", [((1 - 1e-11) / 3, 2.0),
+                                     ((1 - 2e-9) / 3, 3.0),
+                                     (1.0 - 1e-12, 1.0), (1.0, 0.0)])
+def test_mu_at_nudges_only_within_1e_9_of_a_breakpoint(t, want):
+    assert mo._mu_at(np.array([3.0, 2.0, 1.0]), np.array([t]))[0] == want
+
+
+ORACLE_REFS = {"snumb": ref_snumb_trial, "soplus": ref_soplus_trial,
+               "lemma_nec": ref_lemma_nec_trial, "pluri": ref_pluri_trial}
+
+
+@settings(max_examples=150, deadline=None)
+@given(suite=st.sampled_from(sorted(ORACLE_REFS)),
+       seed=st.integers(0, 2 ** 31 - 1), trial=st.integers(0, 99),
+       N=st.sampled_from([1, 2, 3]), data=st.data())
+def test_oracle_trials_equal_the_per_point_loops(suite, seed, trial, N, data):
+    n = data.draw(st.integers(1, 32 if suite == "pluri" else 64), label="n")
+    cfg = mo.OracleConfig(seed=seed)
+    extra = (N,) if suite == "lemma_nec" else ()
+
+    def margin(fn):
+        return fn(np.random.default_rng([seed, n, trial]), n, cfg, *extra)
+
+    assert (_hex(margin(mo._TRIALS[suite]))
+            == _hex(margin(ORACLE_REFS[suite])))

@@ -21,7 +21,7 @@ TRIALS = 3
 
 
 def suite_dims(suite):
-    # pluri evaluates 385 determinants per trial, so it stays small
+    # pluri evaluates 257 determinants per trial, so it stays small
     return [3, 8] if suite == "pluri" else [3, 8, 17]
 
 
